@@ -30,7 +30,6 @@ from .ingest import (
     parse_traffic,
 )
 from .signatures import (
-    NormalizedTensor,
     SignatureTensor,
     bin_of,
     build_signatures,

@@ -9,40 +9,35 @@ codes: 0 success, 1 usage, 2 data problem, 3 numeric problem.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .config import parse_config
-from .clustering import (
-    export_labels_csv,
-    export_labels_geojson,
-    write_model,
-)
+from .clustering import read_labels_csv, select_k
 from .errors import DataError, NumericError, VibrancyError
 from .features import build_features, filter_rare_labels, load_third_place_taxonomy
 from .features import export_features_csv, load_features_csv
-from .grid import CellId, load_region
+from .grid import load_region
 from .ingest import load_taxonomy, parse_pois
-from .logit import export_coefficients_csv, save_logit
 from .pipeline import (
     MANIFEST_NAME,
-    _kselection_doc,
-    _write_json,
     build_city_tensor,
-    cluster_tensor,
     fit_membership_model,
-    metrics_document,
     read_manifest,
     run_from_manifest,
     run_pipeline,
+    write_cluster_stage,
+    write_model_stage,
 )
 from .signatures import (
     DAY_TYPES,
     DEFAULT_RR_CAP,
+    RAW,
+    RELATIVE_RISK,
     concat_tensors,
     read_tensor,
     relative_risk,
@@ -125,39 +120,25 @@ def _cmd_cluster(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if args.rr:
         rr = read_tensor(args.rr)
-        if not hasattr(rr, "capped_columns"):
+        if rr.kind != RELATIVE_RISK:
             raise DataError(f"{args.rr} is a raw tensor; pass it with --raw instead")
     else:
         raws = [read_tensor(p) for p in args.raw]
+        for path, raw in zip(args.raw, raws):
+            if raw.kind != RAW:
+                raise DataError(f"{path} is a relative-risk tensor; pass it with --rr instead")
         combined = concat_tensors(raws) if len(raws) > 1 else raws[0]
         rr = relative_risk(combined, cap=args.cap)
         write_tensor(rr, out / "signatures_rr.sig")
-    model, report = cluster_tensor(rr, args.k_min, args.k_max, args.seed, args.restarts)
-    _write_json(_kselection_doc(report), out / "kselection.json")
-    write_model(model, out / "clusters.bin")
-    multi = len(rr.segments) > 1
-    for seg in rr.segments:
-        rows = range(seg.start, seg.stop)
-        cells = [rr.cells[i] for i in rows]
-        labels = model.labels[list(rows)]
-        base = f"labels_{seg.name}" if multi else "labels"
-        export_labels_csv(cells, labels, out / f"{base}.csv")
-        export_labels_geojson(cells, labels, seg.grid, out / f"{base}.geojson")
+    model, report = select_k(rr, k_min=args.k_min, k_max=args.k_max, seed=args.seed,
+                             restarts=args.restarts)
+    write_cluster_stage(lambda rel, writer: writer(out / rel), rr, model, report)
     print(f"chosen k = {model.k} (silhouette {report.scores[report.chosen_k]:.4f})")
     sizes = model.sizes()
     print("cluster sizes: " + ", ".join(f"{k}: {sizes[k]}" for k in sorted(sizes)))
     if report.tie_break_note:
         print(report.tie_break_note)
     return EXIT_OK
-
-
-def _read_label_cells(path) -> list[CellId]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["col", "row"]:
-            raise DataError(f"labels file {path} must have header col,row,cluster")
-        return [CellId(int(r[0]), int(r[1])) for r in reader if r]
 
 
 def _cmd_features(args) -> int:
@@ -170,7 +151,7 @@ def _cmd_features(args) -> int:
         corpus.extend(extra_pois)
     kept_labels = {p.label for p in filter_rare_labels(corpus, args.min_count)}
     kept = [p for p in pois if p.label in kept_labels]
-    cells = _read_label_cells(args.cells_from) if args.cells_from else None
+    cells = list(read_labels_csv(args.cells_from)) if args.cells_from else None
     table = build_features(kept, taxonomy, region, cells=cells)
     export_features_csv(table, args.out)
     nonzero = int((table.values[:, 0] > 0).sum())
@@ -178,16 +159,9 @@ def _cmd_features(args) -> int:
     return EXIT_OK
 
 
-def _read_labels_for(cells, path) -> np.ndarray:
-    by_cell = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["col", "row", "cluster"]:
-            raise DataError(f"labels file {path} must have header col,row,cluster")
-        for r in reader:
-            if r:
-                by_cell[CellId(int(r[0]), int(r[1]))] = int(r[2])
+def _labels_for(cells, path) -> np.ndarray:
+    """The labels file's clusters in the order of ``cells``."""
+    by_cell = read_labels_csv(path)
     try:
         return np.array([by_cell[c] for c in cells], dtype=np.int64)
     except KeyError as exc:
@@ -198,7 +172,7 @@ def _cmd_fit(args) -> int:
     if len(args.features) != len(args.labels):
         raise DataError("--features and --labels must be paired")
     tables = [load_features_csv(p) for p in args.features]
-    label_vectors = [_read_labels_for(t.cells, p) for t, p in zip(tables, args.labels)]
+    label_vectors = [_labels_for(t.cells, p) for t, p in zip(tables, args.labels)]
     model, metrics, extra = fit_membership_model(
         tables,
         label_vectors,
@@ -209,9 +183,7 @@ def _cmd_fit(args) -> int:
     )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_logit(model, out / "model.json")
-    export_coefficients_csv(model, out / "coefficients.csv")
-    _write_json(metrics_document(model, metrics, extra), out / "metrics.json")
+    write_model_stage(lambda rel, writer: writer(out / rel), model, metrics, extra)
     print(
         f"fit on {extra['n_train']} rows: accuracy {metrics.accuracy:.4f}, "
         f"macro F1 {metrics.macro_f1:.4f}, weighted F1 {metrics.weighted_f1:.4f}"
@@ -227,19 +199,11 @@ def _cmd_run(args) -> int:
         manifest = run_from_manifest(args.manifest, out)
     else:
         config = parse_config(args.config)
-        for name, value in [
-            ("seed", args.seed), ("k_min", args.k_min), ("k_max", args.k_max),
-            ("restarts", args.restarts), ("lam", args.lam), ("level", args.level),
-            ("holdout", args.holdout),
-        ]:
+        # each `run` option is named after the config field it overrides
+        for f in fields(config):
+            value = getattr(args, f.name, None)
             if value is not None:
-                setattr(config, name, value)
-        if args.day_type:
-            config.day_types = list(args.day_type)
-        if args.drop_silent_cells:
-            config.drop_silent_cells = True
-        if args.mean_per_day:
-            config.mean_per_day = True
+                setattr(config, f.name, value)
         config.validate()
         manifest = run_pipeline(config, out)
     print(f"run complete: {len(manifest['artifacts'])} artifacts in {out}")
@@ -359,10 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int)
     p.add_argument("--restarts", type=int)
     p.add_argument("--level", choices=("local", "global"))
-    p.add_argument("--day-type", action="append", choices=DAY_TYPES)
+    p.add_argument("--day-type", dest="day_types", action="append", choices=DAY_TYPES)
     p.add_argument("--holdout", type=float)
-    p.add_argument("--drop-silent-cells", action="store_true")
-    p.add_argument("--mean-per-day", action="store_true")
+    p.add_argument("--drop-silent-cells", action="store_true", default=None)
+    p.add_argument("--mean-per-day", action="store_true", default=None)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("report", help="re-emit result tables from a finished run")

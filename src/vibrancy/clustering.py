@@ -10,24 +10,23 @@ the largest cluster is cluster 1.
 from __future__ import annotations
 
 import json
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import (
-    DataError,
     KTooLargeError,
     NonFiniteError,
     ShapeMismatchError,
     SingleClusterError,
 )
 from .grid import CellId, GridSpec, cell_polygon
-from .signatures import NormalizedTensor, SignatureTensor
+from .ingest import read_cell_rows
+from .signatures import SignatureTensor, read_framed, write_framed
 
-TensorLike = Union[SignatureTensor, NormalizedTensor, np.ndarray]
+TensorLike = Union[SignatureTensor, np.ndarray]
 
 
 @dataclass
@@ -67,24 +66,20 @@ class KSelectionReport:
     tie_break_note: str = ""
 
 
+def _values(data: TensorLike) -> np.ndarray:
+    if isinstance(data, SignatureTensor):
+        return data.values
+    return np.asarray(data, dtype=np.float64)
+
+
 def _as_points(data: TensorLike) -> np.ndarray:
     """Rows-as-points view: (n, r, c) stacks flatten to (n, r*c)."""
-    if isinstance(data, (SignatureTensor, NormalizedTensor)):
-        values = data.values
-    else:
-        values = np.asarray(data, dtype=np.float64)
+    values = _values(data)
     if values.ndim == 3:
         return values.reshape(values.shape[0], -1)
     if values.ndim == 2:
         return values
     raise ShapeMismatchError(f"expected a 2-D or 3-D point stack, got ndim={values.ndim}")
-
-
-def _feature_shape(data: TensorLike) -> tuple[int, ...]:
-    if isinstance(data, (SignatureTensor, NormalizedTensor)):
-        return data.values.shape[1:]
-    arr = np.asarray(data)
-    return arr.shape[1:]
 
 
 def distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -220,7 +215,7 @@ def kmeans(
     trace.append(inertia)
     model = ClusterModel(
         k=k,
-        centroids=centers.reshape((k,) + _feature_shape(data)),
+        centroids=centers.reshape((k,) + _values(data).shape[1:]),
         labels=labels + 1,
         inertia=inertia,
         seed=seed,
@@ -243,17 +238,8 @@ def relabel_by_size(model: ClusterModel) -> ClusterModel:
     mapping = {old: new for new, old in enumerate(order, start=1)}
     new_labels = np.array([mapping[int(lab)] for lab in model.labels], dtype=np.int64)
     new_centroids = model.centroids[[old - 1 for old in order]]
-    return ClusterModel(
-        k=model.k,
-        centroids=new_centroids,
-        labels=new_labels,
-        inertia=model.inertia,
-        seed=model.seed,
-        n_iter=model.n_iter,
-        converged=model.converged,
-        categories=model.categories,
-        inertia_trace=list(model.inertia_trace),
-    )
+    return replace(model, centroids=new_centroids, labels=new_labels,
+                   inertia_trace=list(model.inertia_trace))
 
 
 def silhouette(data: TensorLike, labels: Sequence[int]) -> float:
@@ -351,8 +337,9 @@ def assign(model: ClusterModel, matrix: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Model files: magic, JSON header (k, seed, iteration record, labels, category
-# order, centroid shape), then the float64 centroid payload.
+# Model files are framed files (see ``signatures``) whose JSON header holds k,
+# the seed, the iteration record, the labels, the category order and the
+# centroid shape; the payload is the centroids.
 # ---------------------------------------------------------------------------
 
 _MODEL_MAGIC = b"VCLM"
@@ -360,7 +347,6 @@ _MODEL_MAGIC = b"VCLM"
 
 def write_model(model: ClusterModel, path) -> None:
     header = {
-        "version": 1,
         "k": model.k,
         "seed": model.seed,
         "n_iter": model.n_iter,
@@ -370,25 +356,13 @@ def write_model(model: ClusterModel, path) -> None:
         "centroid_shape": list(model.centroids.shape),
         "labels": [int(x) for x in model.labels],
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MODEL_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(model.centroids, dtype=np.float64).tobytes())
+    write_framed(path, _MODEL_MAGIC, header, model.centroids)
 
 
-def read_model(path) -> ClusterModel:
-    raw = Path(path).read_bytes()
-    if raw[:4] != _MODEL_MAGIC:
-        raise DataError(f"{path} is not a cluster model file")
-    (blob_len,) = struct.unpack("<I", raw[4:8])
-    header = json.loads(raw[8 : 8 + blob_len].decode("utf-8"))
-    shape = tuple(header["centroid_shape"])
-    centroids = np.frombuffer(raw[8 + blob_len :], dtype=np.float64).reshape(shape)
+def _model_from(header: dict, centroids: np.ndarray) -> ClusterModel:
     return ClusterModel(
         k=int(header["k"]),
-        centroids=centroids.copy(),
+        centroids=centroids,
         labels=np.asarray(header["labels"], dtype=np.int64),
         inertia=float(header["inertia"]),
         seed=int(header["seed"]),
@@ -398,13 +372,27 @@ def read_model(path) -> ClusterModel:
     )
 
 
-def export_labels_csv(cells: Sequence[CellId], labels: Sequence[int], path) -> None:
+def read_model(path) -> ClusterModel:
+    return read_framed(path, _MODEL_MAGIC, "cluster model", lambda h: h["centroid_shape"],
+                       _model_from)
+
+
+def export_labels_csv(
+    cells: Sequence[CellId], labels: Sequence[int], path, value_column: str = "cluster"
+) -> None:
     if len(cells) != len(labels):
         raise ShapeMismatchError("cells and labels differ in length")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("col,row,cluster\n")
+        fh.write(f"col,row,{value_column}\n")
         for cell, lab in zip(cells, labels):
             fh.write(f"{cell.col},{cell.row},{int(lab)}\n")
+
+
+def read_labels_csv(path, value_column: str = "cluster") -> dict[CellId, int]:
+    """Read a ``col,row,<value_column>`` CSV into a cell -> label map in file
+    order; this reads cluster labels and planted truth (``archetype``)."""
+    _, cells, rows = read_cell_rows(path, "labels", ["col", "row", value_column], int)
+    return {cell: row[0] for cell, row in zip(cells, rows)}
 
 
 def export_labels_geojson(

@@ -31,7 +31,7 @@ Top-level keys::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -171,113 +171,85 @@ def _as_list(value) -> list:
     return value if isinstance(value, list) else [value]
 
 
+#: the config file and the manifest spell ``lam`` as "lambda"
+_KEY_OF = {"lam": "lambda"}
+
+#: converters keyed by field annotation (a string: annotations are postponed)
+_CONVERT = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": bool,
+    "list[str]": lambda v: [str(x) for x in _as_list(v)],
+}
+
+
+def _key(f: Field) -> str:
+    return _KEY_OF.get(f.name, f.name)
+
+
+def _build(cls, doc: dict, where: str, base: Optional[Path], **given):
+    """Construct ``cls`` from ``doc``, reading one key per dataclass field.
+
+    From a config file (``base`` is its directory) a missing key keeps the
+    field's default and paths resolve against ``base``. From a manifest
+    (``base`` is None) every key must be present and paths are kept as written.
+    """
+    kwargs = dict(given)
+    for f in fields(cls):
+        if f.name in given:
+            continue
+        key = _key(f)
+        if key not in doc:
+            if base is None or (f.default is MISSING and f.default_factory is MISSING):
+                raise ConfigError(f"{where} is missing {key!r}")
+            continue
+        value = doc[key]
+        if "Path" not in f.type:
+            try:
+                kwargs[f.name] = _CONVERT[f.type](value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{where} {key} has a bad value {value!r}") from exc
+        elif value is not None:
+            if not isinstance(value, str) or not value:
+                raise ConfigError(f"{where} {key} must be a path string")
+            kwargs[f.name] = Path(value) if base is None else (base / value).resolve()
+    return cls(**kwargs)
+
+
 def parse_config(path) -> PipelineConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file {path} does not exist")
     top, sections = _read_sections(path)
-    base = path.parent
-
-    def path_of(value, context) -> Path:
-        if not isinstance(value, str) or not value:
-            raise ConfigError(f"{context} must be a path string")
-        return (base / value).resolve()
-
-    for required in ("service_taxonomy", "third_place_taxonomy"):
-        if required not in top:
-            raise ConfigError(f"config is missing {required!r}")
-    cities = []
-    for name, body in sections.items():
-        for required in ("region", "traffic", "pois"):
-            if required not in body:
-                raise ConfigError(f"[city.{name}] is missing {required!r}")
-        cities.append(
-            CityConfig(
-                name=name,
-                region=path_of(body["region"], f"[city.{name}] region"),
-                traffic=path_of(body["traffic"], f"[city.{name}] traffic"),
-                pois=path_of(body["pois"], f"[city.{name}] pois"),
-                truth=path_of(body["truth"], f"[city.{name}] truth") if "truth" in body else None,
-            )
-        )
-
-    config = PipelineConfig(
-        cities=cities,
-        service_taxonomy=path_of(top["service_taxonomy"], "service_taxonomy"),
-        third_place_taxonomy=path_of(top["third_place_taxonomy"], "third_place_taxonomy"),
-        day_types=[str(d) for d in _as_list(top.get("day_types", ["weekday", "weekend"]))],
-        level=str(top.get("level", "local")),
-        k_min=int(top.get("k_min", 3)),
-        k_max=int(top.get("k_max", 10)),
-        seed=int(top.get("seed", 0)),
-        restarts=int(top.get("restarts", 10)),
-        lam=float(top.get("lambda", 1.0)),
-        rr_cap=float(top.get("rr_cap", DEFAULT_RR_CAP)),
-        min_label_count=int(top.get("min_label_count", 10)),
-        drop_silent_cells=bool(top.get("drop_silent_cells", False)),
-        mean_per_day=bool(top.get("mean_per_day", False)),
-        holdout=float(top.get("holdout", 0.0)),
-    )
+    cities = [
+        _build(CityConfig, body, f"[city.{name}]", path.parent, name=name)
+        for name, body in sections.items()
+    ]
+    config = _build(PipelineConfig, top, "config", path.parent, cities=cities)
     config.validate()
     return config
 
 
+def _plain(value):
+    if isinstance(value, Path):
+        return str(value)
+    return list(value) if isinstance(value, list) else value
+
+
+def _to_dict(obj) -> dict:
+    return {_key(f): _plain(getattr(obj, f.name)) for f in fields(obj)}
+
+
 def config_to_dict(config: PipelineConfig) -> dict:
-    return {
-        "cities": [
-            {
-                "name": c.name,
-                "region": str(c.region),
-                "traffic": str(c.traffic),
-                "pois": str(c.pois),
-                "truth": None if c.truth is None else str(c.truth),
-            }
-            for c in config.cities
-        ],
-        "service_taxonomy": str(config.service_taxonomy),
-        "third_place_taxonomy": str(config.third_place_taxonomy),
-        "day_types": list(config.day_types),
-        "level": config.level,
-        "k_min": config.k_min,
-        "k_max": config.k_max,
-        "seed": config.seed,
-        "restarts": config.restarts,
-        "lambda": config.lam,
-        "rr_cap": config.rr_cap,
-        "min_label_count": config.min_label_count,
-        "drop_silent_cells": config.drop_silent_cells,
-        "mean_per_day": config.mean_per_day,
-        "holdout": config.holdout,
-    }
+    return {**_to_dict(config), "cities": [_to_dict(c) for c in config.cities]}
 
 
 def config_from_dict(doc: dict) -> PipelineConfig:
-    cities = [
-        CityConfig(
-            name=c["name"],
-            region=Path(c["region"]),
-            traffic=Path(c["traffic"]),
-            pois=Path(c["pois"]),
-            truth=None if c.get("truth") is None else Path(c["truth"]),
-        )
-        for c in doc["cities"]
-    ]
-    config = PipelineConfig(
-        cities=cities,
-        service_taxonomy=Path(doc["service_taxonomy"]),
-        third_place_taxonomy=Path(doc["third_place_taxonomy"]),
-        day_types=list(doc["day_types"]),
-        level=doc["level"],
-        k_min=int(doc["k_min"]),
-        k_max=int(doc["k_max"]),
-        seed=int(doc["seed"]),
-        restarts=int(doc["restarts"]),
-        lam=float(doc["lambda"]),
-        rr_cap=float(doc["rr_cap"]),
-        min_label_count=int(doc["min_label_count"]),
-        drop_silent_cells=bool(doc["drop_silent_cells"]),
-        mean_per_day=bool(doc["mean_per_day"]),
-        holdout=float(doc["holdout"]),
-    )
+    try:
+        cities = [_build(CityConfig, c, "manifest city", None) for c in doc["cities"]]
+        config = _build(PipelineConfig, doc, "manifest config", None, cities=cities)
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"manifest config is malformed: {exc}") from exc
     config.validate()
     return config

@@ -10,18 +10,16 @@ more diverse than a cell with two restaurants.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
 from math import log2
-from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DataError, OutOfBoundsError, TooFewRowsError
 from .grid import CellId, CityRegion, point_to_cell
-from .ingest import PoiRecord, _check_header, _open_lines
+from .ingest import PoiRecord, read_category_pairs, read_cell_rows
 
 THIRD_PLACE_CATEGORIES = (
     "commercial_services",
@@ -58,21 +56,9 @@ class ThirdPlaceTaxonomy:
 
 def load_third_place_taxonomy(source) -> ThirdPlaceTaxonomy:
     """Load a ``label,category`` CSV. Duplicate labels are an error."""
-    reader = csv.reader(_open_lines(source))
-    _check_header(next(reader, None), ["label", "category"], "third-place taxonomy")
-    mapping: dict[str, str] = {}
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise DataError(f"third-place taxonomy line {line_no}: expected 2 fields")
-        label, category = (c.strip() for c in row)
-        if not label or not category:
-            raise DataError(f"third-place taxonomy line {line_no}: empty field")
-        if label in mapping:
-            raise DataError(f"third-place taxonomy line {line_no}: duplicate label {label!r}")
-        mapping[label] = category
-    return ThirdPlaceTaxonomy(mapping)
+    return ThirdPlaceTaxonomy(
+        read_category_pairs(source, ["label", "category"], "third-place taxonomy")
+    )
 
 
 def filter_rare_labels(pois: Sequence[PoiRecord], min_count: int = 10) -> list[PoiRecord]:
@@ -196,16 +182,5 @@ def export_features_csv(table: FeatureTable, path) -> None:
 
 
 def load_features_csv(path) -> FeatureTable:
-    reader = csv.reader(_open_lines(Path(path)))
-    header = next(reader, None)
-    if header is None or header[:2] != ["col", "row"]:
-        raise DataError(f"feature file {path} must start with col,row,...")
-    columns = tuple(header[2:])
-    cells: list[CellId] = []
-    rows: list[list[float]] = []
-    for line in reader:
-        if not line:
-            continue
-        cells.append(CellId(int(line[0]), int(line[1])))
-        rows.append([float(v) for v in line[2:]])
-    return FeatureTable(cells, columns, np.asarray(rows, dtype=np.float64))
+    header, cells, rows = read_cell_rows(path, "feature", None, float)
+    return FeatureTable(cells, header[2:], np.asarray(rows, dtype=np.float64))

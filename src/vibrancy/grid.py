@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -168,16 +168,25 @@ def _runs_from_cells(cells: Iterable[CellId]) -> list[list[int]]:
     return runs
 
 
+def grid_to_dict(grid: GridSpec) -> dict:
+    """The grid spec as stored in region files and tensor headers."""
+    return asdict(grid)
+
+
+def grid_from_dict(doc: dict) -> GridSpec:
+    return GridSpec(
+        origin_x=float(doc["origin_x"]),
+        origin_y=float(doc["origin_y"]),
+        n_cols=int(doc["n_cols"]),
+        n_rows=int(doc["n_rows"]),
+        cell_size=float(doc.get("cell_size", 100.0)),
+        region_name=str(doc.get("region_name", "")),
+    )
+
+
 def save_region(region: CityRegion, path) -> None:
     doc = {
-        "grid": {
-            "region_name": region.grid.region_name,
-            "origin_x": region.grid.origin_x,
-            "origin_y": region.grid.origin_y,
-            "cell_size": region.grid.cell_size,
-            "n_cols": region.grid.n_cols,
-            "n_rows": region.grid.n_rows,
-        },
+        "grid": grid_to_dict(region.grid),
         "active_runs": _runs_from_cells(region.active_cells),
     }
     if region.declared_area_km2 is not None:
@@ -191,15 +200,7 @@ def load_region(path) -> CityRegion:
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read region file {path}: {exc}") from exc
     try:
-        g = doc["grid"]
-        grid = GridSpec(
-            origin_x=float(g["origin_x"]),
-            origin_y=float(g["origin_y"]),
-            n_cols=int(g["n_cols"]),
-            n_rows=int(g["n_rows"]),
-            cell_size=float(g.get("cell_size", 100.0)),
-            region_name=str(g.get("region_name", "")),
-        )
+        grid = grid_from_dict(doc["grid"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"region file {path} has a bad grid spec: {exc}") from exc
     cells: set[CellId] = set()

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, TextIO, Union
+from typing import Iterable, Optional, TextIO, Union
 
 from .errors import (
     DataError,
@@ -127,6 +127,35 @@ def _check_header(row: list[str] | None, expected: list[str], what: str) -> None
         raise DataError(f"{what} file must start with header {','.join(expected)!r}")
 
 
+def read_cell_rows(path, what: str, columns: Optional[list[str]], convert):
+    """Read a ``col,row,...`` CSV: its header (exactly ``columns`` if given),
+    its cells in file order, and each row's other fields through ``convert``.
+    A malformed row or a repeated cell is a DataError naming ``file:line``."""
+    reader = csv.reader(_open_lines(path))
+    header = [c.strip() for c in next(reader, [])]
+    if (header != columns) if columns else (header[:2] != ["col", "row"]):
+        expected = ",".join(columns) if columns else "col,row,..."
+        raise DataError(f"{what} file {path} must have header {expected}")
+    cells: list[CellId] = []
+    rows: list[list] = []
+    seen: set[CellId] = set()
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
+        try:
+            cell = CellId(int(row[0]), int(row[1]))
+            rows.append([convert(v) for v in row[2:]])
+        except ValueError as exc:
+            raise DataError(f"{path}:{line_no}: {exc}") from None
+        if cell in seen:
+            raise DataError(f"{path}:{line_no}: cell ({cell.col}, {cell.row}) is listed twice")
+        seen.add(cell)
+        cells.append(cell)
+    return header, cells, rows
+
+
 def _parse_timestamp(text: str) -> datetime:
     ts = datetime.fromisoformat(text)
     if ts.tzinfo is not None:
@@ -207,26 +236,32 @@ def parse_pois(source) -> tuple[list[PoiRecord], ParseReport]:
     return records, report
 
 
-def load_taxonomy(source) -> ServiceTaxonomy:
-    """Load a ``service,category`` CSV; category order is file order of first
-    appearance."""
+def read_category_pairs(source, header: list[str], what: str, duplicate=DataError) -> dict:
+    """Read a two-column ``<key>,category`` CSV into a key -> category map in
+    file order. An empty field or a repeated key (raised as ``duplicate``) is
+    an error naming the line."""
     reader = csv.reader(_open_lines(source))
-    _check_header(next(reader, None), TAXONOMY_HEADER, "taxonomy")
+    _check_header(next(reader, None), header, what)
     mapping: dict[str, str] = {}
-    categories: list[str] = []
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != 2:
-            raise DataError(f"taxonomy line {line_no}: expected 2 fields, got {len(row)}")
-        service, category = (c.strip() for c in row)
-        if not service or not category:
-            raise DataError(f"taxonomy line {line_no}: empty service or category")
-        if service in mapping:
-            raise DuplicateServiceError(f"taxonomy line {line_no}: duplicate service {service!r}")
-        mapping[service] = category
-        if category not in categories:
-            categories.append(category)
+            raise DataError(f"{what} line {line_no}: expected 2 fields, got {len(row)}")
+        key, category = (c.strip() for c in row)
+        if not key or not category:
+            raise DataError(f"{what} line {line_no}: empty {header[0]} or category")
+        if key in mapping:
+            raise duplicate(f"{what} line {line_no}: duplicate {header[0]} {key!r}")
+        mapping[key] = category
+    return mapping
+
+
+def load_taxonomy(source) -> ServiceTaxonomy:
+    """Load a ``service,category`` CSV; category order is file order of first
+    appearance."""
+    mapping = read_category_pairs(source, TAXONOMY_HEADER, "taxonomy", DuplicateServiceError)
+    categories = tuple(dict.fromkeys(mapping.values()))
     if not categories:
         raise EmptyCategoryListError("taxonomy file defines no categories")
-    return ServiceTaxonomy(mapping, tuple(categories))
+    return ServiceTaxonomy(mapping, categories)

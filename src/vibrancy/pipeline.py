@@ -11,11 +11,11 @@ on the same platform.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -28,7 +28,7 @@ from .clustering import (
     KSelectionReport,
     export_labels_csv,
     export_labels_geojson,
-    relabel_by_size,
+    read_labels_csv,
     select_k,
     write_model,
 )
@@ -52,9 +52,7 @@ from .logit import (
     save_logit,
 )
 from .signatures import (
-    NormalizedTensor,
     SignatureTensor,
-    TensorSegment,
     build_signatures,
     concat_tensors,
     drop_silent_cells,
@@ -82,17 +80,7 @@ def _stage(name: str):
 
 def load_truth_labels(path) -> dict[CellId, int]:
     """Read a planted-truth CSV (col,row,archetype)."""
-    out: dict[CellId, int] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["col", "row", "archetype"]:
-            raise DataError(f"truth file {path} must have header col,row,archetype")
-        for row in reader:
-            if not row:
-                continue
-            out[CellId(int(row[0]), int(row[1]))] = int(row[2])
-    return out
+    return read_labels_csv(path, "archetype")
 
 
 # ---------------------------------------------------------------------------
@@ -116,21 +104,8 @@ def build_city_tensor(
     if drop_silent:
         tensor = drop_silent_cells(tensor)
     if segment_name is not None:
-        tensor.segments = [
-            TensorSegment(segment_name, s.grid, s.start, s.stop) for s in tensor.segments
-        ]
+        tensor.segments = [replace(s, name=segment_name) for s in tensor.segments]
     return tensor
-
-
-def cluster_tensor(
-    rr: NormalizedTensor,
-    k_min: int,
-    k_max: int,
-    seed: int,
-    restarts: int,
-) -> tuple[ClusterModel, KSelectionReport]:
-    model, report = select_k(rr, k_min=k_min, k_max=k_max, seed=seed, restarts=restarts)
-    return relabel_by_size(model), report
 
 
 def fit_membership_model(
@@ -200,11 +175,6 @@ def fit_membership_model(
     return model, report, extra
 
 
-# ---------------------------------------------------------------------------
-# The full run
-# ---------------------------------------------------------------------------
-
-
 def _write_json(doc: dict, path: Path) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
@@ -227,18 +197,43 @@ def _kselection_doc(report: KSelectionReport) -> dict:
     }
 
 
+def write_cluster_stage(emit, rr: SignatureTensor, model: ClusterModel,
+                        report: KSelectionReport) -> None:
+    """Emit the cluster-stage artifacts: the k selection, the model, and the
+    labels of each segment as CSV and GeoJSON (suffixed by segment name when
+    the tensor holds several cities)."""
+    emit("kselection.json", lambda p: _write_json(_kselection_doc(report), p))
+    emit("clusters.bin", lambda p: write_model(model, p))
+    multi = len(rr.segments) > 1
+    for seg in rr.segments:
+        cells = rr.cells[seg.start : seg.stop]
+        labels = model.labels[seg.start : seg.stop]
+        base = f"labels_{seg.name}" if multi else "labels"
+        emit(f"{base}.csv", lambda p, c=cells, v=labels: export_labels_csv(c, v, p))
+        emit(f"{base}.geojson",
+             lambda p, c=cells, v=labels, g=seg.grid: export_labels_geojson(c, v, g, p))
+
+
+def write_model_stage(emit, logit_model: MultinomialLogit, metrics, extra: dict) -> None:
+    """Emit the model-stage artifacts: the logit, its coefficients and metrics."""
+    emit("model.json", lambda p: save_logit(logit_model, p))
+    emit("coefficients.csv", lambda p: export_coefficients_csv(logit_model, p))
+    doc = metrics_document(logit_model, metrics, extra)
+    emit("metrics.json", lambda p: _write_json(doc, p))
+
+
+# ---------------------------------------------------------------------------
+# The full run
+# ---------------------------------------------------------------------------
+
+
 class _CityData:
     def __init__(self, cfg: CityConfig):
-        with _stage("ingest"):
-            if not Path(cfg.traffic).is_file():
-                raise DataError(f"traffic file {cfg.traffic} does not exist")
-            if not Path(cfg.pois).is_file():
-                raise DataError(f"POI file {cfg.pois} does not exist")
-            self.name = cfg.name
-            self.region = load_region(cfg.region)
-            self.traffic_path = cfg.traffic
-            self.pois, _ = parse_pois(cfg.pois)
-            self.truth = load_truth_labels(cfg.truth) if cfg.truth else None
+        self.name = cfg.name
+        self.region = load_region(cfg.region)
+        self.traffic_path = cfg.traffic
+        self.pois, _ = parse_pois(cfg.pois)
+        self.truth = load_truth_labels(cfg.truth) if cfg.truth else None
 
 
 def run_pipeline(config: PipelineConfig, out_dir) -> dict:
@@ -271,32 +266,12 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
 
     for day_type in config.day_types:
         if config.level == "local":
-            for city in cities:
-                scope = f"{city.name}/{day_type}"
-                _run_scope(
-                    scope=scope,
-                    day_type=day_type,
-                    config=config,
-                    service_tax=service_tax,
-                    place_tax=place_tax,
-                    members=[city],
-                    emit=emit,
-                    quality=quality,
-                    results=results,
-                )
+            groups = [(f"{city.name}/{day_type}", [city]) for city in cities]
         else:
-            scope = f"global/{day_type}"
-            _run_scope(
-                scope=scope,
-                day_type=day_type,
-                config=config,
-                service_tax=service_tax,
-                place_tax=place_tax,
-                members=cities,
-                emit=emit,
-                quality=quality,
-                results=results,
-            )
+            groups = [(f"global/{day_type}", cities)]
+        for scope, members in groups:
+            _run_scope(scope, day_type, config, service_tax, place_tax, members, emit,
+                       quality, results)
 
     manifest = {
         "format": "vibrancy-run-manifest",
@@ -325,6 +300,9 @@ def _run_scope(scope, day_type, config, service_tax, place_tax, members, emit, q
     def rows_of(city) -> range:
         return rr.segment_rows(city.name)
 
+    def scoped(rel: str, writer) -> None:
+        emit(f"{scope}/{rel}", writer)
+
     with _stage("signatures"):
         raws = []
         for city in members:
@@ -346,21 +324,9 @@ def _run_scope(scope, day_type, config, service_tax, place_tax, members, emit, q
         quality[scope] = {"capped_columns": len(rr.capped_columns)}
 
     with _stage("clustering"):
-        model, report = cluster_tensor(
-            rr, config.k_min, config.k_max, config.seed, config.restarts
-        )
-        emit(f"{scope}/kselection.json", lambda p: _write_json(_kselection_doc(report), p))
-        emit(f"{scope}/clusters.bin", lambda p: write_model(model, p))
-        for city in members:
-            rows = rows_of(city)
-            seg_cells = [rr.cells[i] for i in rows]
-            seg_labels = model.labels[list(rows)]
-            grid = city.region.grid
-            base = f"labels_{city.name}" if multi else "labels"
-            emit(f"{scope}/{base}.csv",
-                 lambda p, c=seg_cells, v=seg_labels: export_labels_csv(c, v, p))
-            emit(f"{scope}/{base}.geojson",
-                 lambda p, c=seg_cells, v=seg_labels, g=grid: export_labels_geojson(c, v, g, p))
+        model, report = select_k(rr, k_min=config.k_min, k_max=config.k_max,
+                                 seed=config.seed, restarts=config.restarts)
+        write_cluster_stage(scoped, rr, model, report)
 
     with _stage("features"):
         pooled = [poi for city in members for poi in city.pois]
@@ -384,10 +350,7 @@ def _run_scope(scope, day_type, config, service_tax, place_tax, members, emit, q
             holdout=config.holdout,
             seed=config.seed,
         )
-        emit(f"{scope}/model.json", lambda p: save_logit(logit_model, p))
-        emit(f"{scope}/coefficients.csv", lambda p: export_coefficients_csv(logit_model, p))
-        metrics_doc = metrics_document(logit_model, metrics, extra)
-        emit(f"{scope}/metrics.json", lambda p: _write_json(metrics_doc, p))
+        write_model_stage(scoped, logit_model, metrics, extra)
 
     summary = {
         "chosen_k": model.k,
@@ -398,21 +361,14 @@ def _run_scope(scope, day_type, config, service_tax, place_tax, members, emit, q
         "weighted_f1": metrics.weighted_f1,
     }
     if all(city.truth is not None for city in members):
-        planted: list[int] = []
-        found: list[int] = []
-        complete = True
-        for city in members:
-            for i in rows_of(city):
-                cell = rr.cells[i]
-                if cell not in city.truth:
-                    complete = False
-                    break
-                planted.append(city.truth[cell])
-                found.append(int(model.labels[i]))
-            if not complete:
-                break
-        if complete:
-            summary["ari_vs_truth"] = adjusted_rand_index(found, planted)
+        pairs = [
+            (city.truth.get(rr.cells[i]), int(model.labels[i]))
+            for city in members
+            for i in rows_of(city)
+        ]
+        if all(planted is not None for planted, _ in pairs):
+            found = [f for _, f in pairs]
+            summary["ari_vs_truth"] = adjusted_rand_index(found, [p for p, _ in pairs])
     results[scope] = summary
 
 

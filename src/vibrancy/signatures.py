@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date, datetime
+from math import prod
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -23,16 +24,20 @@ from .errors import (
     DataError,
     EmptyInputError,
     NonFiniteError,
+    NumericError,
     ShapeMismatchError,
     TooFewLocationsError,
 )
-from .grid import CellId, CityRegion, GridSpec
+from .grid import CellId, CityRegion, GridSpec, grid_from_dict, grid_to_dict
 from .ingest import ServiceTaxonomy, TrafficRecord
 
 N_BINS = 12
 WEEKDAY = "weekday"
 WEEKEND = "weekend"
 DAY_TYPES = (WEEKDAY, WEEKEND)
+RAW = "raw"
+RELATIVE_RISK = "relative_risk"
+TENSOR_KINDS = (RAW, RELATIVE_RISK)
 
 #: default ratio assigned when a cell has traffic but all other cells are silent
 DEFAULT_RR_CAP = 1e6
@@ -58,52 +63,14 @@ class TensorSegment:
     stop: int
 
 
-def _validate_tensor(values: np.ndarray, cells, categories) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 3 or values.shape[1] != N_BINS:
-        raise ShapeMismatchError(f"tensor must be (n, {N_BINS}, D), got {values.shape}")
-    if values.shape[0] != len(cells):
-        raise ShapeMismatchError("cell list does not match tensor rows")
-    if values.shape[2] != len(categories):
-        raise ShapeMismatchError("category list does not match tensor depth")
-    if not np.isfinite(values).all():
-        raise NonFiniteError("tensor contains non-finite values")
-    return values
-
-
 @dataclass
 class SignatureTensor:
-    """Raw per-cell usage totals: ``values[i, b, d]`` for cell i, bin b, category d."""
+    """Per-cell values ``values[i, b, d]`` for cell i, bin b, category d.
 
-    day_type: str
-    cells: list[CellId]
-    categories: tuple[str, ...]
-    values: np.ndarray
-    segments: list[TensorSegment] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.day_type not in DAY_TYPES:
-            raise ValueError(f"day_type must be one of {DAY_TYPES}")
-        self.categories = tuple(self.categories)
-        self.values = _validate_tensor(self.values, self.cells, self.categories)
-
-    @property
-    def n(self) -> int:
-        return len(self.cells)
-
-    def segment_rows(self, name: str) -> range:
-        for seg in self.segments:
-            if seg.name == name:
-                return range(seg.start, seg.stop)
-        raise KeyError(f"no segment named {name!r}")
-
-
-@dataclass
-class NormalizedTensor:
-    """Relative-risk ratios with the same layout as the raw tensor.
-
-    ``capped_columns`` lists the (bin, category) columns where some cell had
-    traffic while every other cell was silent, so the ratio was capped.
+    ``kind`` is ``"raw"`` for usage totals and ``"relative_risk"`` for the
+    normalized ratios. ``capped_columns`` lists the (bin, category) columns
+    where some cell had traffic while every other cell was silent, so the
+    ratio was capped; it is empty for raw tensors.
     """
 
     day_type: str
@@ -111,13 +78,25 @@ class NormalizedTensor:
     categories: tuple[str, ...]
     values: np.ndarray
     segments: list[TensorSegment] = field(default_factory=list)
+    kind: str = RAW
     capped_columns: list[tuple[int, int]] = field(default_factory=list)
 
     def __post_init__(self):
         if self.day_type not in DAY_TYPES:
             raise ValueError(f"day_type must be one of {DAY_TYPES}")
+        if self.kind not in TENSOR_KINDS:
+            raise ValueError(f"kind must be one of {TENSOR_KINDS}")
         self.categories = tuple(self.categories)
-        self.values = _validate_tensor(self.values, self.cells, self.categories)
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.ndim != 3 or values.shape[1] != N_BINS:
+            raise ShapeMismatchError(f"tensor must be (n, {N_BINS}, D), got {values.shape}")
+        if values.shape[0] != len(self.cells):
+            raise ShapeMismatchError("cell list does not match tensor rows")
+        if values.shape[2] != len(self.categories):
+            raise ShapeMismatchError("category list does not match tensor depth")
+        if not np.isfinite(values).all():
+            raise NonFiniteError("tensor contains non-finite values")
+        self.values = values
 
     @property
     def n(self) -> int:
@@ -189,7 +168,7 @@ def build_signatures(
     return SignatureTensor(day_type, cells, taxonomy.categories, values, [segment])
 
 
-def relative_risk(tensor: SignatureTensor, cap: float = DEFAULT_RR_CAP) -> NormalizedTensor:
+def relative_risk(tensor: SignatureTensor, cap: float = DEFAULT_RR_CAP) -> SignatureTensor:
     """Normalize each (bin, category) column by the mean over all other cells.
 
     For cell i the ratio is ``x_i / (sum_{k != i} x_k / (n - 1))``. When the
@@ -210,14 +189,8 @@ def relative_risk(tensor: SignatureTensor, cap: float = DEFAULT_RR_CAP) -> Norma
     capped = zero_den & (values > 0.0)
     out[capped] = cap
     capped_cols = sorted({(int(b), int(d)) for _, b, d in np.argwhere(capped)})
-    return NormalizedTensor(
-        tensor.day_type,
-        list(tensor.cells),
-        tensor.categories,
-        out,
-        list(tensor.segments),
-        capped_cols,
-    )
+    return replace(tensor, cells=list(tensor.cells), values=out,
+                   segments=list(tensor.segments), kind=RELATIVE_RISK, capped_columns=capped_cols)
 
 
 def minmax_scale(series: Sequence[float]) -> np.ndarray:
@@ -275,86 +248,119 @@ def concat_tensors(tensors: Sequence[SignatureTensor]) -> SignatureTensor:
 
 
 # ---------------------------------------------------------------------------
-# Tensor files: 4-byte magic, little-endian uint32 header length, JSON header
-# (kind, day type, categories, cells, segments with their grids), then the
-# row-major float64 payload.
+# Framed files, the one layout behind tensor and cluster-model files: 4-byte
+# magic, little-endian uint32 header length, JSON header (sorted keys, compact
+# separators) carrying ``version``, then the row-major float64 payload whose
+# shape the header determines. Reading checks every part, so a corrupt or
+# truncated file is a DataError naming the file.
 # ---------------------------------------------------------------------------
 
+_FRAME_VERSION = 1
+
+
+def write_framed(path, magic: bytes, header: dict, payload: np.ndarray) -> None:
+    """Write ``header`` (``version`` is added) and the float64 ``payload``."""
+    header = {"version": _FRAME_VERSION, **header}
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        fh.write(np.ascontiguousarray(payload, dtype=np.float64).tobytes())
+
+
+def read_framed(
+    path,
+    magic: bytes,
+    what: str,
+    shape_of: Callable[[dict], tuple],
+    build: Callable[[dict, np.ndarray], object],
+):
+    """Read a framed file and return ``build(header, payload)``, the payload
+    shaped by ``shape_of(header)``. A header field that is missing, of the
+    wrong type, or rejected by ``build`` is a DataError naming the file."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if raw[:4] != magic:
+        raise DataError(f"{path} is not a {what} file")
+    if len(raw) < 8:
+        raise DataError(f"{path}: {what} header is cut short")
+    (blob_len,) = struct.unpack("<I", raw[4:8])
+    if len(raw) < 8 + blob_len:
+        raise DataError(f"{path}: {what} header is cut short")
+    try:
+        header = json.loads(raw[8 : 8 + blob_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: {what} header is not JSON ({exc})") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: {what} header is not a JSON object")
+    if header.get("version") != _FRAME_VERSION:
+        raise DataError(f"{path}: unsupported {what} version {header.get('version')!r}")
+    payload = raw[8 + blob_len :]
+    try:
+        shape = tuple(int(s) for s in shape_of(header))
+        expected = 8 * prod(shape)
+        if len(payload) != expected:
+            raise DataError(
+                f"{path}: {what} payload is {len(payload)} bytes, header implies {expected}"
+            )
+        return build(header, np.frombuffer(payload, dtype=np.float64).reshape(shape).copy())
+    except (KeyError, IndexError, TypeError, ValueError, NumericError) as exc:
+        raise DataError(f"{path}: malformed {what} header ({exc})") from exc
+
+
+# Tensor files hold the kind, day type, categories, cells, segments with their
+# grids and, for relative-risk tensors, the capped columns in their header.
+
 _MAGIC = b"VSIG"
-_VERSION = 1
 
 
-def _grid_to_dict(grid: GridSpec) -> dict:
-    return {
-        "region_name": grid.region_name,
-        "origin_x": grid.origin_x,
-        "origin_y": grid.origin_y,
-        "cell_size": grid.cell_size,
-        "n_cols": grid.n_cols,
-        "n_rows": grid.n_rows,
-    }
-
-
-def _grid_from_dict(doc: dict) -> GridSpec:
-    return GridSpec(
-        origin_x=float(doc["origin_x"]),
-        origin_y=float(doc["origin_y"]),
-        n_cols=int(doc["n_cols"]),
-        n_rows=int(doc["n_rows"]),
-        cell_size=float(doc["cell_size"]),
-        region_name=str(doc["region_name"]),
-    )
-
-
-def write_tensor(tensor: Union[SignatureTensor, NormalizedTensor], path) -> None:
+def write_tensor(tensor: SignatureTensor, path) -> None:
     header = {
-        "version": _VERSION,
-        "kind": "relative_risk" if isinstance(tensor, NormalizedTensor) else "raw",
+        "kind": tensor.kind,
         "day_type": tensor.day_type,
         "n": tensor.n,
         "n_bins": N_BINS,
         "categories": list(tensor.categories),
         "cells": [[c.col, c.row] for c in tensor.cells],
         "segments": [
-            {"name": s.name, "start": s.start, "stop": s.stop, "grid": _grid_to_dict(s.grid)}
+            {"name": s.name, "start": s.start, "stop": s.stop, "grid": grid_to_dict(s.grid)}
             for s in tensor.segments
         ],
     }
-    if isinstance(tensor, NormalizedTensor):
+    if tensor.kind == RELATIVE_RISK:
         header["capped_columns"] = [[b, d] for b, d in tensor.capped_columns]
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(tensor.values, dtype=np.float64).tobytes())
+    write_framed(path, _MAGIC, header, tensor.values)
 
 
-def read_tensor(path) -> Union[SignatureTensor, NormalizedTensor]:
-    raw = Path(path).read_bytes()
-    if raw[:4] != _MAGIC:
-        raise DataError(f"{path} is not a signature tensor file")
-    (blob_len,) = struct.unpack("<I", raw[4:8])
-    header = json.loads(raw[8 : 8 + blob_len].decode("utf-8"))
-    n, depth = header["n"], len(header["categories"])
-    values = np.frombuffer(raw[8 + blob_len :], dtype=np.float64).reshape(n, N_BINS, depth)
-    cells = [CellId(int(c), int(r)) for c, r in header["cells"]]
-    segments = [
-        TensorSegment(s["name"], _grid_from_dict(s["grid"]), int(s["start"]), int(s["stop"]))
-        for s in header["segments"]
-    ]
-    if header["kind"] == "relative_risk":
-        capped = [(int(b), int(d)) for b, d in header.get("capped_columns", [])]
-        return NormalizedTensor(
-            header["day_type"], cells, tuple(header["categories"]), values.copy(),
-            segments, capped,
-        )
+def _tensor_from(header: dict, values: np.ndarray) -> SignatureTensor:
     return SignatureTensor(
-        header["day_type"], cells, tuple(header["categories"]), values.copy(), segments
+        header["day_type"],
+        [CellId(int(c), int(r)) for c, r in header["cells"]],
+        tuple(header["categories"]),
+        values,
+        [
+            TensorSegment(s["name"], grid_from_dict(s["grid"]), int(s["start"]), int(s["stop"]))
+            for s in header["segments"]
+        ],
+        header["kind"],
+        [(int(b), int(d)) for b, d in header.get("capped_columns", [])],
     )
 
 
-def export_tensor_csv(tensor: Union[SignatureTensor, NormalizedTensor], path) -> None:
+def read_tensor(path) -> SignatureTensor:
+    return read_framed(
+        path,
+        _MAGIC,
+        "signature tensor",
+        lambda h: (h["n"], N_BINS, len(h["categories"])),
+        _tensor_from,
+    )
+
+
+def export_tensor_csv(tensor: SignatureTensor, path) -> None:
     """Long-format dump for inspection: segment,col,row,bin,category,value."""
     seg_of_row = {}
     for seg in tensor.segments:

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .clustering import export_labels_csv
 from .errors import InvalidSpecError, LengthMismatchError
 from .features import THIRD_PLACE_CATEGORIES, ThirdPlaceTaxonomy
 from .grid import CellId, CityRegion, GridSpec, save_region
@@ -294,10 +295,7 @@ def write_city(truth: SynthTruth, out_dir) -> dict[str, Path]:
         fh.write("x,y,label,source_category\n")
         for p in truth.pois:
             fh.write(f"{p.x!r},{p.y!r},{p.label},{p.source_category}\n")
-    with open(paths["truth"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("col,row,archetype\n")
-        for cell, a in zip(truth.cells, truth.archetype_of):
-            fh.write(f"{cell.col},{cell.row},{int(a)}\n")
+    export_labels_csv(truth.cells, truth.archetype_of, paths["truth"], "archetype")
     with open(paths["service_taxonomy"], "w", encoding="utf-8", newline="\n") as fh:
         fh.write("service,category\n")
         for cat, pair in zip(truth.spec.categories, _services_for(truth.spec.categories)):

@@ -80,6 +80,8 @@ class TestConfigParser:
         "[city.x]\nregion = r\ntraffic = t\npois = p\n",
         "seed = 1\nseed = 2\n",
         "[section]\n",
+        "service_taxonomy = a\nthird_place_taxonomy = b\nk_min = three\n"
+        "[city.x]\nregion = r\ntraffic = t\npois = p\n",
     ])
     def test_bad_configs_rejected(self, tmp_path, body):
         path = tmp_path / "bad.cfg"
@@ -263,3 +265,75 @@ class TestSynthCommand:
         result = manifest["results"]["synthcity/weekday"]
         assert result["chosen_k"] == 3
         assert result["ari_vs_truth"] == 1.0
+
+
+def _one_line_data_error(capsys, path) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1, err
+    assert str(path) in err
+    return err
+
+
+class TestTensorKinds:
+    def test_raw_rejects_a_relative_risk_tensor(self, run_dir, tmp_path, capsys):
+        rr = run_dir / "alpha" / "weekday" / "signatures_rr.sig"
+        assert main(["cluster", "--raw", str(rr), "--out-dir", str(tmp_path)]) == 2
+        assert "--rr" in _one_line_data_error(capsys, rr)
+
+    def test_rr_rejects_a_raw_tensor(self, run_dir, tmp_path, capsys):
+        raw = run_dir / "alpha" / "weekday" / "signatures_raw.sig"
+        assert main(["cluster", "--rr", str(raw), "--out-dir", str(tmp_path)]) == 2
+        assert "--raw" in _one_line_data_error(capsys, raw)
+
+    def test_cut_tensor_is_a_data_error(self, run_dir, tmp_path, capsys):
+        cut = tmp_path / "cut.sig"
+        rr = (run_dir / "alpha" / "weekday" / "signatures_rr.sig").read_bytes()
+        header_end = 8 + int.from_bytes(rr[4:8], "little")
+        cut.write_bytes(rr[: header_end + 100])
+        assert main(["cluster", "--rr", str(cut), "--out-dir", str(tmp_path)]) == 2
+        _one_line_data_error(capsys, cut)
+
+
+def _replace_line(text: str, line_no: int, new: str) -> str:
+    lines = text.splitlines()
+    lines[line_no - 1] = new
+    return "\n".join(lines) + "\n"
+
+
+def _duplicate_line_2(text: str) -> str:
+    return _replace_line(text, 3, text.splitlines()[1])
+
+
+# (file to corrupt, corruption of its text, subcommand that reads it)
+BAD_CELL_ROWS = {
+    "labels row not an integer": ("labels.csv", lambda t: _replace_line(t, 3, "1,x,1"),
+                                  "features"),
+    "labels row short": ("labels.csv", lambda t: _replace_line(t, 3, "1,0"), "fit"),
+    "labels cell repeated (fit)": ("labels.csv", _duplicate_line_2, "fit"),
+    "labels cell repeated (features)": ("labels.csv", _duplicate_line_2, "features"),
+    "features value not a number": (
+        "features.csv", lambda t: _replace_line(t, 3, "1,0" + ",abc" * 12), "fit"),
+    "features row short": ("features.csv", lambda t: _replace_line(t, 3, "1,0,1.0"), "fit"),
+    "features cell repeated": ("features.csv", _duplicate_line_2, "fit"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CELL_ROWS))
+def test_bad_cell_csv_row_is_a_data_error_at_its_line(city_dir, run_dir, tmp_path, capsys,
+                                                       case):
+    name, corrupt, command = BAD_CELL_ROWS[case]
+    scope = run_dir / "alpha" / "weekday"
+    paths = {n: tmp_path / n for n in ("labels.csv", "features.csv")}
+    for n, path in paths.items():
+        path.write_text((scope / n).read_text())
+    paths[name].write_text(corrupt(paths[name].read_text()))
+    if command == "features":
+        c = str(city_dir)
+        argv = ["features", "--region", f"{c}/region.json", "--pois", f"{c}/pois.csv",
+                "--third-places", f"{c}/third_places.csv",
+                "--cells-from", str(paths["labels.csv"]), "--out", str(tmp_path / "f.csv")]
+    else:
+        argv = ["fit", "--features", str(paths["features.csv"]),
+                "--labels", str(paths["labels.csv"]), "--out-dir", str(tmp_path / "fit")]
+    assert main(argv) == 2
+    assert f"{paths[name]}:3:" in _one_line_data_error(capsys, paths[name])

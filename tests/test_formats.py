@@ -1,0 +1,152 @@
+"""File formats shared across stages: the framed binary layout behind tensor
+and cluster-model files, and the config codec behind config files and
+run manifests."""
+
+import json
+import struct
+from dataclasses import MISSING, fields
+
+import pytest
+
+from conftest import tensor_of
+from vibrancy.clustering import kmeans, read_model, write_model
+from vibrancy.config import (
+    CityConfig,
+    PipelineConfig,
+    config_from_dict,
+    config_to_dict,
+    parse_config,
+)
+from vibrancy.errors import DataError
+from vibrancy.grid import GridSpec
+from vibrancy.signatures import TensorSegment, read_tensor, relative_risk, write_tensor
+
+
+def _split(raw: bytes):
+    (blob_len,) = struct.unpack("<I", raw[4:8])
+    return raw[:4], raw[8 : 8 + blob_len], raw[8 + blob_len :]
+
+
+def _frame(magic: bytes, blob: bytes, payload: bytes) -> bytes:
+    return magic + struct.pack("<I", len(blob)) + blob + payload
+
+
+def _with_version(raw: bytes, version) -> bytes:
+    magic, blob, payload = _split(raw)
+    header = json.loads(blob)
+    header["version"] = version
+    return _frame(magic, json.dumps(header).encode("utf-8"), payload)
+
+
+CORRUPTIONS = {
+    "bad magic": lambda raw: b"XXXX" + raw[4:],
+    "unknown version": lambda raw: _with_version(raw, 99),
+    "header cut short": lambda raw: raw[: 8 + len(_split(raw)[1]) // 2],
+    "header not JSON": lambda raw: _frame(raw[:4], b"{not json", _split(raw)[2]),
+    "payload cut short": lambda raw: raw[:-100],
+    "payload too long": lambda raw: raw + bytes(8),
+}
+
+
+def _tensor_file(path, rng):
+    tensor = tensor_of(rng.uniform(size=(5, 12, 3)))
+    tensor.segments = [TensorSegment("toytown", GridSpec(0, 0, 5, 1), 0, 5)]
+    write_tensor(relative_risk(tensor), path)
+    return read_tensor
+
+
+def _model_file(path, rng):
+    write_model(kmeans(rng.uniform(size=(8, 12, 3)), 2, seed=1), path)
+    return read_model
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("make", [_tensor_file, _model_file], ids=["sig", "clusters_bin"])
+def test_corrupt_framed_file_is_a_data_error_naming_it(tmp_path, rng, make, corruption):
+    path = tmp_path / "artifact"
+    read = make(path, rng)
+    read(path)  # the intact file reads back
+    path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
+    with pytest.raises(DataError) as info:
+        read(path)
+    assert str(path) in str(info.value)
+
+
+def test_unreadable_framed_file_is_a_data_error(tmp_path):
+    with pytest.raises(DataError):
+        read_tensor(tmp_path / "absent.sig")
+
+
+def _non_default_config(root) -> PipelineConfig:
+    cities = [
+        CityConfig(name, root / f"{name}_region.json", root / f"{name}_traffic.csv",
+                   root / f"{name}_pois.csv", root / f"{name}_truth.csv")
+        for name in ("alpha", "beta")
+    ]
+    config = PipelineConfig(
+        cities=cities,
+        service_taxonomy=root / "services.csv",
+        third_place_taxonomy=root / "third_places.csv",
+        day_types=["weekend", "weekday"],
+        level="global",
+        k_min=4,
+        k_max=7,
+        seed=11,
+        restarts=2,
+        lam=0.25,
+        rr_cap=1000.0,
+        min_label_count=3,
+        drop_silent_cells=True,
+        mean_per_day=True,
+        holdout=0.2,
+    )
+    for f in fields(config):
+        default = f.default_factory() if f.default_factory is not MISSING else f.default
+        assert getattr(config, f.name) != default, f.name
+    return config
+
+
+def _config_text(config: PipelineConfig) -> str:
+    def text(value):
+        if isinstance(value, bool):
+            return str(value).lower()
+        if isinstance(value, list):
+            return ", ".join(value)
+        return str(value)
+
+    doc = config_to_dict(config)
+    lines = [f"{k} = {text(v)}" for k, v in doc.items() if k != "cities"]
+    for city in doc["cities"]:
+        lines.append(f"[city.{city['name']}]")
+        lines += [f"{k} = {v}" for k, v in city.items() if k != "name"]
+    return "\n".join(lines) + "\n"
+
+
+class TestConfigCodec:
+    def test_dict_round_trip_keeps_every_field(self, tmp_path):
+        config = _non_default_config(tmp_path.resolve())
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
+
+    def test_written_config_file_round_trip_keeps_every_field(self, tmp_path):
+        config = _non_default_config(tmp_path.resolve())
+        path = tmp_path / "every_field.cfg"
+        path.write_text(_config_text(config))
+        assert parse_config(path) == config
+
+    def test_manifest_config_keys_are_pinned(self, tmp_path):
+        doc = config_to_dict(_non_default_config(tmp_path))
+        assert set(doc) == {
+            "cities", "service_taxonomy", "third_place_taxonomy", "day_types", "level",
+            "k_min", "k_max", "seed", "restarts", "lambda", "rr_cap", "min_label_count",
+            "drop_silent_cells", "mean_per_day", "holdout",
+        }
+        assert doc["lambda"] == 0.25
+        assert all(set(c) == {"name", "region", "traffic", "pois", "truth"}
+                   for c in doc["cities"])
+
+    def test_manifest_config_missing_a_key_is_rejected(self, tmp_path):
+        doc = config_to_dict(_non_default_config(tmp_path))
+        del doc["lambda"]
+        with pytest.raises(DataError):
+            config_from_dict(doc)
+
