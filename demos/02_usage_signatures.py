@@ -1,4 +1,4 @@
-"""From raw traffic records to normalized usage signatures.
+"""From raw traffic rows to normalized usage signatures.
 
 A cell's signature is its traffic volume per 2-hour bin per app category,
 kept separately for weekdays (Monday-Thursday) and weekends (Friday-Sunday).
@@ -20,7 +20,7 @@ from vibrancy import (
     minmax_scale,
     relative_risk,
 )
-from vibrancy.ingest import load_taxonomy, parse_traffic
+from vibrancy.ingest import load_taxonomy, read_traffic
 
 grid = GridSpec(0, 0, 3, 1, 100.0, "microtown")
 region = CityRegion(grid, frozenset(CellId(c, 0) for c in range(3)))
@@ -47,10 +47,11 @@ traffic_csv = """col,row,timestamp,service,direction,volume
 2,0,2019-03-18T09:45,Netflix,downlink,40.0
 1,0,2019-03-22T08:00,WhatsApp,downlink,99.0
 """
-records, report = parse_traffic(io.StringIO(traffic_csv), grid)
-print(f"parsed {report.accepted} records, rejected {report.rejected}")
+table, report = read_traffic(io.StringIO(traffic_csv), grid)
+print(f"read {report.accepted} rows ({len(table.stamps)} distinct timestamps, "
+      f"{len(table.services)} services), rejected {report.rejected}")
 
-tensor = build_signatures(records, taxonomy, region, "weekday")
+tensor = build_signatures(table, taxonomy, region, "weekday")
 b = 4  # the 08:00-09:59 bin
 print("\nweekday volumes in bin 4 (08:00-09:59), Messaging column:")
 print(f"  cells {[(c.col, c.row) for c in tensor.cells]} -> "

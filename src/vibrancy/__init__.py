@@ -25,9 +25,11 @@ from .ingest import (
     PoiRecord,
     ServiceTaxonomy,
     TrafficRecord,
+    TrafficTable,
     load_taxonomy,
     parse_pois,
     parse_traffic,
+    read_traffic,
 )
 from .signatures import (
     SignatureTensor,

@@ -22,7 +22,7 @@ from .errors import DataError, NumericError, VibrancyError
 from .features import build_features, filter_rare_labels, load_third_place_taxonomy
 from .features import export_features_csv, load_features_csv
 from .grid import load_region
-from .ingest import load_taxonomy, parse_pois
+from .ingest import load_taxonomy, parse_pois, read_traffic
 from .pipeline import (
     MANIFEST_NAME,
     build_city_tensor,
@@ -97,9 +97,10 @@ def _cmd_synth(args) -> int:
 def _cmd_signatures(args) -> int:
     region = load_region(args.region)
     taxonomy = load_taxonomy(args.service_taxonomy)
+    traffic, _ = read_traffic(args.traffic, region.grid)
     tensor = build_city_tensor(
         region,
-        args.traffic,
+        traffic,
         taxonomy,
         args.day_type,
         mean_per_day=args.mean_per_day,

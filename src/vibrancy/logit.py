@@ -361,16 +361,37 @@ def save_logit(model: MultinomialLogit, path) -> None:
 
 
 def load_logit(path) -> MultinomialLogit:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return MultinomialLogit(
-        classes=tuple(doc["classes"]),
-        weights=np.asarray(doc["weights"], dtype=np.float64),
-        intercepts=np.asarray(doc["intercepts"], dtype=np.float64),
-        lam=float(doc["lambda"]),
-        covariates=tuple(doc["covariates"]),
-        converged=bool(doc["converged"]),
-        n_iter=int(doc["n_iter"]),
-        final_loss=float(doc["final_loss"]),
-        final_grad_norm=float(doc["final_grad_norm"]),
-        standardization=doc.get("standardization"),
-    )
+    """Read a model written by ``save_logit``; an unreadable file, a missing
+    key or a bad value is a DataError naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"cannot read model file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"model file {path} is not a JSON object")
+    try:
+        model = MultinomialLogit(
+            classes=tuple(doc["classes"]),
+            weights=np.asarray(doc["weights"], dtype=np.float64),
+            intercepts=np.asarray(doc["intercepts"], dtype=np.float64),
+            lam=float(doc["lambda"]),
+            covariates=tuple(doc["covariates"]),
+            converged=bool(doc["converged"]),
+            n_iter=int(doc["n_iter"]),
+            final_loss=float(doc["final_loss"]),
+            final_grad_norm=float(doc["final_grad_norm"]),
+            standardization=doc.get("standardization"),
+        )
+    except KeyError as exc:
+        raise DataError(f"model file {path} has no key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"model file {path} has a bad value: {exc}") from None
+    if model.weights.shape != (model.n_classes, model.n_covariates) or (
+        model.intercepts.shape != (model.n_classes,)
+    ):
+        raise DataError(
+            f"model file {path}: weights {model.weights.shape} and intercepts "
+            f"{model.intercepts.shape} do not fit {model.n_classes} classes and "
+            f"{model.n_covariates} covariates"
+        )
+    return model

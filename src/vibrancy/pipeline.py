@@ -42,7 +42,7 @@ from .features import (
     standardize,
 )
 from .grid import CellId, CityRegion, load_region
-from .ingest import load_taxonomy, parse_pois, parse_traffic
+from .ingest import TrafficTable, load_taxonomy, parse_pois, read_traffic
 from .logit import (
     MultinomialLogit,
     evaluate,
@@ -90,7 +90,7 @@ def load_truth_labels(path) -> dict[CellId, int]:
 
 def build_city_tensor(
     region: CityRegion,
-    traffic_path,
+    traffic: TrafficTable,
     service_taxonomy,
     day_type: str,
     *,
@@ -98,8 +98,7 @@ def build_city_tensor(
     drop_silent: bool = False,
     segment_name: Optional[str] = None,
 ) -> SignatureTensor:
-    records, _report = parse_traffic(traffic_path, region.grid)
-    tensor = build_signatures(records, service_taxonomy, region, day_type,
+    tensor = build_signatures(traffic, service_taxonomy, region, day_type,
                               mean_per_day=mean_per_day)
     if drop_silent:
         tensor = drop_silent_cells(tensor)
@@ -231,7 +230,8 @@ class _CityData:
     def __init__(self, cfg: CityConfig):
         self.name = cfg.name
         self.region = load_region(cfg.region)
-        self.traffic_path = cfg.traffic
+        # read once here; every day type's tensor is built from this table
+        self.traffic, self.traffic_report = read_traffic(cfg.traffic, self.region.grid)
         self.pois, _ = parse_pois(cfg.pois)
         self.truth = load_truth_labels(cfg.truth) if cfg.truth else None
 
@@ -308,7 +308,7 @@ def _run_scope(scope, day_type, config, service_tax, place_tax, members, emit, q
         for city in members:
             raw = build_city_tensor(
                 city.region,
-                city.traffic_path,
+                city.traffic,
                 service_tax,
                 day_type,
                 mean_per_day=config.mean_per_day,
@@ -377,8 +377,12 @@ def read_manifest(path) -> dict:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"manifest {path} is not a JSON object")
     if doc.get("format") != "vibrancy-run-manifest":
         raise DataError(f"{path} is not a run manifest")
+    if not isinstance(doc.get("config"), dict):
+        raise DataError(f"manifest {path} has no config object")
     return doc
 
 

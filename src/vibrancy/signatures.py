@@ -29,7 +29,7 @@ from .errors import (
     TooFewLocationsError,
 )
 from .grid import CellId, CityRegion, GridSpec, grid_from_dict, grid_to_dict
-from .ingest import ServiceTaxonomy, TrafficRecord
+from .ingest import ServiceTaxonomy, TrafficRecord, TrafficTable
 
 N_BINS = 12
 WEEKDAY = "weekday"
@@ -110,59 +110,61 @@ class SignatureTensor:
 
 
 def build_signatures(
-    records: Iterable[TrafficRecord],
+    traffic: Union[TrafficTable, Iterable[TrafficRecord]],
     taxonomy: ServiceTaxonomy,
     region: CityRegion,
     day_type: str,
     *,
     mean_per_day: bool = False,
 ) -> SignatureTensor:
-    """Aggregate traffic records into a signature tensor.
+    """Aggregate traffic rows (a table, or records) into a signature tensor.
 
     Both link directions are summed. Rows are the region's active cells in
-    row-major order; cells without traffic stay all-zero. Records whose day
-    type differs are excluded, and records in cells outside the region's
+    row-major order; cells without traffic stay all-zero. Rows whose day
+    type differs are excluded, and rows in cells outside the region's
     active set do not contribute. A service missing from the taxonomy is a
-    hard error so taxonomy gaps surface instead of silently dropping volume.
+    hard error, on a row of any day type, so taxonomy gaps surface instead
+    of silently dropping volume.
 
     With ``mean_per_day`` the totals are divided by the number of distinct
     matching dates present in the input, giving a per-day average instead of
     a window total. Accumulation is performed in a canonical sort order, so
-    permuting the input records never changes the result, not even in the
+    permuting the input rows never changes the result, not even in the
     last float bit.
     """
     if day_type not in DAY_TYPES:
         raise ValueError(f"day_type must be one of {DAY_TYPES}")
-    records = list(records)
-    if not records:
+    table = traffic if isinstance(traffic, TrafficTable) else TrafficTable.from_records(traffic)
+    if not len(table):
         raise EmptyInputError("no traffic records to aggregate")
+    category = np.array([taxonomy.category_index(s) for s in table.services], dtype=np.int64)
+    stamp_bin = np.array([bin_of(ts) for ts in table.stamps], dtype=np.int64)
+    stamp_on_day = np.array([day_type_of(ts) == day_type for ts in table.stamps], dtype=bool)
+
+    on_day = stamp_on_day[table.stamp]
+    n_dates = len({table.stamps[t].date() for t in np.unique(table.stamp[on_day]).tolist()})
+
+    # A cell's key is its row-major position in the grid, so the active
+    # cells' keys, in scan order, are sorted and a key's rank is its tensor row.
+    grid = region.grid
     cells = region.cells_in_scan_order()
-    index = {cell: i for i, cell in enumerate(cells)}
     n, depth = len(cells), taxonomy.n_categories
+    keys = np.array([c.row * grid.n_cols + c.col for c in cells], dtype=np.int64)
+    key = table.row * grid.n_cols + table.col
+    pos = np.searchsorted(keys, key)
+    use = on_day & (table.col >= 0) & (table.col < grid.n_cols) & (pos < n)
+    use[use] = keys[pos[use]] == key[use]
 
-    flat_idx: list[int] = []
-    volumes: list[float] = []
-    dates: set[date] = set()
-    for rec in records:
-        d = taxonomy.category_index(rec.service)
-        if day_type_of(rec.timestamp) != day_type:
-            continue
-        dates.add(rec.timestamp.date())
-        i = index.get(rec.cell)
-        if i is None:
-            continue
-        flat_idx.append((i * N_BINS + bin_of(rec.timestamp)) * depth + d)
-        volumes.append(rec.volume)
-
+    flat_idx = (pos[use] * N_BINS + stamp_bin[table.stamp[use]]) * depth
+    flat_idx += category[table.service[use]]
+    volumes = table.volume[use]
     flat = np.zeros(n * N_BINS * depth, dtype=np.float64)
-    if flat_idx:
-        idx_arr = np.asarray(flat_idx, dtype=np.int64)
-        vol_arr = np.asarray(volumes, dtype=np.float64)
-        order = np.lexsort((vol_arr, idx_arr))
-        np.add.at(flat, idx_arr[order], vol_arr[order])
+    if flat_idx.size:
+        order = np.lexsort((volumes, flat_idx))
+        np.add.at(flat, flat_idx[order], volumes[order])
     values = flat.reshape(n, N_BINS, depth)
-    if mean_per_day and dates:
-        values = values / len(dates)
+    if mean_per_day and n_dates:
+        values = values / n_dates
 
     segment = TensorSegment(region.grid.region_name or "city", region.grid, 0, n)
     return SignatureTensor(day_type, cells, taxonomy.categories, values, [segment])

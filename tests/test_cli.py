@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import vibrancy.pipeline
 from vibrancy.cli import main
 from vibrancy.config import parse_config
 from vibrancy.errors import ConfigError
@@ -118,6 +119,27 @@ class TestRun:
                      "--out", str(again)])
         assert code == 0
         assert tree_hashes(again) == tree_hashes(run_dir)
+
+    def test_each_traffic_file_is_read_once(self, city_dir, tmp_path, monkeypatch):
+        calls = []
+        read_traffic = vibrancy.pipeline.read_traffic
+
+        def counting_read_traffic(source, grid):
+            calls.append(source)
+            return read_traffic(source, grid)
+
+        monkeypatch.setattr(vibrancy.pipeline, "read_traffic", counting_read_traffic)
+        manifest = run_pipeline(parse_config(city_dir / "pipeline.cfg"), tmp_path / "o")
+        assert len(manifest["results"]) == 2  # weekday and weekend scopes
+        assert calls == [city_dir / "traffic.csv"]
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"format": "vibrancy-run-manifest"}'],
+                             ids=["not an object", "no config"])
+    def test_malformed_manifest_is_a_data_error(self, tmp_path, capsys, text):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        assert main(["run", "--manifest", str(path), "--out", str(tmp_path / "o")]) == 2
+        _one_line_data_error(capsys, path)
 
     def test_missing_traffic_aborts_with_stage(self, city_dir, tmp_path, capsys):
         bad_cfg = tmp_path / "bad.cfg"

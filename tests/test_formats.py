@@ -1,6 +1,6 @@
 """File formats shared across stages: the framed binary layout behind tensor
-and cluster-model files, and the config codec behind config files and
-run manifests."""
+and cluster-model files, the logit model file, and the config codec behind
+config files and run manifests."""
 
 import json
 import struct
@@ -19,6 +19,7 @@ from vibrancy.config import (
 )
 from vibrancy.errors import DataError
 from vibrancy.grid import GridSpec
+from vibrancy.logit import fit, load_logit, save_logit
 from vibrancy.signatures import TensorSegment, read_tensor, relative_risk, write_tensor
 
 
@@ -75,6 +76,41 @@ def test_corrupt_framed_file_is_a_data_error_naming_it(tmp_path, rng, make, corr
 def test_unreadable_framed_file_is_a_data_error(tmp_path):
     with pytest.raises(DataError):
         read_tensor(tmp_path / "absent.sig")
+
+
+def _edit_json(edit):
+    def corrupt(text: str) -> str:
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return corrupt
+
+
+LOGIT_CORRUPTIONS = {
+    "not JSON": lambda text: text[: len(text) // 2],
+    "not an object": lambda text: "[1, 2]",
+    "missing key": _edit_json(lambda doc: doc.pop("weights")),
+    "bad value": _edit_json(lambda doc: doc.update({"lambda": "heavy"})),
+    "classes not a list": _edit_json(lambda doc: doc.update({"classes": 3})),
+    "weights of the wrong shape": _edit_json(lambda doc: doc["weights"].pop()),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(LOGIT_CORRUPTIONS))
+def test_corrupt_logit_file_is_a_data_error_naming_it(tmp_path, rng, corruption):
+    path = tmp_path / "model.json"
+    X = rng.normal(size=(30, 3))
+    save_logit(fit(X, (X[:, 0] > 0).astype(int) + 1, lam=1.0), path)
+    load_logit(path)  # the intact file reads back
+    path.write_text(LOGIT_CORRUPTIONS[corruption](path.read_text()))
+    with pytest.raises(DataError) as info:
+        load_logit(path)
+    assert str(path) in str(info.value)
+
+
+def test_unreadable_logit_file_is_a_data_error(tmp_path):
+    with pytest.raises(DataError, match="absent.json"):
+        load_logit(tmp_path / "absent.json")
 
 
 def _non_default_config(root) -> PipelineConfig:

@@ -12,10 +12,12 @@ from vibrancy.errors import (
 )
 from vibrancy.grid import CellId, GridSpec
 from vibrancy.ingest import (
+    MAX_REJECT_EXAMPLES,
     ServiceTaxonomy,
     load_taxonomy,
     parse_pois,
     parse_traffic,
+    read_traffic,
 )
 
 GRID = GridSpec(0, 0, 10, 10)
@@ -102,6 +104,49 @@ class TestParseTraffic:
         first, _ = parse_traffic(io.StringIO(text), GRID)
         second, _ = parse_traffic(io.StringIO(text), GRID)
         assert first == second
+
+    def test_every_reject_reason_counted_alike_by_both_readers(self):
+        lines = [
+            "1,1,2019-03-18T08:00,App,uplink,1.5",  # 2: accepted
+            "1,1,2019-03-18T08:00,App,uplink",  # 3: five fields
+            "x,1,2019-03-18T08:00,App,uplink,1",  # 4: column not an integer
+            "1,1,yesterday,App,uplink,1",  # 5: not a timestamp
+            "1,1,2019-03-18T08:05,App,uplink,1",  # 6: not on a quarter hour
+            "1,1,2019-03-18T08:00+01:00,App,uplink,1",  # 7: timezone-aware
+            "1,1,2019-03-18T08:00,App,uplink,lots",  # 8: volume not a number
+            "1,1,2019-03-18T08:00,App,uplink,-2",  # 9: negative volume
+            "1,1,2019-03-18T08:00,App,uplink,nan",  # 10: non-finite volume
+            "1,1,2019-03-18T08:00, ,uplink,1",  # 11: empty service
+            "",  # blank lines are skipped, not counted
+            "1,1,2019-03-18T08:00,App,both,1",  # 13: unknown direction
+            "10,1,2019-03-18T08:00,App,uplink,1",  # 14: out of bounds
+            " 2 , 3 , 2019-03-23T23:45 ,Other, downlink ,0",  # 15: accepted
+            "1,1,yesterday,App,uplink,1",  # 16: malformed, cached timestamp
+        ]
+        expected = {"malformed": 10, "unknown_direction": 1, "out_of_bounds": 1}
+        table, report = read_traffic(traffic_csv(*lines), GRID)
+        records, report_again = parse_traffic(traffic_csv(*lines), GRID)
+        for r in (report, report_again):
+            assert r.total_lines == 14 and r.accepted == 2 and r.rejects == expected
+            assert [n for n, _ in r.rejected_lines] == [3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 16]
+        assert records == table.records()
+        assert [(r.cell, r.service, r.direction, r.volume) for r in records] == [
+            (CellId(1, 1), "App", "uplink", 1.5), (CellId(2, 3), "Other", "downlink", 0.0)]
+
+    def test_rejected_line_examples_are_capped(self):
+        lines = (["1,1,2019-03-18T08:00,App,up,1"] * 600
+                 + ["99,1,2019-03-18T08:00,App,uplink,1"] * 400)
+        _, report = read_traffic(traffic_csv(*lines), GRID)
+        assert report.rejects == {"unknown_direction": 600, "out_of_bounds": 400}
+        assert report.rejected == 1000 and report.accepted == 0
+        assert len(report.rejected_lines) == MAX_REJECT_EXAMPLES == 20
+        assert report.rejected_lines == [(n, "unknown_direction") for n in range(2, 22)]
+
+    def test_non_utf8_file_is_a_data_error_naming_it(self, tmp_path):
+        path = tmp_path / "traffic.csv"
+        path.write_bytes(b"col,row,timestamp,service,direction,volume\n1,1,\xff\n")
+        with pytest.raises(DataError, match="traffic.csv"):
+            read_traffic(path, GRID)
 
 
 class TestParsePois:

@@ -1,3 +1,4 @@
+import io
 from datetime import datetime
 
 import numpy as np
@@ -11,8 +12,10 @@ from vibrancy.errors import (
     UnknownServiceError,
 )
 from vibrancy.grid import CellId, CityRegion, GridSpec
-from vibrancy.ingest import ServiceTaxonomy, TrafficRecord
+from vibrancy.synth import SynthSpec, generate_for_day_types, write_city
+from vibrancy.ingest import ServiceTaxonomy, TrafficRecord, TrafficTable, read_traffic
 from vibrancy.signatures import (
+    N_BINS,
     bin_of,
     build_signatures,
     concat_tensors,
@@ -146,6 +149,15 @@ class TestBuildSignatures:
         assert tensor.n == 1
         assert tensor.values.sum() == 1.0
 
+    def test_off_grid_records_do_not_wrap_into_other_cells(self):
+        ts = datetime(2019, 3, 18, 0, 0)
+        tensor = build_signatures(
+            [rec(4, 0, ts, volume=1.0), rec(-1, 1, ts, volume=2.0),
+             rec(0, -1, ts, volume=4.0), rec(0, 4, ts, volume=8.0)],
+            TAX, REGION, "weekday",
+        )
+        assert tensor.values.sum() == 0.0
+
     def test_mean_per_day_averages_observed_days(self):
         ts_mon = datetime(2019, 3, 18, 6, 0)
         ts_tue = datetime(2019, 3, 19, 6, 0)
@@ -154,6 +166,83 @@ class TestBuildSignatures:
             TAX, REGION, "weekday", mean_per_day=True,
         )
         assert tensor.values[0, 3, 0] == 3.0
+
+
+def reference_signatures(records, taxonomy, region, day_type, mean_per_day=False):
+    """The record-at-a-time aggregation the columnar path must reproduce bit for
+    bit: same flat index, same canonical lexsort + add.at order."""
+    cells = region.cells_in_scan_order()
+    index = {cell: i for i, cell in enumerate(cells)}
+    depth = taxonomy.n_categories
+    flat_idx, volumes, dates = [], [], set()
+    for r in records:
+        d = taxonomy.category_index(r.service)
+        if day_type_of(r.timestamp) != day_type:
+            continue
+        dates.add(r.timestamp.date())
+        i = index.get(r.cell)
+        if i is not None:
+            flat_idx.append((i * N_BINS + bin_of(r.timestamp)) * depth + d)
+            volumes.append(r.volume)
+    flat = np.zeros(len(cells) * N_BINS * depth)
+    idx, vol = np.asarray(flat_idx, dtype=np.int64), np.asarray(volumes, dtype=np.float64)
+    order = np.lexsort((vol, idx))
+    np.add.at(flat, idx[order], vol[order])
+    values = flat.reshape(len(cells), N_BINS, depth)
+    return values / len(dates) if mean_per_day and dates else values
+
+
+class TestColumnarIngest:
+    @pytest.fixture(scope="class", params=[(3, 30), (8, 41)], ids=["seed3", "seed8"])
+    def city(self, request, tmp_path_factory):
+        seed, n_cells = request.param
+        spec = SynthSpec(seed=seed, n_cells=n_cells, k_true=3, noise_sigma=1.0, n_days=2,
+                         region_name="synth")
+        truth = generate_for_day_types(spec, ["weekday", "weekend"])
+        paths = write_city(truth, tmp_path_factory.mktemp(f"city{seed}"))
+        return truth, paths["traffic"]
+
+    @pytest.mark.parametrize("mean_per_day", [False, True])
+    @pytest.mark.parametrize("day_type", ["weekday", "weekend"])
+    def test_table_and_records_match_the_reference(self, city, day_type, mean_per_day):
+        truth, traffic_csv = city
+        table, report = read_traffic(traffic_csv, truth.region.grid)
+        assert report.rejected == 0 and len(table) == len(truth.traffic)
+        expected = reference_signatures(truth.traffic, truth.service_taxonomy, truth.region,
+                                        day_type, mean_per_day)
+        assert expected.sum() > 0
+        for traffic in (table, truth.traffic, table.records()):
+            tensor = build_signatures(traffic, truth.service_taxonomy, truth.region,
+                                      day_type, mean_per_day=mean_per_day)
+            assert np.array_equal(tensor.values, expected)
+
+    def test_shuffled_csv_lines_give_bitwise_equal_tensors(self, city, rng):
+        truth, traffic_csv = city
+        header, *lines = traffic_csv.read_text().splitlines(keepends=True)
+        rng.shuffle(lines)
+        shuffled, _ = read_traffic(io.StringIO(header + "".join(lines)), truth.region.grid)
+        table, _ = read_traffic(traffic_csv, truth.region.grid)
+        for day_type in ("weekday", "weekend"):
+            a, b = (build_signatures(t, truth.service_taxonomy, truth.region, day_type,
+                                     mean_per_day=True) for t in (table, shuffled))
+            assert np.array_equal(a.values, b.values)
+
+    def test_unknown_service_on_another_day_type_is_still_an_error(self):
+        table, _ = read_traffic(io.StringIO(
+            "col,row,timestamp,service,direction,volume\n"
+            "0,0,2019-03-18T08:00,msg,uplink,1.0\n"  # Monday
+            "0,0,2019-03-23T08:00,mystery,uplink,1.0\n"  # Saturday
+        ), GRID)
+        with pytest.raises(UnknownServiceError, match="mystery"):
+            build_signatures(table, TAX, REGION, "weekday")
+
+    def test_from_records_round_trips(self):
+        records = [rec(1, 2, datetime(2019, 3, 18, 8, 0), "vid", "uplink", 2.5),
+                   rec(9, 9, datetime(2019, 3, 23, 8, 0), "msg", "downlink", 0.5),
+                   rec(1, 2, datetime(2019, 3, 18, 8, 0), "msg", "downlink", 1.0)]
+        table = TrafficTable.from_records(records)
+        assert len(table) == 3 and table.services == ("vid", "msg")
+        assert table.records() == records
 
 
 class TestRelativeRisk:
