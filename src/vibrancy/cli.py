@@ -218,20 +218,42 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _manifest_field(manifest: dict, path, keys: tuple, kind):
+    """``manifest[keys[0]][keys[1]]...``, checked to be a ``kind`` (never a
+    bool); a missing key or another type is a ``DataError`` naming the file."""
+    value = manifest
+    for depth, key in enumerate(keys):
+        if not isinstance(value, dict):
+            raise DataError(f"manifest {path}: {'.'.join(keys[:depth])} is not an object")
+        if key not in value:
+            raise DataError(f"manifest {path} has no {'.'.join(keys[:depth + 1])}")
+        value = value[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise DataError(f"manifest {path}: {'.'.join(keys)} has a bad value {value!r}")
+    return value
+
+
+_NUMBER = (int, float)
+_REPORT_COLUMNS = {"chosen_k": int, "silhouette": _NUMBER, "accuracy": _NUMBER,
+                   "macro_f1": _NUMBER, "weighted_f1": _NUMBER}
+
+
 def _cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
-    manifest = read_manifest(run_dir / MANIFEST_NAME)
-    print(f"run of {manifest['environment']['package']} "
-          f"(seed {manifest['config']['seed']}, level {manifest['config']['level']})")
+    path = run_dir / MANIFEST_NAME
+    manifest = read_manifest(path)
+    package = _manifest_field(manifest, path, ("environment", "package"), str)
+    seed = _manifest_field(manifest, path, ("config", "seed"), int)
+    level = _manifest_field(manifest, path, ("config", "level"), str)
+    scopes = sorted(_manifest_field(manifest, path, ("results",), dict))
+    rows = [[_manifest_field(manifest, path, ("results", scope, column), kind)
+             for column, kind in _REPORT_COLUMNS.items()] for scope in scopes]
+    print(f"run of {package} (seed {seed}, level {level})")
     header = f"{'scope':<24}{'k':>3}{'silhouette':>12}{'accuracy':>10}{'macroF1':>9}{'wF1':>7}"
     print(header)
-    for scope in sorted(manifest["results"]):
-        r = manifest["results"][scope]
-        print(
-            f"{scope:<24}{r['chosen_k']:>3}{r['silhouette']:>12.4f}"
-            f"{r['accuracy']:>10.4f}{r['macro_f1']:>9.4f}{r['weighted_f1']:>7.4f}"
-        )
-    for scope in sorted(manifest["results"]):
+    for scope, (k, sil, accuracy, macro_f1, weighted_f1) in zip(scopes, rows):
+        print(f"{scope:<24}{k:>3}{sil:>12.4f}{accuracy:>10.4f}{macro_f1:>9.4f}{weighted_f1:>7.4f}")
+    for scope in scopes:
         ksel_path = run_dir / scope / "kselection.json"
         if ksel_path.is_file():
             ksel = json.loads(ksel_path.read_text(encoding="utf-8"))

@@ -91,14 +91,36 @@ def distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(((a - b) ** 2).sum()))
 
 
-def _pairwise_sq(X: np.ndarray, C: np.ndarray, block: int = 4096) -> np.ndarray:
+# Cap on the bytes of one distance block and of one difference block. Every
+# exact distance is the einsum of one (row, column) difference, so its bits do
+# not depend on how the rows and columns are split into blocks.
+_BLOCK_BYTES = 2 * 2**20
+
+
+def _sq_dist_blocks(X: np.ndarray, C: np.ndarray):
+    """Yield ``(start, stop, block)``: exact squared Euclidean distances from
+    rows ``start:stop`` of X to every row of C, in (rows, len(C)) blocks.
+
+    Both the output block and the (rows, cols, p) difference block it is
+    filled from stay within ``_BLOCK_BYTES`` (at least one row and one column).
+    """
+    n, p = X.shape
+    m = C.shape[0]
+    rows = max(1, min(n, _BLOCK_BYTES // (8 * m), _BLOCK_BYTES // (8 * p)))
+    cols = max(1, min(m, _BLOCK_BYTES // (8 * rows * p)))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        block = np.empty((stop - start, m), dtype=np.float64)
+        for c0 in range(0, m, cols):
+            c1 = min(c0 + cols, m)
+            diff = X[start:stop, None, :] - C[None, c0:c1, :]
+            block[:, c0:c1] = np.einsum("ijk,ijk->ij", diff, diff)
+        yield start, stop, block
+
+
+def _pairwise_sq(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Exact squared Euclidean distances between rows of X and rows of C."""
-    out = np.empty((X.shape[0], C.shape[0]), dtype=np.float64)
-    for start in range(0, X.shape[0], block):
-        stop = min(start + block, X.shape[0])
-        diff = X[start:stop, None, :] - C[None, :, :]
-        out[start:stop] = np.einsum("ijk,ijk->ij", diff, diff)
-    return out
+    return np.concatenate([block for _, _, block in _sq_dist_blocks(X, C)])
 
 
 def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -242,29 +264,41 @@ def relabel_by_size(model: ClusterModel) -> ClusterModel:
                    inertia_trace=list(model.inertia_trace))
 
 
-def silhouette(data: TensorLike, labels: Sequence[int]) -> float:
-    """Mean silhouette score of a labeling under the Euclidean matrix metric.
+def _silhouettes(X: np.ndarray, labellings: Sequence[Sequence[int]]) -> list[float]:
+    """Mean silhouette score of each labelling of the points X, from one pass
+    over the exact pairwise distances.
 
-    Per point: a is the mean distance to its own cluster (self excluded),
-    b the smallest mean distance to any other cluster, and the score is
-    (b - a) / max(a, b). Singleton points and points with a = b = 0 score 0.
-    Exact computation over the full pairwise matrix, so memory grows as n^2.
+    Distances are streamed in row blocks (see ``_sq_dist_blocks``); from each
+    block every labelling adds its per-cluster distance sums into its own
+    (n, n_clusters) array. The sums are taken over the columns sorted by
+    label with ``np.add.reduceat``, so a point's sums do not depend on the
+    block split or on the other labellings. Memory is O(_BLOCK_BYTES + n * sum
+    of cluster counts).
     """
-    X = _as_points(data)
-    labels = np.asarray(labels)
-    if labels.shape[0] != X.shape[0]:
-        raise ShapeMismatchError("labels length does not match number of points")
-    uniq, lab_idx = np.unique(labels, return_inverse=True)
-    n_clusters = uniq.size
-    if n_clusters < 2:
-        raise SingleClusterError("silhouette needs at least two distinct clusters")
     n = X.shape[0]
-    dist = np.sqrt(np.maximum(_pairwise_sq(X, X), 0.0))
-    onehot = np.zeros((n, n_clusters), dtype=np.float64)
-    onehot[np.arange(n), lab_idx] = 1.0
-    sums = dist @ onehot  # (n, n_clusters): total distance to each cluster
-    counts = onehot.sum(axis=0)
+    plans = []
+    for labels in labellings:
+        labels = np.asarray(labels)
+        if labels.shape[0] != n:
+            raise ShapeMismatchError("labels length does not match number of points")
+        uniq, lab_idx = np.unique(labels, return_inverse=True)
+        if uniq.size < 2:
+            raise SingleClusterError("silhouette needs at least two distinct clusters")
+        counts = np.bincount(lab_idx)
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        order = np.argsort(lab_idx, kind="stable")
+        sums = np.empty((n, uniq.size), dtype=np.float64)
+        plans.append((lab_idx, counts, starts, order, sums))
+    for start, stop, block in _sq_dist_blocks(X, X):
+        dist = np.sqrt(np.maximum(block, 0.0, out=block), out=block)
+        for _, _, starts, order, sums in plans:
+            sums[start:stop] = np.add.reduceat(dist[:, order], starts, axis=1)
+    return [_mean_silhouette(lab_idx, counts, sums)
+            for lab_idx, counts, _, _, sums in plans]
 
+
+def _mean_silhouette(lab_idx: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> float:
+    n = lab_idx.shape[0]
     own_count = counts[lab_idx]
     own_sum = sums[np.arange(n), lab_idx]
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -279,6 +313,18 @@ def silhouette(data: TensorLike, labels: Sequence[int]) -> float:
     valid = regular & (denom > 0)
     scores[valid] = (b[valid] - a[valid]) / denom[valid]
     return float(scores.mean())
+
+
+def silhouette(data: TensorLike, labels: Sequence[int]) -> float:
+    """Mean silhouette score of a labeling under the Euclidean matrix metric.
+
+    Per point: a is the mean distance to its own cluster (self excluded),
+    b the smallest mean distance to any other cluster, and the score is
+    (b - a) / max(a, b). Singleton points and points with a = b = 0 score 0.
+    Exact distances, streamed in blocks of bounded size; ``select_k`` scores
+    its candidates with the same routine, so its scores equal this one's.
+    """
+    return _silhouettes(_as_points(data), [labels])[0]
 
 
 def restart_seed(seed: int, k: int, restart: int) -> int:
@@ -296,13 +342,13 @@ def select_k(
     tol: float = 1e-6,
 ) -> tuple[ClusterModel, KSelectionReport]:
     """Try each k in [k_min, k_max], keep the best restart by inertia, and pick
-    the k with the highest silhouette score (ties go to the smallest k)."""
+    the k with the highest silhouette score (ties go to the smallest k). All
+    the best models are scored from one pass over the pairwise distances."""
     n = _as_points(data).shape[0]
     if k_min < 2 or k_min > k_max:
         raise ValueError("need 2 <= k_min <= k_max")
     if k_max > n:
         raise KTooLargeError(f"k_max={k_max} exceeds the number of points n={n}")
-    scores: dict[int, float] = {}
     inertias: dict[int, float] = {}
     best_models: dict[int, ClusterModel] = {}
     for k in range(k_min, k_max + 1):
@@ -313,7 +359,8 @@ def select_k(
                 best = model
         best_models[k] = best
         inertias[k] = best.inertia
-        scores[k] = silhouette(data, best.labels)
+    scores = dict(zip(best_models, _silhouettes(
+        _as_points(data), [model.labels for model in best_models.values()])))
     top = max(scores.values())
     tied = [k for k in sorted(scores) if scores[k] == top]
     chosen = tied[0]

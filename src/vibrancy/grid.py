@@ -204,12 +204,32 @@ def load_region(path) -> CityRegion:
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"region file {path} has a bad grid spec: {exc}") from exc
     cells: set[CellId] = set()
-    for col, row in doc.get("active_cells", []):
-        cells.add(CellId(int(col), int(row)))
-    for row, col_start, length in doc.get("active_runs", []):
-        for col in range(int(col_start), int(col_start) + int(length)):
-            cells.add(CellId(col, int(row)))
+    for col, row in _int_entries(doc, "active_cells", ("col", "row"), path):
+        cells.add(CellId(col, row))
+    for row, col_start, length in _int_entries(doc, "active_runs", ("row", "col", "length"),
+                                               path):
+        if length < 0:
+            raise DataError(f"region file {path}: active_runs entry {[row, col_start, length]} "
+                            "has a negative length")
+        for col in range(col_start, col_start + length):
+            cells.add(CellId(col, row))
     if not cells:
         raise DataError(f"region file {path} lists no active cells")
     declared = doc.get("declared_area_km2")
+    if declared is not None and type(declared) not in (int, float):
+        raise DataError(f"region file {path}: declared_area_km2 {declared!r} is not a number")
     return CityRegion(grid, frozenset(cells), None if declared is None else float(declared))
+
+
+def _int_entries(doc: dict, key: str, names: tuple[str, ...], path) -> list[list[int]]:
+    """The entries of a region file's ``key`` list, each a list of integers
+    named ``names``; anything else is a ``DataError`` naming the file."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise DataError(f"region file {path}: {key} is not a list")
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == len(names)
+                and all(type(v) is int for v in entry)):
+            raise DataError(f"region file {path}: {key} entry {entry!r} is not "
+                            f"[{', '.join(names)}] integers")
+    return entries

@@ -242,6 +242,30 @@ class TestReport:
     def test_report_needs_manifest(self, tmp_path, capsys):
         assert main(["report", "--run-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: [doc.clear(), doc.update(format="vibrancy-run-manifest", config={})],
+        lambda doc: doc.pop("environment"),
+        lambda doc: doc.update(environment=["vibrancy 0.1.0"]),
+        lambda doc: doc["config"].pop("level"),
+        lambda doc: doc["config"].update(seed="nine"),
+        lambda doc: doc.pop("results"),
+        lambda doc: doc.update(results=[1, 2]),
+        lambda doc: doc["results"].update({"alpha/weekday": 3}),
+        lambda doc: doc["results"]["alpha/weekday"].pop("chosen_k"),
+        lambda doc: doc["results"]["alpha/weekday"].update(silhouette="high"),
+        lambda doc: doc["results"]["alpha/weekday"].update(accuracy=True),
+    ], ids=["only format and config", "no environment", "environment not an object",
+            "no level", "seed not a number", "no results", "results not an object",
+            "scope not an object", "no chosen_k", "silhouette not a number",
+            "accuracy a bool"])
+    def test_report_on_a_bad_manifest_is_a_data_error(self, run_dir, tmp_path, capsys, edit):
+        doc = json.loads((run_dir / "manifest.json").read_text())
+        edit(doc)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--run-dir", str(tmp_path)]) == 2
+        _one_line_data_error(capsys, path)
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):

@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import vibrancy.clustering
 from conftest import cells_for, silhouette_oracle, tensor_of
 from vibrancy.clustering import (
     ClusterModel,
@@ -15,6 +17,7 @@ from vibrancy.clustering import (
     kmeans,
     read_model,
     relabel_by_size,
+    restart_seed,
     select_k,
     silhouette,
     write_model,
@@ -213,6 +216,85 @@ class TestSelectK:
     def test_k_max_capped_by_n(self, rng):
         with pytest.raises(KTooLargeError):
             select_k(rng.uniform(size=(5, 12, 1)), k_min=3, k_max=10)
+
+
+@pytest.fixture
+def tiny_blocks(monkeypatch):
+    """A block budget of a few hundred bytes: many row and column blocks."""
+    monkeypatch.setattr(vibrancy.clustering, "_BLOCK_BYTES", 600)
+
+
+# (n, bins, categories): with a 600-byte budget, 37 points of 3 values come in
+# row blocks of 2 and column blocks of 12, each ending in a partial block; 40
+# points of 24 values in row blocks of 1 and column blocks of 3, the last partial.
+BLOCK_SHAPES = [(37, 3, 1), (40, 12, 2)]
+
+
+class TestBlockedDistances:
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_silhouette_matches_definition(self, tiny_blocks, rng, shape):
+        n = shape[0]
+        points = np.zeros((n, shape[1] * shape[2]))
+        assert len(list(vibrancy.clustering._sq_dist_blocks(points, points))) > 1
+        for _ in range(5):
+            data = rng.uniform(size=shape)
+            labels = rng.integers(1, 5, size=n)
+            labels[:4] = [1, 2, 3, 4]
+            assert silhouette(data, labels) == pytest.approx(
+                silhouette_oracle(data.reshape(n, -1), labels), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_scores_and_models_do_not_depend_on_the_block_size(self, monkeypatch, rng,
+                                                                 shape):
+        data = rng.uniform(size=shape)
+        labels = rng.integers(1, 4, size=shape[0])
+        wide = (silhouette(data, labels), kmeans(data, 3, seed=5))
+        monkeypatch.setattr(vibrancy.clustering, "_BLOCK_BYTES", 600)
+        narrow = (silhouette(data, labels), kmeans(data, 3, seed=5))
+        assert wide[0] == narrow[0]
+        a, b = wide[1], narrow[1]
+        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.centroids, b.centroids)
+        assert (a.inertia, a.n_iter, a.inertia_trace) == (b.inertia, b.n_iter, b.inertia_trace)
+
+    def test_duplicated_points_score_exactly(self, tiny_blocks, rng):
+        a = rng.integers(0, 10, size=(12, 2)).astype(float)
+        data = np.stack([a, a, a, a + 5.0, a + 5.0, a + 5.0])
+        model = kmeans(data, 2, seed=0)
+        assert model.inertia == 0.0
+        assert len(set(model.labels[:3])) == 1 and model.labels[0] != model.labels[3]
+        assert silhouette(data, model.labels) == 1.0
+        assert silhouette(np.ones((6, 1, 1)), [1, 1, 1, 2, 2, 2]) == 0.0
+
+    @pytest.mark.parametrize("budget", [600, None], ids=["tiny blocks", "default blocks"])
+    def test_select_k_scores_equal_silhouette_bitwise(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(vibrancy.clustering, "_BLOCK_BYTES", budget)
+        values, _ = planted_stack(SynthSpec(seed=3, n_cells=45, k_true=3, noise_sigma=1.0))
+        _, report = select_k(values, k_min=2, k_max=6, seed=7, restarts=3)
+        for k in range(2, 7):
+            best = min((kmeans(values, k, restart_seed(7, k, r)) for r in range(3)),
+                       key=lambda model: model.inertia)
+            assert report.inertias[k] == best.inertia
+            assert report.scores[k] == silhouette(values, best.labels)
+
+    def test_silhouette_memory_is_bounded(self):
+        def peak_mib(n):
+            rng = np.random.default_rng(n)
+            data = rng.normal(size=(n, 12, 30))
+            labels = rng.integers(1, 6, size=n)
+            tracemalloc.start()
+            try:
+                silhouette(data, labels)
+                return tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak_mib(800), peak_mib(1600)
+        # an (n, n, p) difference block alone would take 1,758 MiB at n = 800
+        assert small < 32.0
+        assert large <= 1.5 * small
 
 
 class TestRelabelBySize:

@@ -18,7 +18,7 @@ from vibrancy.config import (
     parse_config,
 )
 from vibrancy.errors import DataError
-from vibrancy.grid import GridSpec
+from vibrancy.grid import CellId, CityRegion, GridSpec, load_region, save_region
 from vibrancy.logit import fit, load_logit, save_logit
 from vibrancy.signatures import TensorSegment, read_tensor, relative_risk, write_tensor
 
@@ -111,6 +111,35 @@ def test_corrupt_logit_file_is_a_data_error_naming_it(tmp_path, rng, corruption)
 def test_unreadable_logit_file_is_a_data_error(tmp_path):
     with pytest.raises(DataError, match="absent.json"):
         load_logit(tmp_path / "absent.json")
+
+
+# each bad entry follows a good one, so the file still lists active cells
+REGION_CORRUPTIONS = {
+    "cell entry too short": {"active_cells": [[0, 1], [1]]},
+    "cell entry too long": {"active_cells": [[0, 1], [1, 1, 3]]},
+    "cell entry not a list": {"active_cells": [[0, 1], 7]},
+    "cell entry not integers": {"active_cells": [[0, 1], ["a", 1]]},
+    "cell entry a float": {"active_cells": [[0, 1], [1.5, 1]]},
+    "cell list not a list": {"active_cells": {"col": 1, "row": 1}},
+    "run entry too short": {"active_runs": [[0, 0, 2], [1, 1]]},
+    "run entry not a list": {"active_runs": [[0, 0, 2], "1,1,2"]},
+    "run entry not integers": {"active_runs": [[0, 0, 2], [1, 1, None]]},
+    "run length negative": {"active_runs": [[0, 0, 2], [1, 1, -2]]},
+    "declared area not a number": {"declared_area_km2": "large"},
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(REGION_CORRUPTIONS))
+def test_corrupt_region_file_is_a_data_error_naming_it(tmp_path, corruption):
+    path = tmp_path / "region.json"
+    save_region(CityRegion(GridSpec(0, 0, 5, 2), frozenset({CellId(0, 0), CellId(1, 0)})), path)
+    load_region(path)  # the intact file reads back
+    doc = json.loads(path.read_text())
+    doc.update(REGION_CORRUPTIONS[corruption])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError) as info:
+        load_region(path)
+    assert str(path) in str(info.value)
 
 
 def _non_default_config(root) -> PipelineConfig:
