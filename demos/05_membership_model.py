@@ -41,7 +41,7 @@ pois = filter_rare_labels(truth.pois, 10)
 table = standardize(build_features(pois, truth.place_taxonomy, truth.region,
                                    cells=rr.cells))
 model = fit(table.values, clusters.labels, lam=1.0, covariates=table.columns)
-print(f"fit converged={model.converged} after {model.n_iter} iterations "
+print(f"fit converged={model.converged} after {model.n_iter} Newton steps "
       f"(final loss {model.final_loss:.4f})")
 print(f"analytic-vs-numeric gradient discrepancy: "
       f"{gradient_check(model, table.values, clusters.labels):.2e}\n")

@@ -23,6 +23,7 @@ from .features import build_features, filter_rare_labels, load_third_place_taxon
 from .features import export_features_csv, load_features_csv
 from .grid import load_region
 from .ingest import load_taxonomy, parse_pois, read_traffic
+from .logit import read_coefficients_csv
 from .pipeline import (
     MANIFEST_NAME,
     build_city_tensor,
@@ -190,7 +191,9 @@ def _cmd_fit(args) -> int:
         f"macro F1 {metrics.macro_f1:.4f}, weighted F1 {metrics.weighted_f1:.4f}"
     )
     if not model.converged:
-        print("warning: gradient descent did not reach tolerance", file=sys.stderr)
+        print(f"warning: the model fit stopped after {model.n_iter} Newton steps with "
+              f"gradient norm {model.final_grad_norm:.3g}, above the tolerance",
+              file=sys.stderr)
     return EXIT_OK
 
 
@@ -238,6 +241,27 @@ _REPORT_COLUMNS = {"chosen_k": int, "silhouette": _NUMBER, "accuracy": _NUMBER,
                    "macro_f1": _NUMBER, "weighted_f1": _NUMBER}
 
 
+def _kselection_scores(path) -> list[tuple[int, float]]:
+    """The silhouette score of each k in a ``kselection.json``, by k; an
+    unreadable file or one without a ``scores`` object of numbers keyed by
+    integer k is a ``DataError`` naming the file."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    scores = doc.get("scores") if isinstance(doc, dict) else None
+    if not isinstance(scores, dict):
+        raise DataError(f"{path} has no scores object")
+    try:
+        by_k = sorted(((int(k), v) for k, v in scores.items()), key=lambda kv: kv[0])
+    except ValueError:
+        raise DataError(f"{path}: scores has a key that is not an integer k") from None
+    for k, v in by_k:
+        if not isinstance(v, _NUMBER) or isinstance(v, bool):
+            raise DataError(f"{path}: the score of k={k} has a bad value {v!r}")
+    return by_k
+
+
 def _cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     path = run_dir / MANIFEST_NAME
@@ -248,28 +272,25 @@ def _cmd_report(args) -> int:
     scopes = sorted(_manifest_field(manifest, path, ("results",), dict))
     rows = [[_manifest_field(manifest, path, ("results", scope, column), kind)
              for column, kind in _REPORT_COLUMNS.items()] for scope in scopes]
-    print(f"run of {package} (seed {seed}, level {level})")
-    header = f"{'scope':<24}{'k':>3}{'silhouette':>12}{'accuracy':>10}{'macroF1':>9}{'wF1':>7}"
-    print(header)
-    for scope, (k, sil, accuracy, macro_f1, weighted_f1) in zip(scopes, rows):
-        print(f"{scope:<24}{k:>3}{sil:>12.4f}{accuracy:>10.4f}{macro_f1:>9.4f}{weighted_f1:>7.4f}")
+    details = []  # every scope file is read before anything is printed
     for scope in scopes:
         ksel_path = run_dir / scope / "kselection.json"
         if ksel_path.is_file():
-            ksel = json.loads(ksel_path.read_text(encoding="utf-8"))
-            scores = ", ".join(f"k={k}: {v:.4f}" for k, v in sorted(
-                ksel["scores"].items(), key=lambda kv: int(kv[0])))
-            print(f"\nsilhouette by k [{scope}]: {scores}")
+            scores = ", ".join(f"k={k}: {v:.4f}" for k, v in _kselection_scores(ksel_path))
+            details.append(f"\nsilhouette by k [{scope}]: {scores}")
         coef_path = run_dir / scope / "coefficients.csv"
         if coef_path.is_file():
-            print(f"coefficients [{scope}]:")
-            for idx, line in enumerate(coef_path.read_text(encoding="utf-8").splitlines()):
-                parts = line.split(",")
-                if idx == 0:
-                    print("  " + parts[0].ljust(34) + "".join(p.rjust(11) for p in parts[1:]))
-                else:
-                    print("  " + parts[0].ljust(34)
-                          + "".join(f"{float(p):>11.4f}" for p in parts[1:]))
+            header, coef_rows = read_coefficients_csv(coef_path)
+            details.append(f"coefficients [{scope}]:")
+            details.append("  " + header[0].ljust(34) + "".join(p.rjust(11) for p in header[1:]))
+            details.extend("  " + name.ljust(34) + "".join(f"{v:>11.4f}" for v in values)
+                           for name, *values in coef_rows)
+    print(f"run of {package} (seed {seed}, level {level})")
+    print(f"{'scope':<24}{'k':>3}{'silhouette':>12}{'accuracy':>10}{'macroF1':>9}{'wF1':>7}")
+    for scope, (k, sil, accuracy, macro_f1, weighted_f1) in zip(scopes, rows):
+        print(f"{scope:<24}{k:>3}{sil:>12.4f}{accuracy:>10.4f}{macro_f1:>9.4f}{weighted_f1:>7.4f}")
+    for line in details:
+        print(line)
     return EXIT_OK
 
 

@@ -84,6 +84,10 @@ class ParseReport:
     def rejected(self) -> int:
         return sum(self.rejects.values())
 
+    def counts(self) -> dict:
+        """Accepted rows and rejected rows by reason (the examples left out)."""
+        return {"accepted": self.accepted, "rejected": dict(self.rejects)}
+
     def _reject(self, line_no: int, reason: str) -> None:
         self.rejects[reason] = self.rejects.get(reason, 0) + 1
         if len(self.rejected_lines) < MAX_REJECT_EXAMPLES:

@@ -3,11 +3,13 @@
 The model maps the per-cell covariates to cluster-membership probabilities
 through a softmax over per-class linear scores. Training minimizes the mean
 cross-entropy plus ``lambda / (2N)`` times the squared weight norm
-(intercepts are not penalized) by full-batch gradient descent with a
-backtracking line search, which keeps every run deterministic. After
-fitting, the class-mean of the weights and intercepts is subtracted; this
-sum-to-zero identification leaves predictions unchanged but makes the
-exported coefficient tables well-defined.
+(intercepts are not penalized) by a damped Newton method: each step solves
+the exact Hessian system for the minimum-norm Newton direction (the Hessian
+is singular along the intercept shift) and backtracks along it from the
+full step, which keeps every run deterministic. After fitting, the
+class-mean of the weights and intercepts is subtracted; this sum-to-zero
+identification leaves predictions unchanged but makes the exported
+coefficient tables well-defined.
 """
 
 from __future__ import annotations
@@ -89,6 +91,32 @@ def _loss_and_grads(W, b, X, y_idx, lam):
     return loss, grad_w, grad_b
 
 
+def _inf_norm(grad_w, grad_b) -> float:
+    return float(max(np.abs(grad_w).max(), np.abs(grad_b).max()))
+
+
+def _hessian(probs, Xt, lam) -> np.ndarray:
+    """Hessian of the penalized loss in the parameters ``[W | b]`` flattened
+    row by row, at class probabilities ``probs`` (N, C); ``Xt`` is the
+    covariate matrix with a column of ones appended.
+
+    Block (c, d) is ``Xt.T @ diag(pi_c * (delta_cd - pi_d) / N) @ Xt``, built
+    one block at a time so memory stays O(N * P + (C * P)^2).
+    """
+    n, m = Xt.shape
+    n_classes = probs.shape[1]
+    H = np.empty((n_classes * m, n_classes * m))
+    for c in range(n_classes):
+        for d in range(c, n_classes):
+            weight = probs[:, c] * (float(c == d) - probs[:, d]) / n
+            block = Xt.T @ (weight[:, None] * Xt)
+            H[c * m:(c + 1) * m, d * m:(d + 1) * m] = block
+            H[d * m:(d + 1) * m, c * m:(c + 1) * m] = block.T
+    weight_entries = np.arange(n_classes * m).reshape(n_classes, m)[:, :-1].ravel()
+    H[weight_entries, weight_entries] += lam / n
+    return H
+
+
 def fit(
     X,
     y: Sequence[int],
@@ -100,8 +128,14 @@ def fit(
 ) -> MultinomialLogit:
     """Fit the multinomial model; deterministic and independent of row order.
 
-    Converged means the gradient infinity-norm fell below ``tol``. If the
-    iteration budget runs out first the model is still returned with
+    The loss is minimized by damped Newton steps: each solves the exact
+    Hessian system by least squares (the minimum-norm step, since the
+    Hessian is singular along the intercept shift, and along the weight
+    shift and any all-zero column when ``lam`` is 0), then halves the step
+    from 1 until the Armijo condition holds. ``n_iter`` counts accepted
+    steps. Converged means the gradient infinity-norm fell below ``tol``.
+    If ``max_iter`` steps run out first, or no step length down to
+    ``MIN_STEP`` lowers the loss, the model is still returned with
     ``converged=False``. ``init`` optionally sets the starting weights and
     intercepts (used to verify the optimum is init-independent); the default
     start is zero weights with intercepts at the log class frequencies, which
@@ -138,36 +172,34 @@ def fit(
         if W.shape != (n_classes, n_cov) or b.shape != (n_classes,):
             raise DimensionMismatchError("init shapes do not match the problem")
 
+    Xt = np.hstack([X, np.ones((X.shape[0], 1))])
     loss, grad_w, grad_b = _loss_and_grads(W, b, X, y_idx, lam)
     trace = [loss]
-    step = 1.0
-    converged = False
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
-        grad_norm = max(np.abs(grad_w).max(), np.abs(grad_b).max())
-        if grad_norm < tol:
-            converged = True
-            n_iter -= 1
-            break
-        g_sq = float((grad_w**2).sum() + (grad_b**2).sum())
-        t = min(step * 2.0, 1e6)
-        while True:
-            cand_w = W - t * grad_w
-            cand_b = b - t * grad_b
+    while n_iter < max_iter and _inf_norm(grad_w, grad_b) >= tol:
+        grad = np.hstack([grad_w, grad_b[:, None]]).ravel()
+        probs = np.exp(_log_softmax(X @ W.T + b))
+        step = np.linalg.lstsq(_hessian(probs, Xt, lam), -grad, rcond=None)[0]
+        # a slope that rounding leaves just above 0 must not let the loss rise
+        slope = min(float(grad @ step), 0.0)
+        step = step.reshape(n_classes, n_cov + 1)
+        t = 1.0
+        while t >= MIN_STEP:
+            cand_w = W + t * step[:, :n_cov]
+            cand_b = b + t * step[:, n_cov]
             cand_loss = _penalized_loss(cand_w, cand_b, X, y_idx, lam)
-            if cand_loss <= loss - ARMIJO_C * t * g_sq:
+            if cand_loss <= loss + ARMIJO_C * t * slope:
                 break
             t *= 0.5
-            if t < MIN_STEP:
-                break
         if t < MIN_STEP:
             break  # no acceptable step; report as not converged
-        W, b, step = cand_w, cand_b, t
+        W, b = cand_w, cand_b
         loss, grad_w, grad_b = _loss_and_grads(W, b, X, y_idx, lam)
         trace.append(loss)
+        n_iter += 1
 
-    grad_norm = float(max(np.abs(grad_w).max(), np.abs(grad_b).max()))
-    converged = converged or grad_norm < tol
+    grad_norm = _inf_norm(grad_w, grad_b)
+    converged = grad_norm < tol
     # sum-to-zero identification; predictions are invariant to this shift
     W = W - W.mean(axis=0, keepdims=True)
     b = b - b.mean()
@@ -340,6 +372,32 @@ def export_coefficients_csv(model: MultinomialLogit, path) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(row[0] + "," + ",".join(repr(v) for v in row[1:]) + "\n")
+
+
+def read_coefficients_csv(path) -> tuple[list[str], list[list]]:
+    """Read a table written by ``export_coefficients_csv`` back as (header,
+    rows) in the shape of ``coefficient_table``. An unreadable file, a row
+    whose field count differs from the header's or a coefficient that is not
+    a number is a DataError naming the file (and the line)."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read coefficients file {path}: {exc}") from exc
+    if not lines:
+        raise DataError(f"coefficients file {path} is empty")
+    header = lines[0].split(",")
+    rows = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != len(header):
+            raise DataError(
+                f"{path}:{line_no}: expected {len(header)} fields, got {len(fields)}"
+            )
+        try:
+            rows.append([fields[0]] + [float(v) for v in fields[1:]])
+        except ValueError as exc:
+            raise DataError(f"{path}:{line_no}: {exc}") from None
+    return header, rows
 
 
 def save_logit(model: MultinomialLogit, path) -> None:

@@ -232,7 +232,7 @@ class _CityData:
         self.region = load_region(cfg.region)
         # read once here; every day type's tensor is built from this table
         self.traffic, self.traffic_report = read_traffic(cfg.traffic, self.region.grid)
-        self.pois, _ = parse_pois(cfg.pois)
+        self.pois, self.poi_report = parse_pois(cfg.pois)
         self.truth = load_truth_labels(cfg.truth) if cfg.truth else None
 
 
@@ -321,7 +321,11 @@ def _run_scope(scope, day_type, config, service_tax, place_tax, members, emit, q
         combined = concat_tensors(raws) if multi else raws[0]
         rr = relative_risk(combined, cap=config.rr_cap)
         emit(f"{scope}/signatures_rr.sig", lambda p: write_tensor(rr, p))
-        quality[scope] = {"capped_columns": len(rr.capped_columns)}
+        quality[scope] = {
+            "capped_columns": len(rr.capped_columns),
+            "cities": {city.name: {"traffic": city.traffic_report.counts(),
+                                   "pois": city.poi_report.counts()} for city in members},
+        }
 
     with _stage("clustering"):
         model, report = select_k(rr, k_min=config.k_min, k_max=config.k_max,
@@ -351,6 +355,11 @@ def _run_scope(scope, day_type, config, service_tax, place_tax, members, emit, q
             seed=config.seed,
         )
         write_model_stage(scoped, logit_model, metrics, extra)
+        quality[scope]["logit"] = {
+            "converged": logit_model.converged,
+            "n_iter": logit_model.n_iter,
+            "final_grad_norm": float(logit_model.final_grad_norm),
+        }
 
     summary = {
         "chosen_k": model.k,

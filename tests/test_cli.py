@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,37 @@ class TestRun:
         assert len(manifest["results"]) == 2  # weekday and weekend scopes
         assert calls == [city_dir / "traffic.csv"]
 
+    def test_quality_counts_rejected_rows_and_the_fit(self, city_dir, run_dir, tmp_path):
+        city = tmp_path / "city"
+        shutil.copytree(city_dir, city)
+        traffic = (city / "traffic.csv").read_text().splitlines()
+        first = traffic[1].split(",")
+        bad_traffic = [
+            ",".join(first[:4] + ["sideways"] + first[5:]),
+            ",".join(["999"] + first[1:]),
+            ",".join(first[:5] + ["lots"]),
+            ",".join(first[:5]),
+        ]
+        (city / "traffic.csv").write_text("\n".join(traffic + bad_traffic) + "\n")
+        pois = (city / "pois.csv").read_text().splitlines()
+        bad_pois = ["1.0,2.0,cafe,tourism", "north,2.0,cafe,amenity"]
+        (city / "pois.csv").write_text("\n".join(pois + bad_pois) + "\n")
+        manifest = run_pipeline(parse_config(city / "pipeline.cfg"), tmp_path / "o")
+        clean = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["artifacts"] == clean["artifacts"]  # rejected rows change nothing
+        for day in ("weekday", "weekend"):
+            quality = manifest["quality"][f"alpha/{day}"]
+            assert quality["cities"] == {"alpha": {
+                "traffic": {"accepted": len(traffic) - 1, "rejected": {
+                    "malformed": 2, "unknown_direction": 1, "out_of_bounds": 1}},
+                "pois": {"accepted": len(pois) - 1, "rejected": {
+                    "malformed": 1, "unknown_source_category": 1}},
+            }}
+            model = json.loads((tmp_path / "o" / "alpha" / day / "model.json").read_text())
+            assert quality["logit"] == {key: model[key] for key in (
+                "converged", "n_iter", "final_grad_norm")}
+            assert quality["capped_columns"] == clean["quality"][f"alpha/{day}"]["capped_columns"]
+
     @pytest.mark.parametrize("text", ["[1, 2]", '{"format": "vibrancy-run-manifest"}'],
                              ids=["not an object", "no config"])
     def test_malformed_manifest_is_a_data_error(self, tmp_path, capsys, text):
@@ -231,6 +263,59 @@ class TestGlobalLevel:
         assert len(labels_a) == 37  # header + 36 cells
 
 
+def _json_edit(edit):
+    """A corruption of a JSON file's bytes by ``edit`` of its parsed document."""
+    def apply(data: bytes) -> bytes:
+        doc = json.loads(data)
+        edit(doc)
+        return json.dumps(doc).encode()
+    return apply
+
+
+def _text_edit(edit):
+    return lambda data: edit(data.decode()).encode()
+
+
+KSELECTION = "alpha/weekday/kselection.json"
+COEFFICIENTS = "alpha/weekday/coefficients.csv"
+
+# case id -> (file under the run directory, corruption of its bytes)
+BAD_RUN_FILES = {
+    "only format and config": ("manifest.json", _json_edit(
+        lambda doc: [doc.clear(), doc.update(format="vibrancy-run-manifest", config={})])),
+    "no environment": ("manifest.json", _json_edit(lambda doc: doc.pop("environment"))),
+    "environment not an object": ("manifest.json", _json_edit(
+        lambda doc: doc.update(environment=["vibrancy 0.1.0"]))),
+    "no level": ("manifest.json", _json_edit(lambda doc: doc["config"].pop("level"))),
+    "seed not a number": ("manifest.json", _json_edit(
+        lambda doc: doc["config"].update(seed="nine"))),
+    "no results": ("manifest.json", _json_edit(lambda doc: doc.pop("results"))),
+    "results not an object": ("manifest.json", _json_edit(
+        lambda doc: doc.update(results=[1, 2]))),
+    "scope not an object": ("manifest.json", _json_edit(
+        lambda doc: doc["results"].update({"alpha/weekday": 3}))),
+    "no chosen_k": ("manifest.json", _json_edit(
+        lambda doc: doc["results"]["alpha/weekday"].pop("chosen_k"))),
+    "silhouette not a number": ("manifest.json", _json_edit(
+        lambda doc: doc["results"]["alpha/weekday"].update(silhouette="high"))),
+    "accuracy a bool": ("manifest.json", _json_edit(
+        lambda doc: doc["results"]["alpha/weekday"].update(accuracy=True))),
+    "kselection not UTF-8": (KSELECTION, lambda data: b"\xff" + data),
+    "kselection cut short": (KSELECTION, lambda data: data[: len(data) // 2]),
+    "kselection without scores": (KSELECTION, _json_edit(lambda doc: doc.pop("scores"))),
+    "kselection scores not an object": (KSELECTION, _json_edit(
+        lambda doc: doc.update(scores=[0.5, 0.6]))),
+    "kselection score not a number": (KSELECTION, _json_edit(
+        lambda doc: doc["scores"].update({"2": "high"}))),
+    "coefficients row short": (COEFFICIENTS, _text_edit(
+        lambda text: _replace_line(text, 3, text.splitlines()[2].rsplit(",", 1)[0]))),
+    "coefficients row long": (COEFFICIENTS, _text_edit(
+        lambda text: _replace_line(text, 3, text.splitlines()[2] + ",1.0"))),
+    "coefficient not a number": (COEFFICIENTS, _text_edit(
+        lambda text: _replace_line(text, 3, text.splitlines()[2].rsplit(",", 1)[0] + ",abc"))),
+}
+
+
 class TestReport:
     def test_report_prints_summary(self, run_dir, capsys):
         assert main(["report", "--run-dir", str(run_dir)]) == 0
@@ -242,29 +327,19 @@ class TestReport:
     def test_report_needs_manifest(self, tmp_path, capsys):
         assert main(["report", "--run-dir", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("edit", [
-        lambda doc: [doc.clear(), doc.update(format="vibrancy-run-manifest", config={})],
-        lambda doc: doc.pop("environment"),
-        lambda doc: doc.update(environment=["vibrancy 0.1.0"]),
-        lambda doc: doc["config"].pop("level"),
-        lambda doc: doc["config"].update(seed="nine"),
-        lambda doc: doc.pop("results"),
-        lambda doc: doc.update(results=[1, 2]),
-        lambda doc: doc["results"].update({"alpha/weekday": 3}),
-        lambda doc: doc["results"]["alpha/weekday"].pop("chosen_k"),
-        lambda doc: doc["results"]["alpha/weekday"].update(silhouette="high"),
-        lambda doc: doc["results"]["alpha/weekday"].update(accuracy=True),
-    ], ids=["only format and config", "no environment", "environment not an object",
-            "no level", "seed not a number", "no results", "results not an object",
-            "scope not an object", "no chosen_k", "silhouette not a number",
-            "accuracy a bool"])
-    def test_report_on_a_bad_manifest_is_a_data_error(self, run_dir, tmp_path, capsys, edit):
-        doc = json.loads((run_dir / "manifest.json").read_text())
-        edit(doc)
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(doc))
+    @pytest.mark.parametrize("case", sorted(BAD_RUN_FILES))
+    def test_report_on_a_bad_manifest_is_a_data_error(self, run_dir, tmp_path, capsys, case):
+        rel, edit = BAD_RUN_FILES[case]
+        for name in ("manifest.json", KSELECTION, COEFFICIENTS):
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+        path = tmp_path / rel
+        path.write_bytes(edit(path.read_bytes()))
         assert main(["report", "--run-dir", str(tmp_path)]) == 2
-        _one_line_data_error(capsys, path)
+        err = _one_line_data_error(capsys, path)
+        if rel == COEFFICIENTS:
+            assert f"{path}:3:" in err
+        assert capsys.readouterr().out == ""
 
 
 class TestExitCodes:

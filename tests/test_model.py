@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,11 @@ from vibrancy.errors import (
     SingleClassError,
 )
 from vibrancy.logit import (
+    ARMIJO_C,
+    MIN_STEP,
     MultinomialLogit,
+    _loss_and_grads,
+    _penalized_loss,
     coefficient_table,
     evaluate,
     fit,
@@ -116,6 +121,101 @@ class TestFit:
         y[:2] = [1, 2]
         model = fit(TableLike(), y, lam=1.0)
         assert model.weights.shape == (2, 3)
+
+
+def gradient_descent_reference(X, y, lam, tol=1e-8, max_iter=5000):
+    """The solver ``fit`` used before Newton's method, kept as a reference:
+    full-batch gradient descent with a backtracking line search from twice the
+    last accepted step. Returns (weights, intercepts, loss, grad_norm) with
+    the same sum-to-zero identification as ``fit``."""
+    classes = sorted(set(int(v) for v in y))
+    y_idx = np.array([classes.index(int(v)) for v in y])
+    W = np.zeros((len(classes), X.shape[1]))
+    b = np.log(np.bincount(y_idx) / len(y_idx))
+    loss, grad_w, grad_b = _loss_and_grads(W, b, X, y_idx, lam)
+    step = 1.0
+    for _ in range(max_iter):
+        if max(np.abs(grad_w).max(), np.abs(grad_b).max()) < tol:
+            break
+        g_sq = float((grad_w**2).sum() + (grad_b**2).sum())
+        t = min(step * 2.0, 1e6)
+        while True:
+            cand_w, cand_b = W - t * grad_w, b - t * grad_b
+            cand_loss = _penalized_loss(cand_w, cand_b, X, y_idx, lam)
+            if cand_loss <= loss - ARMIJO_C * t * g_sq:
+                break
+            t *= 0.5
+            if t < MIN_STEP:
+                break
+        if t < MIN_STEP:
+            break
+        W, b, step = cand_w, cand_b, t
+        loss, grad_w, grad_b = _loss_and_grads(W, b, X, y_idx, lam)
+    grad_norm = float(max(np.abs(grad_w).max(), np.abs(grad_b).max()))
+    return W - W.mean(axis=0), b - b.mean(), loss, grad_norm
+
+
+class TestNewtonSolver:
+    @pytest.mark.parametrize("n,c,lam", list(itertools.product(
+        (16, 30, 360), (2, 3, 5), (0.1, 1.0, 10.0))))
+    def test_matches_gradient_descent(self, n, c, lam):
+        rng = np.random.default_rng(1000 * n + 10 * c + int(10 * lam))
+        X, y = random_instance(rng, n=n, p=12, c=c)
+        ref_w, ref_b, ref_loss, ref_grad = gradient_descent_reference(X, y, lam)
+        assert ref_grad < 1e-8
+        model = fit(X, y, lam=lam)
+        assert model.converged and model.final_grad_norm < 1e-8
+        assert model.final_loss <= ref_loss + 1e-12
+        assert model.n_iter <= 25
+        assert_allclose(model.weights, ref_w, rtol=0, atol=1e-5)
+        assert_allclose(model.intercepts, ref_b, rtol=0, atol=1e-5)
+        reference = zero_model(n_classes=c, n_cov=12, lam=lam)
+        reference.weights, reference.intercepts = ref_w, ref_b
+        assert np.array_equal(predict(model, X), predict(reference, X))
+
+    @pytest.mark.parametrize("case", ["zero column, lambda 0", "all-zero covariates",
+                                      "two classes, lambda 0"])
+    def test_singular_hessian(self, case):
+        rng = np.random.default_rng(8)
+        if case == "all-zero covariates":
+            X, y, lam = np.zeros((8, 2)), [1, 2] * 4, 1.0
+        elif case == "zero column, lambda 0":
+            X, y = random_instance(rng, n=200, p=3, c=3)
+            X[:, 1] = 0.0
+            lam = 0.0
+        else:
+            X, y = random_instance(rng, n=200, p=3, c=2)
+            lam = 0.0
+        model = fit(X, y, lam=lam)
+        assert model.converged
+        assert np.isfinite(model.weights).all() and np.isfinite(model.intercepts).all()
+        assert np.all(np.diff(model.loss_trace) <= 0.0)
+        if case == "zero column, lambda 0":
+            assert_allclose(model.weights[:, 1], 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_separable_data_without_penalty(self, c):
+        X = np.repeat(np.arange(c, dtype=np.float64), 3)[:, None]
+        X = np.hstack([X, X**2])
+        y = np.repeat(np.arange(1, c + 1), 3)
+        model = fit(X, y, lam=0.0, max_iter=50)
+        for value in (model.weights, model.intercepts, model.final_loss,
+                      model.final_grad_norm):
+            assert np.isfinite(value).all()
+        assert model.converged == (model.final_grad_norm < 1e-8)
+        assert np.all(np.diff(model.loss_trace) <= 0.0)
+        assert list(predict(model, X)) == list(y)
+
+    def test_memory_stays_bounded(self):
+        rng = np.random.default_rng(4)
+        X, y = random_instance(rng, n=20_000, p=12, c=10)
+        tracemalloc.start()
+        try:
+            fit(X, y, lam=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestPredictProba:
