@@ -55,7 +55,7 @@ tensor = build_signatures(table, taxonomy, region, "weekday")
 b = 4  # the 08:00-09:59 bin
 print("\nweekday volumes in bin 4 (08:00-09:59), Messaging column:")
 print(f"  cells {[(c.col, c.row) for c in tensor.cells]} -> "
-      f"{tensor.values[:, b, 0]}   (the Friday record is excluded)")
+      f"{tensor.values[:, b, 0]}   (the Friday row is excluded)")
 print(f"video column: {tensor.values[:, b, 1]}")
 
 rr = relative_risk(tensor)

@@ -28,7 +28,7 @@ spec = SynthSpec(
     poi_intensity=np.array([[0.1] * 5, [2.0] * 5, [8.0] * 5]),
 )
 truth = generate(spec)
-print(f"synthetic city: {spec.n_cells} cells, {len(truth.traffic)} traffic records, "
+print(f"synthetic city: {spec.n_cells} cells, {len(truth.traffic)} traffic rows, "
       f"{len(truth.pois)} POIs\n")
 
 tensor = build_signatures(truth.traffic, truth.service_taxonomy, truth.region, "weekday")

@@ -24,11 +24,9 @@ from .ingest import (
     ParseReport,
     PoiRecord,
     ServiceTaxonomy,
-    TrafficRecord,
     TrafficTable,
     load_taxonomy,
     parse_pois,
-    parse_traffic,
     read_traffic,
 )
 from .signatures import (

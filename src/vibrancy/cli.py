@@ -9,7 +9,6 @@ codes: 0 success, 1 usage, 2 data problem, 3 numeric problem.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -18,7 +17,7 @@ import numpy as np
 
 from .config import parse_config
 from .clustering import read_labels_csv, select_k
-from .errors import DataError, NumericError, VibrancyError
+from .errors import DataError, NumericError, VibrancyError, read_json
 from .features import build_features, filter_rare_labels, load_third_place_taxonomy
 from .features import export_features_csv, load_features_csv
 from .grid import load_region
@@ -245,10 +244,7 @@ def _kselection_scores(path) -> list[tuple[int, float]]:
     """The silhouette score of each k in a ``kselection.json``, by k; an
     unreadable file or one without a ``scores`` object of numbers keyed by
     integer k is a ``DataError`` naming the file."""
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    doc = read_json(path, "k-selection file")
     scores = doc.get("scores") if isinstance(doc, dict) else None
     if not isinstance(scores, dict):
         raise DataError(f"{path} has no scores object")

@@ -35,7 +35,7 @@ from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 from .signatures import DAY_TYPES, DEFAULT_RR_CAP
 
 LEVELS = ("local", "global")
@@ -139,7 +139,7 @@ def _read_sections(path: Path) -> tuple[dict, dict[str, dict]]:
     top: dict = {}
     sections: dict[str, dict] = {}
     current = top
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path, "config file").splitlines(), start=1):
         line = _strip_comment(raw)
         if not line:
             continue

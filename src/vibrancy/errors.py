@@ -1,8 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the guarded reads that
+turn a file that cannot be read, decoded or parsed into a ``DataError``.
 
 The CLI maps these onto exit codes: usage problems exit 1, ``DataError``
 subtypes exit 2, ``NumericError`` subtypes exit 3.
 """
+
+import json
+from pathlib import Path
 
 
 class VibrancyError(Exception):
@@ -30,7 +34,7 @@ class EmptyCategoryListError(DataError):
 
 
 class UnknownServiceError(DataError):
-    """A traffic record names a service the taxonomy does not cover."""
+    """A traffic row names a service the taxonomy does not cover."""
 
 
 class EmptyInputError(DataError):
@@ -83,3 +87,21 @@ class DimensionMismatchError(NumericError):
 
 class NotFittedError(VibrancyError):
     """The model has no parameters yet."""
+
+
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of the ``what`` file at ``path``; a file that cannot be
+    read or is not UTF-8 is a DataError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_json(path, what: str):
+    """The JSON document in the ``what`` file at ``path``; a file that
+    ``read_text`` refuses or that is not JSON is a DataError naming it."""
+    try:
+        return json.loads(read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc

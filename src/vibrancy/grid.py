@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .errors import DataError, OutOfBoundsError
+from .errors import DataError, OutOfBoundsError, read_json
 
 
 @dataclass(frozen=True)
@@ -195,10 +195,7 @@ def save_region(region: CityRegion, path) -> None:
 
 
 def load_region(path) -> CityRegion:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read region file {path}: {exc}") from exc
+    doc = read_json(path, "region file")
     try:
         grid = grid_from_dict(doc["grid"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -54,15 +54,6 @@ MAX_REJECT_EXAMPLES = 20
 
 
 @dataclass(frozen=True)
-class TrafficRecord:
-    cell: CellId
-    timestamp: datetime
-    service: str
-    direction: str
-    volume: float
-
-
-@dataclass(frozen=True)
 class PoiRecord:
     x: float
     y: float
@@ -116,42 +107,6 @@ class TrafficTable:
 
     def __len__(self) -> int:
         return len(self.volume)
-
-    @classmethod
-    def from_records(cls, records: Iterable[TrafficRecord]) -> "TrafficTable":
-        """The table of ``records``, in their order."""
-        records = list(records)
-        stamps: dict = {}
-        services: dict = {}
-        directions: dict = {}
-        return cls(
-            np.array([r.cell.col for r in records], dtype=np.int64),
-            np.array([r.cell.row for r in records], dtype=np.int64),
-            np.array([stamps.setdefault(r.timestamp, len(stamps)) for r in records],
-                     dtype=np.int32),
-            np.array([services.setdefault(r.service, len(services)) for r in records],
-                     dtype=np.int32),
-            np.array([directions.setdefault(r.direction, len(directions)) for r in records],
-                     dtype=np.int8),
-            np.array([r.volume for r in records], dtype=np.float64),
-            tuple(stamps),
-            tuple(services),
-            tuple(directions),
-        )
-
-    def records(self) -> list[TrafficRecord]:
-        """One TrafficRecord per row, in table order; rows of one cell share
-        its CellId."""
-        stamps, services, directions = self.stamps, self.services, self.directions
-        cells: dict[tuple[int, int], CellId] = {}
-        return [
-            TrafficRecord(cells.get((c, r)) or cells.setdefault((c, r), CellId(c, r)),
-                          stamps[t], services[s], directions[d], v)
-            for c, r, t, s, d, v in zip(
-                self.col.tolist(), self.row.tolist(), self.stamp.tolist(),
-                self.service.tolist(), self.direction.tolist(), self.volume.tolist(),
-            )
-        ]
 
 
 @dataclass(frozen=True)
@@ -322,11 +277,9 @@ def read_traffic(source, grid: GridSpec) -> tuple[TrafficTable, ParseReport]:
     return table, report
 
 
-def parse_traffic(source, grid: GridSpec) -> tuple[list[TrafficRecord], ParseReport]:
-    """Parse a traffic CSV into one TrafficRecord per accepted row, in file
-    order, plus the ParseReport of ``read_traffic``."""
-    table, report = read_traffic(source, grid)
-    return table.records(), report
+# The benchmark's replay (perfbench/replay.py) still imports this name; it
+# goes when the replay calls read_traffic.
+parse_traffic = read_traffic
 
 
 def parse_pois(source) -> tuple[list[PoiRecord], ParseReport]:

@@ -29,6 +29,8 @@ from .errors import (
     NonFiniteError,
     NotFittedError,
     SingleClassError,
+    read_json,
+    read_text,
 )
 
 ARMIJO_C = 1e-4
@@ -379,10 +381,7 @@ def read_coefficients_csv(path) -> tuple[list[str], list[list]]:
     rows) in the shape of ``coefficient_table``. An unreadable file, a row
     whose field count differs from the header's or a coefficient that is not
     a number is a DataError naming the file (and the line)."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read coefficients file {path}: {exc}") from exc
+    lines = read_text(path, "coefficients file").splitlines()
     if not lines:
         raise DataError(f"coefficients file {path} is empty")
     header = lines[0].split(",")
@@ -421,10 +420,7 @@ def save_logit(model: MultinomialLogit, path) -> None:
 def load_logit(path) -> MultinomialLogit:
     """Read a model written by ``save_logit``; an unreadable file, a missing
     key or a bad value is a DataError naming the file."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read model file {path}: {exc}") from exc
+    doc = read_json(path, "model file")
     if not isinstance(doc, dict):
         raise DataError(f"model file {path} is not a JSON object")
     try:

@@ -32,7 +32,7 @@ from .clustering import (
     select_k,
     write_model,
 )
-from .errors import DataError, VibrancyError
+from .errors import DataError, VibrancyError, read_json
 from .features import (
     FeatureTable,
     build_features,
@@ -382,10 +382,7 @@ def _run_scope(scope, day_type, config, service_tax, place_tax, members, emit, q
 
 
 def read_manifest(path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read manifest {path}: {exc}") from exc
+    doc = read_json(path, "manifest")
     if not isinstance(doc, dict):
         raise DataError(f"manifest {path} is not a JSON object")
     if doc.get("format") != "vibrancy-run-manifest":

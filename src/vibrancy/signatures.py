@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from datetime import date, datetime
 from math import prod
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import (
     TooFewLocationsError,
 )
 from .grid import CellId, CityRegion, GridSpec, grid_from_dict, grid_to_dict
-from .ingest import ServiceTaxonomy, TrafficRecord, TrafficTable
+from .ingest import ServiceTaxonomy, TrafficTable
 
 N_BINS = 12
 WEEKDAY = "weekday"
@@ -110,14 +110,14 @@ class SignatureTensor:
 
 
 def build_signatures(
-    traffic: Union[TrafficTable, Iterable[TrafficRecord]],
+    traffic: TrafficTable,
     taxonomy: ServiceTaxonomy,
     region: CityRegion,
     day_type: str,
     *,
     mean_per_day: bool = False,
 ) -> SignatureTensor:
-    """Aggregate traffic rows (a table, or records) into a signature tensor.
+    """Aggregate a table of traffic rows into a signature tensor.
 
     Both link directions are summed. Rows are the region's active cells in
     row-major order; cells without traffic stay all-zero. Rows whose day
@@ -134,15 +134,14 @@ def build_signatures(
     """
     if day_type not in DAY_TYPES:
         raise ValueError(f"day_type must be one of {DAY_TYPES}")
-    table = traffic if isinstance(traffic, TrafficTable) else TrafficTable.from_records(traffic)
-    if not len(table):
-        raise EmptyInputError("no traffic records to aggregate")
-    category = np.array([taxonomy.category_index(s) for s in table.services], dtype=np.int64)
-    stamp_bin = np.array([bin_of(ts) for ts in table.stamps], dtype=np.int64)
-    stamp_on_day = np.array([day_type_of(ts) == day_type for ts in table.stamps], dtype=bool)
+    if not len(traffic):
+        raise EmptyInputError("no traffic rows to aggregate")
+    category = np.array([taxonomy.category_index(s) for s in traffic.services], dtype=np.int64)
+    stamp_bin = np.array([bin_of(ts) for ts in traffic.stamps], dtype=np.int64)
+    stamp_on_day = np.array([day_type_of(ts) == day_type for ts in traffic.stamps], dtype=bool)
 
-    on_day = stamp_on_day[table.stamp]
-    n_dates = len({table.stamps[t].date() for t in np.unique(table.stamp[on_day]).tolist()})
+    on_day = stamp_on_day[traffic.stamp]
+    n_dates = len({traffic.stamps[t].date() for t in np.unique(traffic.stamp[on_day]).tolist()})
 
     # A cell's key is its row-major position in the grid, so the active
     # cells' keys, in scan order, are sorted and a key's rank is its tensor row.
@@ -150,14 +149,14 @@ def build_signatures(
     cells = region.cells_in_scan_order()
     n, depth = len(cells), taxonomy.n_categories
     keys = np.array([c.row * grid.n_cols + c.col for c in cells], dtype=np.int64)
-    key = table.row * grid.n_cols + table.col
+    key = traffic.row * grid.n_cols + traffic.col
     pos = np.searchsorted(keys, key)
-    use = on_day & (table.col >= 0) & (table.col < grid.n_cols) & (pos < n)
+    use = on_day & (traffic.col >= 0) & (traffic.col < grid.n_cols) & (pos < n)
     use[use] = keys[pos[use]] == key[use]
 
-    flat_idx = (pos[use] * N_BINS + stamp_bin[table.stamp[use]]) * depth
-    flat_idx += category[table.service[use]]
-    volumes = table.volume[use]
+    flat_idx = (pos[use] * N_BINS + stamp_bin[traffic.stamp[use]]) * depth
+    flat_idx += category[traffic.service[use]]
+    volumes = traffic.volume[use]
     flat = np.zeros(n * N_BINS * depth, dtype=np.float64)
     if flat_idx.size:
         order = np.lexsort((volumes, flat_idx))

@@ -2,18 +2,19 @@
 
 The generator assigns each cell one of k archetype signature matrices,
 perturbs it with seeded Gaussian noise, and decomposes the noisy totals
-into 15-minute traffic records so the whole ingest and aggregation path is
-exercised end to end. POIs are drawn per cell from Poisson intensities tied
-to the archetype, which plants a known association between cluster
-membership and third-place covariates. Everything derives from one seed
-through three named substreams (assignment, noise, POIs), so regenerating
-from the same spec yields byte-identical files.
+into 15-minute traffic rows (a TrafficTable) so the whole ingest and
+aggregation path is exercised end to end. POIs are drawn per cell from
+Poisson intensities tied to the archetype, which plants a known
+association between cluster membership and third-place covariates.
+Everything derives from one seed through three named substreams
+(assignment, noise, POIs), so regenerating from the same spec yields
+byte-identical files.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta
 from math import ceil, sqrt
 from pathlib import Path
@@ -25,7 +26,7 @@ from .clustering import export_labels_csv
 from .errors import InvalidSpecError, LengthMismatchError
 from .features import THIRD_PLACE_CATEGORIES, ThirdPlaceTaxonomy
 from .grid import CellId, CityRegion, GridSpec, save_region
-from .ingest import DOWNLINK, UPLINK, PoiRecord, ServiceTaxonomy, TrafficRecord
+from .ingest import DIRECTIONS, PoiRecord, ServiceTaxonomy, TrafficTable
 from .signatures import DAY_TYPES, N_BINS, WEEKDAY, day_type_of
 
 WINDOW_START = date(2019, 3, 16)
@@ -91,7 +92,7 @@ class SynthSpec:
     seed: int
     n_cells: int
     k_true: int = 3
-    categories: tuple[str, ...] = ()
+    categories: tuple[str, ...] = ("cat00", "cat01", "cat02", "cat03")
     archetypes: Optional[np.ndarray] = None  # (k_true, 12, D)
     noise_sigma: float = 1.0
     poi_intensity: Optional[np.ndarray] = None  # (k_true, 5)
@@ -114,9 +115,9 @@ class SynthSpec:
             raise InvalidSpecError(f"slots_per_bin must be one of {_VALID_SLOTS}")
         if self.n_days < 1:
             raise InvalidSpecError("n_days must be at least 1")
-        if not self.categories:
-            self.categories = tuple(f"cat{i:02d}" for i in range(4))
         self.categories = tuple(self.categories)
+        if not self.categories:
+            raise InvalidSpecError("need at least one category")
         if self.archetypes is None:
             self.archetypes = default_archetypes(self.k_true, len(self.categories))
         self.archetypes = np.asarray(self.archetypes, dtype=np.float64)
@@ -155,7 +156,7 @@ class SynthTruth:
     region: CityRegion
     cells: list[CellId]  # scan order; aligns with archetype_of
     archetype_of: np.ndarray  # (n,), planted labels 1..k_true
-    traffic: list[TrafficRecord]
+    traffic: TrafficTable
     pois: list[PoiRecord]
     service_taxonomy: ServiceTaxonomy
     place_taxonomy: ThirdPlaceTaxonomy
@@ -184,14 +185,30 @@ def _plant(spec: SynthSpec):
 
 
 def planted_stack(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Shortcut past the record layer: the (n, 12, D) target curves and the
+    """Shortcut past the traffic table: the (n, 12, D) target curves and the
     planted labels, exactly as generate() would aggregate them per day."""
     archetype_of, targets, _ = _plant(spec)
     return targets, archetype_of
 
 
 def generate(spec: SynthSpec) -> SynthTruth:
-    """Produce the full synthetic city: region, traffic records, and POIs."""
+    """Produce the full synthetic city: region, traffic rows, and POIs."""
+    return generate_for_day_types(spec, [spec.day_type])
+
+
+def generate_for_day_types(spec: SynthSpec, day_types: Sequence[str]) -> SynthTruth:
+    """One synthetic city whose traffic covers several day types.
+
+    The city is planted once (archetypes, noisy targets, POIs): the seed
+    streams do not depend on the day type. Its traffic holds each day
+    type's rows in turn, and the returned spec carries the first day type.
+    """
+    if not day_types:
+        raise InvalidSpecError("need at least one day type")
+    for day_type in day_types:
+        if day_type not in DAY_TYPES:
+            raise InvalidSpecError(f"day_type must be one of {DAY_TYPES}")
+    spec = replace(spec, day_type=day_types[0])
     n_cols = ceil(sqrt(spec.n_cells))
     n_rows = ceil(spec.n_cells / n_cols)
     grid = GridSpec(0.0, 0.0, n_cols, n_rows, spec.cell_size, spec.region_name)
@@ -199,28 +216,6 @@ def generate(spec: SynthSpec) -> SynthTruth:
     region = CityRegion(grid, frozenset(cells))
 
     archetype_of, targets, rng_poi = _plant(spec)
-    depth = len(spec.categories)
-    services = _services_for(spec.categories)
-    dates = window_dates(spec.day_type, spec.n_days)
-    step_min = 120 // spec.slots_per_bin
-    offsets = [s * step_min for s in range(spec.slots_per_bin)]
-    share_div = spec.slots_per_bin * 2
-
-    traffic: list[TrafficRecord] = []
-    for i, cell in enumerate(cells):
-        for day in dates:
-            for b in range(N_BINS):
-                for d in range(depth):
-                    v = float(targets[i, b, d])
-                    if v == 0.0:
-                        continue
-                    share = v / share_div
-                    for s, off in enumerate(offsets):
-                        ts = datetime(day.year, day.month, day.day, 2 * b + off // 60, off % 60)
-                        svc = services[d][s % 2]
-                        traffic.append(TrafficRecord(cell, ts, svc, DOWNLINK, share))
-                        traffic.append(TrafficRecord(cell, ts, svc, UPLINK, share))
-
     pois: list[PoiRecord] = []
     for i, cell in enumerate(cells):
         a = archetype_of[i] - 1
@@ -235,6 +230,7 @@ def generate(spec: SynthSpec) -> SynthTruth:
                     y = float(grid.origin_y + (cell.row + w) * grid.cell_size)
                     pois.append(PoiRecord(x, y, label, SYNTH_POI_SOURCES[label]))
 
+    services = _services_for(spec.categories)
     svc_mapping = {name: cat for cat, pair in zip(spec.categories, services) for name in pair}
     service_taxonomy = ServiceTaxonomy(svc_mapping, tuple(spec.categories))
     place_taxonomy = ThirdPlaceTaxonomy(
@@ -245,7 +241,7 @@ def generate(spec: SynthSpec) -> SynthTruth:
         region=region,
         cells=cells,
         archetype_of=archetype_of,
-        traffic=traffic,
+        traffic=_traffic(spec, targets, n_cols, day_types),
         pois=pois,
         service_taxonomy=service_taxonomy,
         place_taxonomy=place_taxonomy,
@@ -253,23 +249,42 @@ def generate(spec: SynthSpec) -> SynthTruth:
     )
 
 
-def generate_for_day_types(spec: SynthSpec, day_types: Sequence[str]) -> SynthTruth:
-    """One synthetic city whose traffic covers several day types.
+def _traffic(spec: SynthSpec, targets: np.ndarray, n_cols: int,
+             day_types: Sequence[str]) -> TrafficTable:
+    """The traffic rows that carry ``targets`` on each day type's dates.
 
-    The plant (archetypes, noisy targets, POIs) comes from the first day
-    type's generation; further day types reuse the identical plant because
-    the seed streams do not depend on the day type, so only their traffic
-    records are appended.
+    Each nonzero target of a cell, bin and category is split evenly over
+    the bin's ``slots_per_bin`` equal slots, alternating the category's two
+    services, and over both directions. Rows are ordered by day type, cell,
+    date, bin, category, slot, then downlink before uplink.
     """
-    from dataclasses import replace
-
-    if not day_types:
-        raise InvalidSpecError("need at least one day type")
-    truth = generate(replace(spec, day_type=day_types[0]))
-    for dt in day_types[1:]:
-        extra = generate(replace(spec, day_type=dt))
-        truth.traffic.extend(extra.traffic)
-    return truth
+    slots, n_days = spec.slots_per_bin, spec.n_days
+    per_target = 2 * slots  # rows per nonzero target and date
+    step = timedelta(minutes=120 // slots)
+    dates = [day for day_type in day_types for day in window_dates(day_type, n_days)]
+    stamps = tuple(
+        datetime(day.year, day.month, day.day) + (b * slots + s) * step
+        for day in dates for b in range(N_BINS) for s in range(slots)
+    )
+    n, _, depth = targets.shape
+    # day type, cell, date and bin * depth + category of each nonzero target
+    # on each date, in row order
+    nonzero = (targets != 0).reshape(1, n, 1, N_BINS * depth)
+    t, i, day, bd = np.nonzero(
+        np.broadcast_to(nonzero, (len(day_types), n, n_days, N_BINS * depth)))
+    slot = np.tile(np.arange(slots).repeat(2), len(i))
+    stamp = ((t * n_days + day) * N_BINS + bd // depth).repeat(per_target) * slots + slot
+    return TrafficTable(
+        col=(i % n_cols).repeat(per_target),
+        row=(i // n_cols).repeat(per_target),
+        stamp=stamp.astype(np.int32),
+        service=((bd % depth * 2).repeat(per_target) + slot % 2).astype(np.int32),
+        direction=np.tile(np.arange(2, dtype=np.int8), len(i) * slots),
+        volume=(targets.reshape(n, -1)[i, bd] / per_target).repeat(per_target),
+        stamps=stamps,
+        services=tuple(name for pair in _services_for(spec.categories) for name in pair),
+        directions=DIRECTIONS,
+    )
 
 
 def write_city(truth: SynthTruth, out_dir) -> dict[str, Path]:
@@ -288,9 +303,14 @@ def write_city(truth: SynthTruth, out_dir) -> dict[str, Path]:
     save_region(truth.region, paths["region"])
     with open(paths["traffic"], "w", encoding="utf-8", newline="\n") as fh:
         fh.write("col,row,timestamp,service,direction,volume\n")
-        for r in truth.traffic:
-            ts = r.timestamp.strftime("%Y-%m-%dT%H:%M")
-            fh.write(f"{r.cell.col},{r.cell.row},{ts},{r.service},{r.direction},{r.volume!r}\n")
+        t = truth.traffic
+        stamps = [ts.strftime("%Y-%m-%dT%H:%M") for ts in t.stamps]
+        fh.writelines(
+            f"{col},{row},{stamps[stamp]},{t.services[service]},{t.directions[d]},{volume!r}\n"
+            for col, row, stamp, service, d, volume in zip(
+                t.col.tolist(), t.row.tolist(), t.stamp.tolist(), t.service.tolist(),
+                t.direction.tolist(), t.volume.tolist())
+        )
     with open(paths["pois"], "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,y,label,source_category\n")
         for p in truth.pois:

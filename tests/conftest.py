@@ -1,10 +1,53 @@
 import math
+from datetime import datetime
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from vibrancy.grid import CellId
+from vibrancy.ingest import DIRECTIONS, TrafficTable
 from vibrancy.signatures import SignatureTensor
+
+
+class Row(NamedTuple):
+    """One traffic row, as the tests spell it out; the package holds rows
+    only as TrafficTable columns."""
+
+    cell: CellId
+    timestamp: datetime
+    service: str
+    direction: str
+    volume: float
+
+
+def table_of(rows):
+    """The TrafficTable of ``rows``, in their order."""
+    rows = list(rows)
+    stamps: dict = {}
+    services: dict = {}
+    return TrafficTable(
+        np.array([r.cell.col for r in rows], dtype=np.int64),
+        np.array([r.cell.row for r in rows], dtype=np.int64),
+        np.array([stamps.setdefault(r.timestamp, len(stamps)) for r in rows], dtype=np.int32),
+        np.array([services.setdefault(r.service, len(services)) for r in rows], dtype=np.int32),
+        np.array([DIRECTIONS.index(r.direction) for r in rows], dtype=np.int8),
+        np.array([r.volume for r in rows], dtype=np.float64),
+        tuple(stamps),
+        tuple(services),
+        DIRECTIONS,
+    )
+
+
+def rows_of(table):
+    """The rows of a TrafficTable, read through its columns, in table order."""
+    return [
+        Row(CellId(c, r), table.stamps[t], table.services[s], table.directions[d], v)
+        for c, r, t, s, d, v in zip(
+            table.col.tolist(), table.row.tolist(), table.stamp.tolist(),
+            table.service.tolist(), table.direction.tolist(), table.volume.tolist(),
+        )
+    ]
 
 
 def silhouette_oracle(flat, labels):

@@ -458,3 +458,45 @@ def test_bad_cell_csv_row_is_a_data_error_at_its_line(city_dir, run_dir, tmp_pat
                 "--labels", str(paths["labels.csv"]), "--out-dir", str(tmp_path / "fit")]
     assert main(argv) == 2
     assert f"{paths[name]}:3:" in _one_line_data_error(capsys, paths[name])
+
+
+def _not_utf8(path: Path) -> None:
+    data = path.read_bytes()
+    path.write_bytes(data[:10] + b"\xff" + data[10:])
+
+
+def _a_directory(path: Path) -> None:
+    path.unlink()
+    path.mkdir()
+
+
+# case id -> (file, corruption); run reads the city files, report the run's
+UNREADABLE_FILES = {
+    "config not UTF-8": ("pipeline.cfg", _not_utf8),
+    "config a directory": ("pipeline.cfg", _a_directory),
+    "region not UTF-8": ("region.json", _not_utf8),
+    "region a directory": ("region.json", _a_directory),
+    "manifest not UTF-8": ("manifest.json", _not_utf8),
+    "manifest a directory": ("manifest.json", _a_directory),
+    "coefficients not UTF-8": (COEFFICIENTS, _not_utf8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_FILES))
+def test_unreadable_file_is_a_one_line_data_error(city_dir, run_dir, tmp_path, capsys, case):
+    name, corrupt = UNREADABLE_FILES[case]
+    if name in ("pipeline.cfg", "region.json"):
+        city = tmp_path / "city"
+        shutil.copytree(city_dir, city)
+        path = city / name
+        argv = ["run", "--config", str(city / "pipeline.cfg"), "--out", str(tmp_path / "out")]
+    else:
+        for n in ("manifest.json", KSELECTION, COEFFICIENTS):
+            (tmp_path / n).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / n).write_bytes((run_dir / n).read_bytes())
+        path = tmp_path / name
+        argv = ["report", "--run-dir", str(tmp_path)]
+    corrupt(path)
+    assert main(argv) == 2
+    _one_line_data_error(capsys, path)
+    assert capsys.readouterr().out == ""

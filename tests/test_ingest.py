@@ -4,6 +4,7 @@ from importlib.resources import files
 
 import pytest
 
+from conftest import Row, rows_of
 from vibrancy.errors import (
     DataError,
     DuplicateServiceError,
@@ -16,7 +17,6 @@ from vibrancy.ingest import (
     ServiceTaxonomy,
     load_taxonomy,
     parse_pois,
-    parse_traffic,
     read_traffic,
 )
 
@@ -29,26 +29,25 @@ def traffic_csv(*lines):
 
 class TestParseTraffic:
     def test_format_example(self):
-        records, report = parse_traffic(
+        table, report = read_traffic(
             traffic_csv("3,7,2019-03-16T00:00,WhatsApp,downlink,12.5"), GRID
         )
-        assert report.accepted == 1 and report.rejected == 0
-        rec = records[0]
-        assert rec.cell == CellId(3, 7)
-        assert rec.timestamp == datetime(2019, 3, 16, 0, 0)
-        assert rec.service == "WhatsApp"
-        assert rec.direction == "downlink"
-        assert rec.volume == 12.5
+        assert report.accepted == 1 and report.rejected == 0 and len(table) == 1
+        assert (table.col[0], table.row[0]) == (3, 7)
+        assert table.stamps[table.stamp[0]] == datetime(2019, 3, 16, 0, 0)
+        assert table.services[table.service[0]] == "WhatsApp"
+        assert table.directions[table.direction[0]] == "downlink"
+        assert table.volume[0] == 12.5
 
     def test_negative_volume_rejected(self):
-        records, report = parse_traffic(
+        table, report = read_traffic(
             traffic_csv("3,7,2019-03-16T00:00,WhatsApp,downlink,-1"), GRID
         )
-        assert records == []
+        assert len(table) == 0
         assert report.rejects == {"malformed": 1}
 
     def test_unaligned_timestamp_rejected(self):
-        _, report = parse_traffic(
+        _, report = read_traffic(
             traffic_csv("3,7,2019-03-16T00:07,WhatsApp,downlink,1.0"), GRID
         )
         assert report.rejects == {"malformed": 1}
@@ -59,20 +58,20 @@ class TestParseTraffic:
             "0,0,2019-03-16T10:30,A,uplink,1",
             "0,0,2019-03-16T10:45,A,downlink,1",
         )
-        _, report = parse_traffic(stream, GRID)
+        _, report = read_traffic(stream, GRID)
         assert report.accepted == 3
 
     def test_unknown_direction(self):
-        _, report = parse_traffic(traffic_csv("1,1,2019-03-16T00:00,A,sideways,1"), GRID)
+        _, report = read_traffic(traffic_csv("1,1,2019-03-16T00:00,A,sideways,1"), GRID)
         assert report.rejects == {"unknown_direction": 1}
 
     def test_out_of_bounds_cell(self):
-        _, report = parse_traffic(traffic_csv("42,1,2019-03-16T00:00,A,uplink,1"), GRID)
+        _, report = read_traffic(traffic_csv("42,1,2019-03-16T00:00,A,uplink,1"), GRID)
         assert report.rejects == {"out_of_bounds": 1}
 
     def test_missing_header(self):
         with pytest.raises(DataError):
-            parse_traffic(io.StringIO("1,1,2019-03-16T00:00,A,uplink,1\n"), GRID)
+            read_traffic(io.StringIO("1,1,2019-03-16T00:00,A,uplink,1\n"), GRID)
 
     def test_counts_balance(self, rng):
         good = "2,2,2019-03-18T08:00,App,uplink,3.5"
@@ -92,20 +91,20 @@ class TestParseTraffic:
                 )
             else:
                 lines.append(good)
-        records, report = parse_traffic(traffic_csv(*lines), GRID)
+        table, report = read_traffic(traffic_csv(*lines), GRID)
         assert report.total_lines == 200
-        assert report.accepted == len(records) == 200 - n_bad
+        assert report.accepted == len(table) == 200 - n_bad
         assert report.rejected == n_bad
 
     def test_reparse_is_identical(self):
         text = "col,row,timestamp,service,direction,volume\n" + (
             "1,2,2019-03-20T06:30,Maps,uplink,0.25\n" * 5
         )
-        first, _ = parse_traffic(io.StringIO(text), GRID)
-        second, _ = parse_traffic(io.StringIO(text), GRID)
-        assert first == second
+        first, _ = read_traffic(io.StringIO(text), GRID)
+        second, _ = read_traffic(io.StringIO(text), GRID)
+        assert rows_of(first) == rows_of(second)
 
-    def test_every_reject_reason_counted_alike_by_both_readers(self):
+    def test_every_reject_reason_is_counted(self):
         lines = [
             "1,1,2019-03-18T08:00,App,uplink,1.5",  # 2: accepted
             "1,1,2019-03-18T08:00,App,uplink",  # 3: five fields
@@ -125,13 +124,11 @@ class TestParseTraffic:
         ]
         expected = {"malformed": 10, "unknown_direction": 1, "out_of_bounds": 1}
         table, report = read_traffic(traffic_csv(*lines), GRID)
-        records, report_again = parse_traffic(traffic_csv(*lines), GRID)
-        for r in (report, report_again):
-            assert r.total_lines == 14 and r.accepted == 2 and r.rejects == expected
-            assert [n for n, _ in r.rejected_lines] == [3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 16]
-        assert records == table.records()
-        assert [(r.cell, r.service, r.direction, r.volume) for r in records] == [
-            (CellId(1, 1), "App", "uplink", 1.5), (CellId(2, 3), "Other", "downlink", 0.0)]
+        assert report.total_lines == 14 and report.accepted == 2 and report.rejects == expected
+        assert [n for n, _ in report.rejected_lines] == [3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 16]
+        assert rows_of(table) == [
+            Row(CellId(1, 1), datetime(2019, 3, 18, 8, 0), "App", "uplink", 1.5),
+            Row(CellId(2, 3), datetime(2019, 3, 23, 23, 45), "Other", "downlink", 0.0)]
 
     def test_rejected_line_examples_are_capped(self):
         lines = (["1,1,2019-03-18T08:00,App,up,1"] * 600

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import column_tensor, tensor_of
+from conftest import Row, column_tensor, rows_of, table_of, tensor_of
 from vibrancy.errors import (
     EmptyInputError,
     TooFewLocationsError,
@@ -13,7 +13,7 @@ from vibrancy.errors import (
 )
 from vibrancy.grid import CellId, CityRegion, GridSpec
 from vibrancy.synth import SynthSpec, generate_for_day_types, write_city
-from vibrancy.ingest import ServiceTaxonomy, TrafficRecord, TrafficTable, read_traffic
+from vibrancy.ingest import ServiceTaxonomy, read_traffic
 from vibrancy.signatures import (
     N_BINS,
     bin_of,
@@ -34,7 +34,7 @@ REGION = CityRegion(GRID, frozenset(CellId(c, r) for c in range(4) for r in rang
 
 
 def rec(col, row, ts, service="msg", direction="downlink", volume=1.0):
-    return TrafficRecord(CellId(col, row), ts, service, direction, volume)
+    return Row(CellId(col, row), ts, service, direction, volume)
 
 
 class TestDayType:
@@ -64,8 +64,8 @@ class TestBuildSignatures:
     def test_sums_both_directions(self):
         ts = datetime(2019, 3, 18, 8, 0)
         tensor = build_signatures(
-            [rec(1, 1, ts, volume=1.0),
-             rec(1, 1, ts, direction="uplink", volume=2.0)],
+            table_of([rec(1, 1, ts, volume=1.0),
+                      rec(1, 1, ts, direction="uplink", volume=2.0)]),
             TAX, REGION, "weekday",
         )
         i = tensor.cells.index(CellId(1, 1))
@@ -74,7 +74,7 @@ class TestBuildSignatures:
 
     def test_friday_excluded_from_weekday_tensor(self):
         friday = datetime(2019, 3, 22, 8, 0)
-        tensor = build_signatures([rec(0, 0, friday)], TAX, REGION, "weekday")
+        tensor = build_signatures(table_of([rec(0, 0, friday)]), TAX, REGION, "weekday")
         assert tensor.values.sum() == 0.0
 
     def test_matches_bruteforce_reaggregation(self, rng):
@@ -89,7 +89,7 @@ class TestBuildSignatures:
                 rec(col, row, datetime(2019, 3, day, hour, 15), service, direction,
                     float(rng.uniform(0, 5)))
             )
-        tensor = build_signatures(records, TAX, REGION, "weekday")
+        tensor = build_signatures(table_of(records), TAX, REGION, "weekday")
         # independent oracle: dict accumulation straight from the definitions
         expected = {}
         for r in records:
@@ -108,7 +108,7 @@ class TestBuildSignatures:
                 volume=float(rng.uniform(0, 10)))
             for _ in range(300)
         ]
-        tensor = build_signatures(records, TAX, REGION, "weekday")
+        tensor = build_signatures(table_of(records), TAX, REGION, "weekday")
         contributing = sum(
             r.volume for r in records if day_type_of(r.timestamp) == "weekday"
         )
@@ -121,29 +121,29 @@ class TestBuildSignatures:
                 volume=float(rng.uniform(0, 1)))
             for _ in range(200)
         ]
-        base = build_signatures(records, TAX, REGION, "weekday")
+        base = build_signatures(table_of(records), TAX, REGION, "weekday")
         for _ in range(5):
             shuffled = list(records)
             rng.shuffle(shuffled)
-            again = build_signatures(shuffled, TAX, REGION, "weekday")
+            again = build_signatures(table_of(shuffled), TAX, REGION, "weekday")
             assert np.array_equal(base.values, again.values)
 
     def test_unknown_service_is_hard_error(self):
         with pytest.raises(UnknownServiceError):
             build_signatures(
-                [rec(0, 0, datetime(2019, 3, 18, 0, 0), service="mystery")],
+                table_of([rec(0, 0, datetime(2019, 3, 18, 0, 0), service="mystery")]),
                 TAX, REGION, "weekday",
             )
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
-            build_signatures([], TAX, REGION, "weekday")
+            build_signatures(table_of([]), TAX, REGION, "weekday")
 
     def test_out_of_region_records_do_not_contribute(self):
         small = CityRegion(GRID, frozenset({CellId(0, 0)}))
         tensor = build_signatures(
-            [rec(0, 0, datetime(2019, 3, 18, 0, 0), volume=1.0),
-             rec(2, 2, datetime(2019, 3, 18, 0, 0), volume=5.0)],
+            table_of([rec(0, 0, datetime(2019, 3, 18, 0, 0), volume=1.0),
+                      rec(2, 2, datetime(2019, 3, 18, 0, 0), volume=5.0)]),
             TAX, small, "weekday",
         )
         assert tensor.n == 1
@@ -152,8 +152,8 @@ class TestBuildSignatures:
     def test_off_grid_records_do_not_wrap_into_other_cells(self):
         ts = datetime(2019, 3, 18, 0, 0)
         tensor = build_signatures(
-            [rec(4, 0, ts, volume=1.0), rec(-1, 1, ts, volume=2.0),
-             rec(0, -1, ts, volume=4.0), rec(0, 4, ts, volume=8.0)],
+            table_of([rec(4, 0, ts, volume=1.0), rec(-1, 1, ts, volume=2.0),
+                      rec(0, -1, ts, volume=4.0), rec(0, 4, ts, volume=8.0)]),
             TAX, REGION, "weekday",
         )
         assert tensor.values.sum() == 0.0
@@ -162,20 +162,20 @@ class TestBuildSignatures:
         ts_mon = datetime(2019, 3, 18, 6, 0)
         ts_tue = datetime(2019, 3, 19, 6, 0)
         tensor = build_signatures(
-            [rec(0, 0, ts_mon, volume=4.0), rec(0, 0, ts_tue, volume=2.0)],
+            table_of([rec(0, 0, ts_mon, volume=4.0), rec(0, 0, ts_tue, volume=2.0)]),
             TAX, REGION, "weekday", mean_per_day=True,
         )
         assert tensor.values[0, 3, 0] == 3.0
 
 
-def reference_signatures(records, taxonomy, region, day_type, mean_per_day=False):
-    """The record-at-a-time aggregation the columnar path must reproduce bit for
+def reference_signatures(rows, taxonomy, region, day_type, mean_per_day=False):
+    """The row-at-a-time aggregation the columnar path must reproduce bit for
     bit: same flat index, same canonical lexsort + add.at order."""
     cells = region.cells_in_scan_order()
     index = {cell: i for i, cell in enumerate(cells)}
     depth = taxonomy.n_categories
     flat_idx, volumes, dates = [], [], set()
-    for r in records:
+    for r in rows:
         d = taxonomy.category_index(r.service)
         if day_type_of(r.timestamp) != day_type:
             continue
@@ -207,11 +207,11 @@ class TestColumnarIngest:
     def test_table_and_records_match_the_reference(self, city, day_type, mean_per_day):
         truth, traffic_csv = city
         table, report = read_traffic(traffic_csv, truth.region.grid)
-        assert report.rejected == 0 and len(table) == len(truth.traffic)
-        expected = reference_signatures(truth.traffic, truth.service_taxonomy, truth.region,
-                                        day_type, mean_per_day)
+        assert report.rejected == 0 and rows_of(table) == rows_of(truth.traffic)
+        expected = reference_signatures(rows_of(truth.traffic), truth.service_taxonomy,
+                                        truth.region, day_type, mean_per_day)
         assert expected.sum() > 0
-        for traffic in (table, truth.traffic, table.records()):
+        for traffic in (table, truth.traffic):
             tensor = build_signatures(traffic, truth.service_taxonomy, truth.region,
                                       day_type, mean_per_day=mean_per_day)
             assert np.array_equal(tensor.values, expected)
@@ -235,14 +235,6 @@ class TestColumnarIngest:
         ), GRID)
         with pytest.raises(UnknownServiceError, match="mystery"):
             build_signatures(table, TAX, REGION, "weekday")
-
-    def test_from_records_round_trips(self):
-        records = [rec(1, 2, datetime(2019, 3, 18, 8, 0), "vid", "uplink", 2.5),
-                   rec(9, 9, datetime(2019, 3, 23, 8, 0), "msg", "downlink", 0.5),
-                   rec(1, 2, datetime(2019, 3, 18, 8, 0), "msg", "downlink", 1.0)]
-        table = TrafficTable.from_records(records)
-        assert len(table) == 3 and table.services == ("vid", "msg")
-        assert table.records() == records
 
 
 class TestRelativeRisk:

@@ -1,13 +1,16 @@
-from datetime import date
+from datetime import date, datetime
+from math import ceil, sqrt
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import rows_of
 from vibrancy.clustering import kmeans
 from vibrancy.errors import InvalidSpecError, LengthMismatchError
 from vibrancy.features import THIRD_PLACE_CATEGORIES
-from vibrancy.ingest import parse_traffic
+from vibrancy.grid import CellId
+from vibrancy.ingest import read_traffic
 from vibrancy.signatures import build_signatures, day_type_of, relative_risk
 from vibrancy.synth import (
     SynthSpec,
@@ -29,6 +32,7 @@ def small_spec(**overrides):
 class TestSpecValidation:
     def test_defaults_fill_in(self):
         spec = small_spec()
+        assert spec.categories == ("cat00", "cat01", "cat02", "cat03")
         assert spec.archetypes.shape == (2, 12, 4)
         assert spec.poi_intensity.shape == (2, 5)
         assert spec.separation() > 0
@@ -40,6 +44,7 @@ class TestSpecValidation:
         dict(slots_per_bin=3),
         dict(n_days=0),
         dict(day_type="someday"),
+        dict(categories=()),
     ])
     def test_invalid_specs_rejected(self, bad):
         with pytest.raises(InvalidSpecError):
@@ -89,11 +94,13 @@ class TestGenerate:
         spec = small_spec(noise_sigma=1.0, n_days=2)
         truth = generate(spec)
         dates = set(window_dates(spec.day_type, 2))
-        for rec in truth.traffic:
-            assert rec.timestamp.minute % 15 == 0
-            assert day_type_of(rec.timestamp) == spec.day_type
-            assert rec.timestamp.date() in dates
-            assert rec.volume > 0
+        rows = rows_of(truth.traffic)
+        assert rows
+        for row in rows:
+            assert row.timestamp.minute % 15 == 0
+            assert day_type_of(row.timestamp) == spec.day_type
+            assert row.timestamp.date() in dates
+            assert row.volume > 0
 
     def test_round_robin_assignment_is_balanced(self):
         truth = generate(small_spec(n_cells=10, k_true=2))
@@ -103,7 +110,7 @@ class TestGenerate:
     def test_deterministic_regeneration(self):
         a = generate(small_spec(noise_sigma=0.7))
         b = generate(small_spec(noise_sigma=0.7))
-        assert a.traffic == b.traffic
+        assert rows_of(a.traffic) == rows_of(b.traffic)
         assert a.pois == b.pois
         assert np.array_equal(a.archetype_of, b.archetype_of)
 
@@ -117,7 +124,7 @@ class TestGenerate:
     def test_emitted_csv_parses_cleanly(self, tmp_path):
         truth = generate(small_spec(noise_sigma=0.9))
         paths = write_city(truth, tmp_path)
-        records, report = parse_traffic(paths["traffic"], truth.region.grid)
+        _, report = read_traffic(paths["traffic"], truth.region.grid)
         assert report.rejected == 0
         assert report.accepted == len(truth.traffic)
 
@@ -131,11 +138,13 @@ class TestGenerate:
     def test_multi_day_type_shares_the_plant(self):
         spec = small_spec(noise_sigma=0.5)
         truth = generate_for_day_types(spec, ["weekday", "weekend"])
-        day_types = {day_type_of(r.timestamp) for r in truth.traffic}
+        day_types = {day_type_of(r.timestamp) for r in rows_of(truth.traffic)}
         assert day_types == {"weekday", "weekend"}
         single = generate(spec)
         assert np.array_equal(truth.archetype_of, single.archetype_of)
         assert truth.pois == single.pois
+        weekday = [r for r in rows_of(truth.traffic) if day_type_of(r.timestamp) == "weekday"]
+        assert weekday == rows_of(single.traffic)
 
     def test_poi_counts_match_intensity(self):
         intensity = np.array([[1.0, 0.5, 2.0, 0.0, 4.0], [5.0, 1.5, 0.2, 3.0, 0.7]])
@@ -157,6 +166,58 @@ class TestGenerate:
                 lam = intensity[a - 1, ci]
                 mean = counts[(a, cat)] / n_per_arch
                 assert abs(mean - lam) <= 3 * np.sqrt(max(lam, 1e-9) / n_per_arch) + 1e-9
+
+
+def reference_traffic_csv(spec, day_types) -> bytes:
+    """traffic.csv as the former generator wrote it: one row object and one
+    strftime per row, looping over day type, cell, date, bin, category, slot
+    and direction."""
+    targets, _ = planted_stack(spec)
+    n_cols = ceil(sqrt(spec.n_cells))
+    cells = [CellId(i % n_cols, i // n_cols) for i in range(spec.n_cells)]
+    services = [(f"svc-{c}-a", f"svc-{c}-b") for c in spec.categories]
+    offsets = [s * (120 // spec.slots_per_bin) for s in range(spec.slots_per_bin)]
+    share_div = spec.slots_per_bin * 2
+    rows = []
+    for day_type in day_types:
+        for i, cell in enumerate(cells):
+            for day in window_dates(day_type, spec.n_days):
+                for b in range(12):
+                    for d in range(len(spec.categories)):
+                        v = float(targets[i, b, d])
+                        if v == 0.0:
+                            continue
+                        share = v / share_div
+                        for s, off in enumerate(offsets):
+                            ts = datetime(day.year, day.month, day.day, 2 * b + off // 60,
+                                          off % 60)
+                            for direction in ("downlink", "uplink"):
+                                rows.append((cell, ts, services[d][s % 2], direction, share))
+    lines = ["col,row,timestamp,service,direction,volume\n"]
+    for cell, ts, service, direction, volume in rows:
+        ts = ts.strftime("%Y-%m-%dT%H:%M")
+        lines.append(f"{cell.col},{cell.row},{ts},{service},{direction},{volume!r}\n")
+    return "".join(lines).encode("utf-8")
+
+
+class TestTrafficBytes:
+    @pytest.mark.parametrize("day_types", [("weekday",), ("weekend", "weekday")],
+                             ids=["one_day_type", "two_day_types"])
+    @pytest.mark.parametrize("n_days", [1, 3])
+    @pytest.mark.parametrize("slots_per_bin", [1, 2, 4, 8])
+    def test_traffic_csv_matches_the_row_at_a_time_writer(self, tmp_path, slots_per_bin,
+                                                          n_days, day_types):
+        spec = small_spec(n_cells=7, k_true=3, n_days=n_days, slots_per_bin=slots_per_bin)
+        paths = write_city(generate_for_day_types(spec, day_types), tmp_path)
+        assert paths["traffic"].read_bytes() == reference_traffic_csv(spec, day_types)
+
+    def test_clipped_targets_are_skipped_alike(self, tmp_path):
+        spec = small_spec(n_cells=12, k_true=3, noise_sigma=6.0, n_days=2)
+        day_types = ("weekday", "weekend")
+        truth = generate_for_day_types(spec, day_types)
+        assert (truth.targets == 0).any() and (truth.targets > 0).any()
+        paths = write_city(truth, tmp_path)
+        assert paths["traffic"].read_bytes() == reference_traffic_csv(spec, day_types)
 
 
 class TestEndToEndRecovery:
