@@ -150,9 +150,8 @@ def _relocate_empty(X, centers, labels, k):
     counts = np.bincount(labels, minlength=k)
     empties = np.flatnonzero(counts == 0)
     if empties.size == 0:
-        return labels, centers
+        return labels
     labels = labels.copy()
-    centers = centers.copy()
     dist = ((X - centers[labels]) ** 2).sum(axis=1)
     moved = np.zeros(X.shape[0], dtype=bool)
     for e in empties:
@@ -163,10 +162,9 @@ def _relocate_empty(X, centers, labels, k):
         candidates = np.flatnonzero(eligible)
         far = int(candidates[np.argmax(dist[candidates])])
         labels[far] = e
-        centers[e] = X[far]
         moved[far] = True
         dist[far] = 0.0
-    return labels, centers
+    return labels
 
 
 def _means(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -177,19 +175,23 @@ def _means(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def kmeans(
-    data: TensorLike,
-    k: int,
-    seed: int = 0,
-    max_iter: int = 300,
-    tol: float = 1e-6,
-) -> ClusterModel:
+# Pass budget of one ``kmeans`` call; reaching it leaves ``converged`` False.
+_MAX_PASSES = 300
+
+
+def kmeans(data: TensorLike, k: int, seed: int = 0) -> ClusterModel:
     """Lloyd's algorithm with k-means++ seeding, deterministic given the seed.
 
-    Iteration stops when assignments repeat exactly or the maximum centroid
-    shift drops below ``tol``; a final settling pass then guarantees that the
-    returned labels are a fixed point of the returned centroids and that each
-    centroid is the mean of its members. Output labels are size-ordered.
+    Each pass assigns every point to its nearest centroid (an empty cluster
+    takes the point farthest from its centroid). The loop stops when a pass
+    repeats the previous pass's assignment; otherwise every centroid moves to
+    the mean of its members. On that stop ``converged`` is True, each
+    centroid is the mean of its members, the labels are a fixed point of the
+    centroids (one more pass would give them again), and the inertia is the
+    repeating pass's sum of squared distances. ``converged`` is False only
+    if ``_MAX_PASSES`` passes end without a repeat; the model then holds the
+    last pass's labels, their member means and that pass's sum.
+    ``inertia_trace`` holds each pass's sum. Output labels are size-ordered.
     """
     X = _as_points(data)
     n = X.shape[0]
@@ -202,44 +204,24 @@ def kmeans(
 
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(X, k, rng)
-    prev_labels = None
     labels = None
     converged = False
-    n_iter = 0
     trace: list[float] = []
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, _MAX_PASSES + 1):
         d2 = _pairwise_sq(X, centers)
-        labels = d2.argmin(axis=1)
-        labels, centers = _relocate_empty(X, centers, labels, k)
-        trace.append(float(((X - centers[labels]) ** 2).sum()))
-        new_centers = _means(X, labels, k)
-        shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
-        centers = new_centers
-        stable = prev_labels is not None and np.array_equal(labels, prev_labels)
-        prev_labels = labels
-        if stable or shift < tol:
+        new_labels = _relocate_empty(X, centers, d2.argmin(axis=1), k)
+        trace.append(float(d2[np.arange(n), new_labels].sum()))
+        if labels is not None and np.array_equal(new_labels, labels):
             converged = True
-            break
-
-    # settle: lock the assignment fixed point against the final centroids
-    for _ in range(max_iter):
-        d2 = _pairwise_sq(X, centers)
-        new_labels = d2.argmin(axis=1)
-        new_labels, centers = _relocate_empty(X, centers, new_labels, k)
-        if np.array_equal(new_labels, labels):
             break
         labels = new_labels
         centers = _means(X, labels, k)
-        n_iter += 1
 
-    d2 = _pairwise_sq(X, centers)
-    inertia = float(d2[np.arange(n), labels].sum())
-    trace.append(inertia)
     model = ClusterModel(
         k=k,
         centroids=centers.reshape((k,) + _values(data).shape[1:]),
         labels=labels + 1,
-        inertia=inertia,
+        inertia=trace[-1],
         seed=seed,
         n_iter=n_iter,
         converged=converged,
@@ -338,12 +320,12 @@ def select_k(
     k_max: int = 10,
     seed: int = 0,
     restarts: int = 10,
-    max_iter: int = 300,
-    tol: float = 1e-6,
 ) -> tuple[ClusterModel, KSelectionReport]:
-    """Try each k in [k_min, k_max], keep the best restart by inertia, and pick
-    the k with the highest silhouette score (ties go to the smallest k). All
-    the best models are scored from one pass over the pairwise distances."""
+    """Try each k in [k_min, k_max] with ``restarts`` runs of ``kmeans``
+    (seeded by ``restart_seed``), keep the restart with the lowest inertia
+    (the first on a tie), and pick the k with the highest silhouette score
+    (ties go to the smallest k). All the best models are scored from one pass
+    over the pairwise distances."""
     n = _as_points(data).shape[0]
     if k_min < 2 or k_min > k_max:
         raise ValueError("need 2 <= k_min <= k_max")
@@ -354,7 +336,7 @@ def select_k(
     for k in range(k_min, k_max + 1):
         best = None
         for r in range(restarts):
-            model = kmeans(data, k, restart_seed(seed, k, r), max_iter=max_iter, tol=tol)
+            model = kmeans(data, k, restart_seed(seed, k, r))
             if best is None or model.inertia < best.inertia:
                 best = model
         best_models[k] = best

@@ -107,8 +107,8 @@ class SynthSpec:
             raise InvalidSpecError("k_true must be at least 2")
         if self.n_cells < self.k_true:
             raise InvalidSpecError("need at least one cell per archetype")
-        if self.noise_sigma < 0:
-            raise InvalidSpecError("noise_sigma must be nonnegative")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise InvalidSpecError("noise_sigma must be finite and nonnegative")
         if self.day_type not in DAY_TYPES:
             raise InvalidSpecError(f"day_type must be one of {DAY_TYPES}")
         if self.slots_per_bin not in _VALID_SLOTS:
@@ -208,6 +208,8 @@ def generate_for_day_types(spec: SynthSpec, day_types: Sequence[str]) -> SynthTr
     for day_type in day_types:
         if day_type not in DAY_TYPES:
             raise InvalidSpecError(f"day_type must be one of {DAY_TYPES}")
+    if len(set(day_types)) < len(day_types):
+        raise InvalidSpecError(f"day type repeated in {list(day_types)}")
     spec = replace(spec, day_type=day_types[0])
     n_cols = ceil(sqrt(spec.n_cells))
     n_rows = ceil(spec.n_cells / n_cols)

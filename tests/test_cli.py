@@ -387,6 +387,18 @@ class TestSynthCommand:
         assert result["chosen_k"] == 3
         assert result["ari_vs_truth"] == 1.0
 
+    @pytest.mark.parametrize("bad", [
+        ["--sigma", "nan"],
+        ["--sigma", "inf"],
+        ["--day-types", "weekday", "weekday"],
+    ], ids=["sigma nan", "sigma inf", "repeated day type"])
+    def test_invalid_spec_exits_2_and_writes_nothing(self, tmp_path, capsys, bad):
+        out = tmp_path / "s"
+        assert main(["synth", "--out", str(out), "--cells", "30", *bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1, err
+        assert not out.exists()
+
 
 def _one_line_data_error(capsys, path) -> str:
     err = capsys.readouterr().err

@@ -143,6 +143,145 @@ class TestKmeans:
         assert model.inertia == 0.0
 
 
+def _reference_relocate(X, centers, labels, k):
+    """The relocation the reference loop ran: it also moves each empty
+    cluster's centroid onto the point it takes."""
+    labels = labels.copy()
+    centers = centers.copy()
+    counts = np.bincount(labels, minlength=k)
+    dist = ((X - centers[labels]) ** 2).sum(axis=1)
+    moved = np.zeros(X.shape[0], dtype=bool)
+    for e in np.flatnonzero(counts == 0):
+        counts = np.bincount(labels, minlength=k)
+        eligible = (~moved) & (counts[labels] > 1)
+        if not eligible.any():
+            eligible = ~moved
+        candidates = np.flatnonzero(eligible)
+        far = int(candidates[np.argmax(dist[candidates])])
+        labels[far] = e
+        centers[e] = X[far]
+        moved[far] = True
+        dist[far] = 0.0
+    return labels, centers
+
+
+def reference_kmeans(data, k, seed=0, max_iter=300, tol=1e-6):
+    """The two-loop k-means that the single Lloyd loop replaced.
+
+    A main loop stops on a repeated assignment or on a centroid shift below
+    ``tol``; a settling loop then reassigns until the labels repeat, and a
+    last distance pass gives the inertia. Returns the model and how the main
+    loop stopped: "repeat", "shift" or "budget".
+    """
+    X = np.asarray(data, dtype=np.float64).reshape(len(data), -1)
+    n = X.shape[0]
+    centers = vibrancy.clustering._kmeans_pp_init(X, k, np.random.default_rng(seed))
+    prev_labels = labels = None
+    stop = "budget"
+    for n_iter in range(1, max_iter + 1):
+        d2 = vibrancy.clustering._pairwise_sq(X, centers)
+        labels, centers = _reference_relocate(X, centers, d2.argmin(axis=1), k)
+        new_centers = vibrancy.clustering._means(X, labels, k)
+        shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
+        centers = new_centers
+        stable = prev_labels is not None and np.array_equal(labels, prev_labels)
+        prev_labels = labels
+        if stable or shift < tol:
+            stop = "repeat" if stable else "shift"
+            break
+    for _ in range(max_iter):
+        d2 = vibrancy.clustering._pairwise_sq(X, centers)
+        new_labels, centers = _reference_relocate(X, centers, d2.argmin(axis=1), k)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        centers = vibrancy.clustering._means(X, labels, k)
+        n_iter += 1
+    d2 = vibrancy.clustering._pairwise_sq(X, centers)
+    model = ClusterModel(
+        k, centers.reshape((k,) + np.shape(data)[1:]), labels + 1,
+        float(d2[np.arange(n), labels].sum()), seed, n_iter, converged=stop != "budget",
+    )
+    return relabel_by_size(model), stop
+
+
+def _duplicated_stack(rng, distinct, copies):
+    base = rng.integers(0, 4, size=(distinct, 12, 1)).astype(float)
+    return np.repeat(base, copies, axis=0)[rng.permutation(distinct * copies)]
+
+
+class TestSingleLoopMatchesReference:
+    """The single Lloyd loop against the two-loop reference: the same labels,
+    centroid bytes, inertia and ``converged``; ``n_iter`` is one higher only
+    where the reference stopped on a small centroid shift without a repeat."""
+
+    def check(self, data, k, seed):
+        """Compare one call; return the reference model and how it stopped."""
+        model = kmeans(data, k, seed)
+        ref, stop = reference_kmeans(data, k, seed)
+        assert np.array_equal(model.labels, ref.labels)
+        assert model.centroids.tobytes() == ref.centroids.tobytes()
+        assert model.inertia == ref.inertia
+        assert model.converged == ref.converged
+        assert model.n_iter == ref.n_iter + (stop == "shift")
+        assert model.inertia_trace[-1] == model.inertia
+        return ref, stop
+
+    def test_planted_stacks_through_select_k(self):
+        for spec_seed, k_true, sigma in [(2, 3, 0.5), (9, 5, 0.3), (3, 3, 1.0)]:
+            values, _ = planted_stack(SynthSpec(seed=spec_seed, n_cells=60, k_true=k_true,
+                                                noise_sigma=sigma))
+            chosen, report = select_k(values, k_min=3, k_max=6, seed=spec_seed, restarts=3)
+            for k in range(3, 7):
+                refs = [self.check(values, k, restart_seed(spec_seed, k, r))[0]
+                        for r in range(3)]
+                best = min(refs, key=lambda ref: ref.inertia)
+                assert report.inertias[k] == best.inertia
+                if k == report.chosen_k:
+                    assert np.array_equal(chosen.labels, best.labels)
+                    assert chosen.n_iter == best.n_iter
+
+    def test_uniform_random_stacks(self, rng):
+        for trial in range(20):
+            n = int(rng.integers(8, 50))
+            self.check(rng.uniform(size=(n, 12, 2)), int(rng.integers(2, 8)), trial)
+
+    def test_small_integer_stacks_with_ties(self, rng):
+        for trial in range(20):
+            n = int(rng.integers(8, 40))
+            data = rng.integers(0, 3, size=(n, 3, 1)).astype(float)
+            self.check(data, int(rng.integers(2, 6)), trial)
+
+    def test_duplicated_point_stacks(self, rng):
+        stops = set()
+        for trial in range(20):
+            distinct = int(rng.integers(2, 7))
+            data = _duplicated_stack(rng, distinct, int(rng.integers(2, 5)))
+            stops.add(self.check(data, int(rng.integers(2, distinct + 1)), trial)[1])
+        assert "shift" in stops
+
+    def test_k_equals_n(self, rng):
+        for trial in range(5):
+            n = int(rng.integers(2, 8))
+            assert self.check(rng.uniform(size=(n, 12, 2)), n, trial)[1] == "shift"
+
+    def test_empty_cluster_relocation(self, monkeypatch):
+        # every centroid of a stack of equal points is that point, so every
+        # pass assigns all points to cluster 0 and must relocate
+        had_empty = []
+        relocate = vibrancy.clustering._relocate_empty
+
+        def watched(X, centers, labels, k):
+            had_empty.append(np.bincount(labels, minlength=k).min() == 0)
+            return relocate(X, centers, labels, k)
+
+        monkeypatch.setattr(vibrancy.clustering, "_relocate_empty", watched)
+        for k in (2, 3, 5):
+            had_empty.clear()
+            self.check(np.ones((8, 12, 1)), k, seed=k)
+            assert had_empty and all(had_empty)
+
+
 def pairs_as_points():
     """Two tight pairs far apart, each point a 1x1 matrix."""
     return np.array([0.0, 0.1, 10.0, 10.1]).reshape(4, 1, 1)

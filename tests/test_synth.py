@@ -40,6 +40,8 @@ class TestSpecValidation:
     @pytest.mark.parametrize("bad", [
         dict(k_true=1),
         dict(noise_sigma=-0.5),
+        dict(noise_sigma=float("nan")),
+        dict(noise_sigma=float("inf")),
         dict(n_cells=1),
         dict(slots_per_bin=3),
         dict(n_days=0),
@@ -145,6 +147,10 @@ class TestGenerate:
         assert truth.pois == single.pois
         weekday = [r for r in rows_of(truth.traffic) if day_type_of(r.timestamp) == "weekday"]
         assert weekday == rows_of(single.traffic)
+
+    def test_repeated_day_type_rejected(self):
+        with pytest.raises(InvalidSpecError):
+            generate_for_day_types(small_spec(), ["weekday", "weekend", "weekday"])
 
     def test_poi_counts_match_intensity(self):
         intensity = np.array([[1.0, 0.5, 2.0, 0.0, 4.0], [5.0, 1.5, 0.2, 3.0, 0.7]])
