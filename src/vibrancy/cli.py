@@ -97,7 +97,8 @@ def _cmd_synth(args) -> int:
 def _cmd_signatures(args) -> int:
     region = load_region(args.region)
     taxonomy = load_taxonomy(args.service_taxonomy)
-    traffic, _ = read_traffic(args.traffic, region.grid)
+    traffic, report = read_traffic(args.traffic, region.grid)
+    report.require_accepted(args.traffic, "traffic")
     tensor = build_city_tensor(
         region,
         traffic,

@@ -232,6 +232,7 @@ class _CityData:
         self.region = load_region(cfg.region)
         # read once here; every day type's tensor is built from this table
         self.traffic, self.traffic_report = read_traffic(cfg.traffic, self.region.grid)
+        self.traffic_report.require_accepted(cfg.traffic, "traffic")
         self.pois, self.poi_report = parse_pois(cfg.pois)
         self.truth = load_truth_labels(cfg.truth) if cfg.truth else None
 

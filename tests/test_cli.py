@@ -482,33 +482,89 @@ def _a_directory(path: Path) -> None:
     path.mkdir()
 
 
-# case id -> (file, corruption); run reads the city files, report the run's
+def _bad_header(path: Path) -> None:
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(["a,b"] + lines[1:]) + "\n")
+
+
+def _line_3_repeats_line_2(path: Path) -> None:
+    path.write_text(_duplicate_line_2(path.read_text()))
+
+
+def _line_3_short(path: Path) -> None:
+    path.write_text(_replace_line(path.read_text(), 3, "cafe"))
+
+
+RUN_FILES = ("manifest.json", KSELECTION, COEFFICIENTS)
+
+# case id -> (file, corruption, line it names or None); report reads the
+# run's files, run reads the city files
 UNREADABLE_FILES = {
-    "config not UTF-8": ("pipeline.cfg", _not_utf8),
-    "config a directory": ("pipeline.cfg", _a_directory),
-    "region not UTF-8": ("region.json", _not_utf8),
-    "region a directory": ("region.json", _a_directory),
-    "manifest not UTF-8": ("manifest.json", _not_utf8),
-    "manifest a directory": ("manifest.json", _a_directory),
-    "coefficients not UTF-8": (COEFFICIENTS, _not_utf8),
+    "config not UTF-8": ("pipeline.cfg", _not_utf8, None),
+    "config a directory": ("pipeline.cfg", _a_directory, None),
+    "region not UTF-8": ("region.json", _not_utf8, None),
+    "region a directory": ("region.json", _a_directory, None),
+    "manifest not UTF-8": ("manifest.json", _not_utf8, None),
+    "manifest a directory": ("manifest.json", _a_directory, None),
+    "coefficients not UTF-8": (COEFFICIENTS, _not_utf8, None),
+    "traffic header wrong": ("traffic.csv", _bad_header, None),
+    "POI header wrong": ("pois.csv", _bad_header, None),
+    "service taxonomy header wrong": ("service_taxonomy.csv", _bad_header, None),
+    "service taxonomy service repeated": ("service_taxonomy.csv", _line_3_repeats_line_2, 3),
+    "third-place taxonomy header wrong": ("third_places.csv", _bad_header, None),
+    "third-place taxonomy row short": ("third_places.csv", _line_3_short, 3),
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNREADABLE_FILES))
 def test_unreadable_file_is_a_one_line_data_error(city_dir, run_dir, tmp_path, capsys, case):
-    name, corrupt = UNREADABLE_FILES[case]
-    if name in ("pipeline.cfg", "region.json"):
+    name, corrupt, line = UNREADABLE_FILES[case]
+    if name not in RUN_FILES:
         city = tmp_path / "city"
         shutil.copytree(city_dir, city)
         path = city / name
         argv = ["run", "--config", str(city / "pipeline.cfg"), "--out", str(tmp_path / "out")]
     else:
-        for n in ("manifest.json", KSELECTION, COEFFICIENTS):
+        for n in RUN_FILES:
             (tmp_path / n).parent.mkdir(parents=True, exist_ok=True)
             (tmp_path / n).write_bytes((run_dir / n).read_bytes())
         path = tmp_path / name
         argv = ["report", "--run-dir", str(tmp_path)]
     corrupt(path)
     assert main(argv) == 2
-    _one_line_data_error(capsys, path)
+    err = _one_line_data_error(capsys, path)
+    if line:
+        assert f"{path}:{line}:" in err
+    assert capsys.readouterr().out == ""
+
+
+# case id -> traffic rows after the header, and the rejects the error names
+NO_ACCEPTED_TRAFFIC = {
+    "header only": ([], "of 0 data lines (rejected: none)"),
+    "every row rejected": (
+        ["0,0,2019-03-18T08:00,svc-cat00-a,sideways,1", "0,0,yesterday,svc-cat00-a,uplink,1",
+         "", "999,0,2019-03-18T08:00,svc-cat00-a,uplink,1", "0,0"],
+        "of 4 data lines (rejected: 1 unknown_direction, 2 malformed, 1 out_of_bounds)"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "signatures"])
+@pytest.mark.parametrize("case", sorted(NO_ACCEPTED_TRAFFIC))
+def test_traffic_without_an_accepted_row_is_a_one_line_data_error(city_dir, tmp_path, capsys,
+                                                                   case, command):
+    rows, counts = NO_ACCEPTED_TRAFFIC[case]
+    city = tmp_path / "city"
+    shutil.copytree(city_dir, city)
+    traffic = city / "traffic.csv"
+    header = traffic.read_text().splitlines()[0]
+    traffic.write_text("\n".join([header] + rows) + "\n")
+    if command == "run":
+        argv = ["run", "--config", str(city / "pipeline.cfg"), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["signatures", "--region", str(city / "region.json"), "--traffic", str(traffic),
+                "--service-taxonomy", str(city / "service_taxonomy.csv"),
+                "--day-type", "weekday", "--out-raw", str(tmp_path / "raw.sig")]
+    assert main(argv) == 2
+    err = _one_line_data_error(capsys, traffic)
+    assert f"{traffic}: no traffic row accepted {counts}" in err
     assert capsys.readouterr().out == ""

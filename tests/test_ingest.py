@@ -1,9 +1,17 @@
+import csv
 import io
+import math
+import re
+import sys
+from array import array
 from datetime import datetime
 from importlib.resources import files
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import vibrancy.ingest
 from conftest import Row, rows_of
 from vibrancy.errors import (
     DataError,
@@ -11,14 +19,29 @@ from vibrancy.errors import (
     EmptyCategoryListError,
     UnknownServiceError,
 )
-from vibrancy.grid import CellId, GridSpec
+from vibrancy.grid import CellId, GridSpec, load_region
 from vibrancy.ingest import (
+    DIRECTIONS,
     MAX_REJECT_EXAMPLES,
+    REJECT_MALFORMED,
+    REJECT_OUT_OF_BOUNDS,
+    REJECT_UNKNOWN_DIRECTION,
+    TRAFFIC_HEADER,
+    ParseReport,
     ServiceTaxonomy,
+    TrafficTable,
+    _parse_timestamp,
     load_taxonomy,
     parse_pois,
     read_traffic,
 )
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+
+from spans import Tracer  # noqa: E402
+from workloads import WORKLOADS, build_inputs  # noqa: E402
 
 GRID = GridSpec(0, 0, 10, 10)
 
@@ -143,6 +166,223 @@ class TestParseTraffic:
         path = tmp_path / "traffic.csv"
         path.write_bytes(b"col,row,timestamp,service,direction,volume\n1,1,\xff\n")
         with pytest.raises(DataError, match="traffic.csv"):
+            read_traffic(path, GRID)
+
+
+def reference_read_traffic(source, grid):
+    """The row-at-a-time reader that the chunked ``read_traffic`` replaced:
+    one ``csv.reader`` pass over the text, every row through ``str.strip``,
+    ``int`` and ``float``. Kept as the reference it must equal."""
+    columns = [array(code) for code in "qqiibd"]
+    stamps, stamp_of, service_of = [], {}, {}
+    direction_of = {d: i for i, d in enumerate(DIRECTIONS)}
+    report = ParseReport()
+    total = 0
+    lines = source if hasattr(source, "read") else open(source, encoding="utf-8")
+    try:
+        reader = csv.reader(lines)
+        header = next(reader, None)
+        if header is None or [c.strip() for c in header] != TRAFFIC_HEADER:
+            raise DataError("bad header")
+        for line_no, fields in enumerate(reader, start=2):
+            if not fields:
+                continue
+            total += 1
+            if len(fields) != 6:
+                report._reject(line_no, REJECT_MALFORMED)
+                continue
+            col_s, row_s, ts_s, service, direction, volume_s = map(str.strip, fields)
+            if ts_s not in stamp_of:
+                try:
+                    stamps.append(_parse_timestamp(ts_s))
+                    stamp_of[ts_s] = len(stamps) - 1
+                except ValueError:
+                    stamp_of[ts_s] = None
+            stamp = stamp_of[ts_s]
+            try:
+                col, row = int(col_s), int(row_s)
+                volume = float(volume_s)
+            except ValueError:
+                report._reject(line_no, REJECT_MALFORMED)
+                continue
+            if stamp is None or not service or not math.isfinite(volume) or volume < 0:
+                report._reject(line_no, REJECT_MALFORMED)
+                continue
+            if direction not in direction_of:
+                report._reject(line_no, REJECT_UNKNOWN_DIRECTION)
+                continue
+            if not (0 <= col < grid.n_cols and 0 <= row < grid.n_rows):
+                report._reject(line_no, REJECT_OUT_OF_BOUNDS)
+                continue
+            for column, value in zip(columns, (col, row, stamp, service_of.setdefault(
+                    service, len(service_of)), direction_of[direction], volume)):
+                column.append(value)
+    finally:
+        if lines is not source:
+            lines.close()
+    report.total_lines = total
+    report.accepted = len(columns[-1])
+    return TrafficTable(*(np.frombuffer(c, dtype=c.typecode) for c in columns),
+                        tuple(stamps), tuple(service_of), DIRECTIONS), report
+
+
+def assert_same_read(got, want):
+    """Equal tables, bit for bit, and equal reports, rejects in the same order."""
+    (table, report), (ref_table, ref_report) = got, want
+    for name in ("col", "row", "stamp", "service", "direction", "volume"):
+        mine, theirs = getattr(table, name), getattr(ref_table, name)
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
+    assert (table.stamps, table.services, table.directions) == (
+        ref_table.stamps, ref_table.services, ref_table.directions)
+    assert (report.total_lines, report.accepted) == (ref_report.total_lines, ref_report.accepted)
+    assert list(report.rejects.items()) == list(ref_report.rejects.items())
+    assert report.rejected_lines == ref_report.rejected_lines
+
+
+# Fields the fuzz draws from: plain text first, then what only the per-row
+# path reads (padding, quotes, non-ASCII).
+FUZZ_CELLS = ["0", "3", "9", "10", "12", "-0", "+5", "1_0", "-3", "x", "", "1e3",
+              "99999999999999999999", "-99999999999999999999"]
+FUZZ_STAMPS = ["2019-03-18T08:00", "2019-03-23T23:45", "2019-03-18T08:05",
+               "2019-03-18T08:00+01:00", "2019-03-18", "2019-03-18T08:00:00", "yesterday", ""]
+FUZZ_SERVICES = ["App", "Maps", "svc-cat00-a", "X_1", "Z.z:9", ""]
+FUZZ_DIRECTIONS = ["downlink", "uplink", "uplink", "downlink", "sideways", "Uplink", ""]
+FUZZ_VOLUMES = ["1.5", "0", "12", "0.25", "1e3", "-0", "+5", "1_0", "inf", "nan", "-2",
+                "lots", "", "1e400", "-0.0"]
+FUZZ_NOT_PLAIN = [
+    '1,1,2019-03-18T08:00,"App, Inc",uplink,1',
+    '2,2,2019-03-18T08:00,"Multi\nLine",downlink,2',
+    " 2 , 3 , 2019-03-23T23:45 ,Other, downlink ,0",
+    "1,1,2019-03-18T08:00,Café,uplink,1",
+    "1,1,2019-03-18T08:00,App\tTab,uplink,1",
+]
+
+
+def fuzz_traffic(rng, plain: bool) -> str:
+    """A traffic CSV of random good and bad lines, with \\n and \\r\\n line
+    ends and blank lines; unless ``plain``, also lone \\r line ends and lines
+    only the per-row path reads, from a random line on."""
+    parts = [",".join(TRAFFIC_HEADER)]
+    n = int(rng.integers(0, 120))
+    mixed_from = n if plain else int(rng.integers(0, n + 1))
+    for i in range(n):
+        kind = rng.random()
+        if i >= mixed_from and kind < 0.15:
+            line = FUZZ_NOT_PLAIN[int(rng.integers(len(FUZZ_NOT_PLAIN)))]
+        elif kind < 0.2:
+            line = ""
+        elif kind < 0.27:
+            k = int(rng.choice([1, 2, 5, 7]))
+            line = ",".join(str(int(rng.integers(0, 9))) for _ in range(k))
+        elif kind < 0.6:  # a likely good row
+            line = (f"{rng.integers(0, 10)},{rng.integers(0, 10)},"
+                    f"2019-03-{rng.integers(16, 24)}T{rng.integers(0, 24):02d}:"
+                    f"{15 * rng.integers(0, 4):02d},{rng.choice(FUZZ_SERVICES[:4])},"
+                    f"{rng.choice(DIRECTIONS)},{rng.random() * 100:.6g}")
+        else:
+            pick = [FUZZ_CELLS, FUZZ_CELLS, FUZZ_STAMPS, FUZZ_SERVICES, FUZZ_DIRECTIONS,
+                    FUZZ_VOLUMES]
+            line = ",".join(str(rng.choice(values)) for values in pick)
+        parts.append(line)
+    ends = ["\n", "\r\n"] if plain else ["\n", "\r\n", "\r"]
+    text = "".join(p + str(rng.choice(ends, p=[0.8, 0.2] if plain else [0.75, 0.2, 0.05]))
+                   for p in parts)
+    return text[: -int(rng.integers(1, 3))] if rng.random() < 0.3 else text
+
+
+class TestChunkedRead:
+    """``read_traffic`` against the per-row reader it replaced, with chunks of
+    a few dozen bytes (every line a chunk boundary somewhere) and at the
+    default size."""
+
+    @pytest.mark.parametrize("chunk", [23, 64, vibrancy.ingest.CHUNK_BYTES])
+    @pytest.mark.parametrize("plain", [True, False], ids=["plain", "mixed"])
+    def test_fuzzed_files_read_as_the_reference_does(self, tmp_path, monkeypatch, chunk, plain):
+        monkeypatch.setattr(vibrancy.ingest, "CHUNK_BYTES", chunk)
+        rng = np.random.default_rng(8 + plain)
+        path = tmp_path / "traffic.csv"
+        for _ in range(60):
+            path.write_bytes(fuzz_traffic(rng, plain).encode("utf-8"))
+            try:
+                want = reference_read_traffic(path, GRID)
+            except DataError:  # a cut header
+                with pytest.raises(DataError, match="traffic.csv"):
+                    read_traffic(path, GRID)
+                continue
+            assert_same_read(read_traffic(path, GRID), want)
+
+    @pytest.mark.parametrize("chunk", [23, vibrancy.ingest.CHUNK_BYTES])
+    @pytest.mark.parametrize("plain", [True, False], ids=["plain", "mixed"])
+    def test_fuzzed_text_streams_read_as_the_reference_does(self, monkeypatch, chunk, plain):
+        monkeypatch.setattr(vibrancy.ingest, "CHUNK_BYTES", chunk)
+        rng = np.random.default_rng(10 + plain)
+        for _ in range(60):
+            # a text stream splits lines at "\n" only, so no lone "\r" here
+            text = re.sub("\r(?!\n)", "\n", fuzz_traffic(rng, plain))
+            if not text.startswith(",".join(TRAFFIC_HEADER) + "\n"):
+                continue
+            assert_same_read(read_traffic(io.StringIO(text), GRID),
+                             reference_read_traffic(io.StringIO(text), GRID))
+
+    @pytest.mark.parametrize("chunk", [23, vibrancy.ingest.CHUNK_BYTES])
+    @pytest.mark.parametrize("last", ["1,1", ",,,,", ",,,,,,", "1,1,2019-03-18T08:00,App,uplink",
+                                      "1,1,2019-03-18T08:00,App,uplink,1.5", "1"])
+    def test_last_line_without_a_line_end(self, tmp_path, monkeypatch, chunk, last):
+        monkeypatch.setattr(vibrancy.ingest, "CHUNK_BYTES", chunk)
+        path = tmp_path / "traffic.csv"
+        good = "2,3,2019-03-18T08:15,Maps,downlink,4\n"
+        for body in (good * 3 + last, good * 3 + "\n" + last, last):
+            path.write_text(",".join(TRAFFIC_HEADER) + "\n" + body)
+            assert_same_read(read_traffic(path, GRID), reference_read_traffic(path, GRID))
+
+    def test_fuzz_reaches_both_paths_and_every_reason(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(vibrancy.ingest, "CHUNK_BYTES", 64)
+        rng = np.random.default_rng(9)
+        plain_calls, row_calls, reasons = [], [], set()
+        reader = vibrancy.ingest._TrafficReader
+        monkeypatch.setattr(reader, "read_plain", lambda self, data, f=reader.read_plain: (
+            plain_calls.append(f(self, data)) or plain_calls[-1]))
+        monkeypatch.setattr(reader, "read_rows", lambda self, lines, f=reader.read_rows: (
+            row_calls.append(1), f(self, lines))[1])
+        path = tmp_path / "traffic.csv"
+        for _ in range(20):
+            path.write_bytes(fuzz_traffic(rng, plain=False).encode("utf-8"))
+            try:
+                reasons.update(read_traffic(path, GRID)[1].rejects)
+            except DataError:  # a cut header
+                pass
+        assert True in plain_calls and False in plain_calls and row_calls
+        assert reasons == {REJECT_MALFORMED, REJECT_UNKNOWN_DIRECTION, REJECT_OUT_OF_BOUNDS}
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_benchmark_workload_files_read_as_the_reference_does(self, tmp_path, name):
+        config = build_inputs(WORKLOADS[name], 1, tmp_path, Tracer()).config
+        cities = sorted(config.parent.glob("*/traffic.csv"))
+        assert len(cities) == WORKLOADS[name].n_cities
+        for path in cities:
+            grid = load_region(path.parent / "region.json").grid
+            got, want = read_traffic(path, grid), reference_read_traffic(path, grid)
+            assert got[1].accepted > 0
+            assert_same_read(got, want)
+
+    def test_non_utf8_byte_in_the_last_chunk_is_a_data_error_naming_the_file(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(vibrancy.ingest, "CHUNK_BYTES", 64)
+        path = tmp_path / "traffic.csv"
+        good = b"1,1,2019-03-18T08:00,App,uplink,1.5\n" * 40
+        path.write_bytes(b"col,row,timestamp,service,direction,volume\n" + good
+                         + b"1,1,2019-03-18T08:00,\xff,uplink,1.5\n")
+        assert path.stat().st_size > 20 * vibrancy.ingest.CHUNK_BYTES
+        with pytest.raises(DataError, match="traffic.csv"):
+            read_traffic(path, GRID)
+
+    @pytest.mark.parametrize("text", ["", "col,row,timestamp\n1,1,x\n",
+                                      "\ncol,row,timestamp,service,direction,volume\n"],
+                             ids=["empty", "short header", "blank first line"])
+    def test_bad_header_is_a_data_error_naming_the_file(self, tmp_path, text):
+        path = tmp_path / "traffic.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^{path}: traffic file must start with header"):
             read_traffic(path, GRID)
 
 
