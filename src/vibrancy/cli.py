@@ -104,6 +104,8 @@ def _cmd_signatures(args) -> int:
         traffic,
         taxonomy,
         args.day_type,
+        traffic_path=args.traffic,
+        taxonomy_path=args.service_taxonomy,
         mean_per_day=args.mean_per_day,
         drop_silent=args.drop_silent_cells,
         segment_name=args.segment_name,

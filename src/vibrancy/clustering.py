@@ -64,6 +64,11 @@ class KSelectionReport:
     inertias: dict[int, float]
     chosen_k: int
     tie_break_note: str = ""
+    # the best restart's pass count and convergence, per k
+    n_iter: dict[int, int] = field(default_factory=dict)
+    converged: dict[int, bool] = field(default_factory=dict)
+    # restarts, over all k, that used up ``_MAX_PASSES`` without a repeat
+    unconverged_restarts: int = 0
 
 
 def _values(data: TensorLike) -> np.ndarray:
@@ -118,26 +123,125 @@ def _sq_dist_blocks(X: np.ndarray, C: np.ndarray):
         yield start, stop, block
 
 
-def _pairwise_sq(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Exact squared Euclidean distances between rows of X and rows of C."""
-    return np.concatenate([block for _, _, block in _sq_dist_blocks(X, C)])
+# Slack of the Gram screen, as a fraction of ‖x‖² + ‖c‖². The Gram form
+# ‖x‖² + ‖c‖² − 2·x·c and the exact form Σ(x − c)² each round within about
+# 4·p·2⁻⁵³ of that sum, far below this fraction for any p under 10⁵. The
+# absolute floor covers rounding in the subnormal range.
+_SLACK = 1e-10
+_SLACK_FLOOR = np.finfo(np.float64).tiny
+# Above this ‖x‖² + ‖c‖², a Gram entry or an exact distance may overflow, so
+# the screen is not used and every point is rescored.
+_GRAM_LIMIT = np.finfo(np.float64).max / 4
 
 
-def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = X.shape[0]
-    centers = np.empty((k, X.shape[1]), dtype=np.float64)
-    centers[0] = X[int(rng.integers(n))]
-    d2 = ((X - centers[0]) ** 2).sum(axis=1)
+def _sq_to(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """(R, n): ``((X - c) ** 2).sum(axis=1)`` for each row c of C (R, p),
+    with every (R, rows, p) temporary within ``_BLOCK_BYTES``."""
+    n, p = X.shape
+    out = np.empty((C.shape[0], n), dtype=np.float64)
+    rows = max(1, _BLOCK_BYTES // (8 * C.shape[0] * p))
+    for start in range(0, n, rows):
+        diff = X[None, start:start + rows] - C[:, None, :]
+        out[:, start:start + rows] = np.square(diff, out=diff).sum(axis=2)
+    return out
+
+
+def _kmeans_pp(X: np.ndarray, k: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """k-means++ seeding of every restart, one generator each: (R, k, p).
+
+    A restart's first centre is a uniform draw; each next one is drawn with
+    probability proportional to the squared distance to the nearest centre
+    so far (see ``_draw``).
+    """
+    n, p = X.shape
+    centers = np.empty((len(rngs), k, p), dtype=np.float64)
+    idx = np.array([rng.integers(n) for rng in rngs])
+    centers[:, 0] = X[idx]
+    d2 = _sq_to(X, centers[:, 0])
     for j in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            idx = int(rng.choice(n, p=d2 / total))
-        else:
-            # all remaining mass is zero (duplicate points); any point will do
-            idx = int(rng.integers(n))
-        centers[j] = X[idx]
-        d2 = np.minimum(d2, ((X - centers[j]) ** 2).sum(axis=1))
+        idx = _draw(d2, rngs)
+        centers[:, j] = X[idx]
+        np.minimum(d2, _sq_to(X, centers[:, j]), out=d2)
     return centers
+
+
+def _draw(d2: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """(R,) index ``rngs[r].choice(n, p=d2[r] / d2[r].sum())`` draws, for
+    each row of d2 (R, n); a uniform ``integers(n)`` where the row is all 0.
+
+    ``Generator.choice`` draws by inverting the normalised cumulative sum at
+    one ``random()``. This does the same for all rows at once, so it gives
+    the same indices and leaves each generator's stream where ``choice``
+    leaves it.
+    """
+    totals = d2.sum(axis=1)
+    mass = totals > 0
+    cdf = np.cumsum(d2[mass] / totals[mass, None], axis=1)
+    cdf /= cdf[:, -1:]
+    u = np.array([rng.random() for rng, m in zip(rngs, mass) if m])
+    idx = np.empty(len(rngs), dtype=np.int64)
+    # cdf is non-decreasing, so this count is ``searchsorted(cdf, u, "right")``
+    idx[mass] = (cdf <= u[:, None]).sum(axis=1)
+    for r in np.flatnonzero(~mass):
+        # all remaining mass is zero (duplicate points); any point will do
+        idx[r] = rngs[r].integers(d2.shape[1])
+    return idx
+
+
+def _assign(X: np.ndarray, xx: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """(A, n) index of the nearest centroid of each restart's centroids C
+    (A, k, p) to every point, the first on a tie of the exact distances;
+    ``xx`` holds the points' squared norms.
+
+    A Gram screen picks each point's candidates by BLAS: centroid j is one
+    when G_j - s_j <= min(G + s), with G = ‖x‖² + ‖c‖² − 2·x·c and slack
+    s = ``_SLACK``·(‖x‖² + ‖c‖²) + ``_SLACK_FLOOR``. The slack bounds how far
+    G and the exact distance can be apart, so every exact minimum is a
+    candidate. A point with one candidate takes it; the others are rescored
+    with the exact distances of ``_sq_dist_blocks``. The labels therefore
+    equal the argmin of the exact distances, whatever the BLAS rounding.
+    """
+    A, k, p = C.shape
+    n = X.shape[0]
+    flat = C.reshape(A * k, p)
+    cc = np.einsum("ij,ij->i", flat, flat)
+    labels = np.empty((A, n), dtype=np.int64)
+    rescore = np.ones((A, n), dtype=bool)
+    # past the limit an entry may overflow, so every point is rescored
+    if xx.max() + cc.max() <= _GRAM_LIMIT:
+        rows = max(1, _BLOCK_BYTES // (8 * A * k))
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            slack = xx[start:stop, None] + cc
+            gram = X[start:stop] @ flat.T
+            gram *= -2.0
+            gram += slack
+            slack *= _SLACK
+            slack += _SLACK_FLOOR
+            bound = np.add(gram, slack).reshape(-1, A, k).min(axis=2, keepdims=True)
+            near = np.subtract(gram, slack, out=slack).reshape(-1, A, k) <= bound
+            labels[:, start:stop] = near.argmax(axis=2).T
+            rescore[:, start:stop] = (near.sum(axis=2) != 1).T
+    for a in np.flatnonzero(rescore.any(axis=1)):
+        points = np.flatnonzero(rescore[a])
+        for start, stop, block in _sq_dist_blocks(X[points], C[a]):
+            labels[a, points[start:stop]] = block.argmin(axis=1)
+    return labels
+
+
+def _own_sq(X: np.ndarray, C: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """(A, n) squared distance of every point to its own centroid, per
+    restart; each is bitwise the entry ``_sq_dist_blocks`` gives for that
+    point and centroid, since both are the einsum of one difference row."""
+    A, k, p = C.shape
+    n = X.shape[0]
+    out = np.empty((A, n), dtype=np.float64)
+    rows = max(1, _BLOCK_BYTES // (8 * A * p))
+    for start in range(0, n, rows):
+        diff = C[np.arange(A)[:, None], labels[:, start:start + rows]]
+        np.subtract(X[None, start:start + rows], diff, out=diff)
+        out[:, start:start + rows] = np.einsum("aip,aip->ai", diff, diff)
+    return out
 
 
 def _relocate_empty(X, centers, labels, k):
@@ -167,16 +271,100 @@ def _relocate_empty(X, centers, labels, k):
     return labels
 
 
-def _means(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    out = np.empty((k, X.shape[1]), dtype=np.float64)
-    for j in range(k):
-        members = X[labels == j]
-        out[j] = members.mean(axis=0)
+def _member_means(X: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(A, k, p) mean of each restart's clusters, whose member counts (A, k)
+    are all positive.
+
+    Each cluster's rows are added in index order (a stable argsort of the
+    labels) and divided by their count, which is bitwise
+    ``X[labels == j].mean(axis=0)``.
+    """
+    order = np.argsort(labels, axis=1, kind="stable")
+    out = np.empty(counts.shape + X.shape[1:], dtype=np.float64)
+    for a, ends in enumerate(counts.cumsum(axis=1).tolist()):
+        start = 0
+        for j, stop in enumerate(ends):
+            np.add.reduce(X[order[a, start:stop]], axis=0, out=out[a, j])
+            start = stop
+    out /= counts[:, :, None]
     return out
 
 
-# Pass budget of one ``kmeans`` call; reaching it leaves ``converged`` False.
+# Pass budget of one k-means restart; reaching it leaves ``converged`` False.
 _MAX_PASSES = 300
+
+
+@dataclass
+class _Restarts:
+    """The outcome of each of R k-means restarts, labels 0-based."""
+
+    labels: np.ndarray  # (R, n)
+    centers: np.ndarray  # (R, k, p)
+    traces: list[list[float]]  # each restart's per-pass sums
+    n_iter: np.ndarray  # (R,)
+    converged: np.ndarray  # (R,) bool
+
+    def model(self, r: int, data: TensorLike, seed: int) -> ClusterModel:
+        """Restart r as a size-ordered ``ClusterModel``."""
+        k = self.centers.shape[1]
+        return relabel_by_size(ClusterModel(
+            k=k,
+            centroids=self.centers[r].reshape((k,) + _values(data).shape[1:]),
+            labels=self.labels[r] + 1,
+            inertia=self.traces[r][-1],
+            seed=seed,
+            n_iter=int(self.n_iter[r]),
+            converged=bool(self.converged[r]),
+            categories=getattr(data, "categories", ()),
+            inertia_trace=self.traces[r],
+        ))
+
+
+def _lloyd(X: np.ndarray, k: int, seeds: Sequence[int]) -> _Restarts:
+    """Run one k-means restart per seed, all in one Lloyd loop.
+
+    Each pass assigns the points of every restart still running (see
+    ``_assign``; an empty cluster takes the point farthest from its
+    centroid) and appends that assignment's sum of squared distances to the
+    restart's trace. A restart stops when its assignment repeats its
+    previous pass's; the others move every centroid to the mean of its
+    members and go on. Each restart's arithmetic is that of a loop run on
+    its own, so its outcome does not depend on the other seeds.
+    """
+    n = X.shape[0]
+    if not np.isfinite(X).all():
+        raise NonFiniteError("clustering input contains non-finite values")
+    if k > n:
+        raise KTooLargeError(f"k={k} exceeds the number of points n={n}")
+    if k < 2:
+        raise ValueError("k must be at least 2")
+
+    centers = _kmeans_pp(X, k, [np.random.default_rng(s) for s in seeds])
+    R = len(seeds)
+    out = _Restarts(np.zeros((R, n), dtype=np.int64), centers, [[] for _ in seeds],
+                    np.full(R, _MAX_PASSES), np.zeros(R, dtype=bool))
+    xx = np.einsum("ij,ij->i", X, X)
+    active = np.arange(R)
+    for n_iter in range(1, _MAX_PASSES + 1):
+        C = out.centers[active]
+        labels = _assign(X, xx, C)
+        offsets = k * np.arange(len(active))[:, None]
+        counts = np.bincount((labels + offsets).ravel(), minlength=len(active) * k).reshape(-1, k)
+        for a in np.flatnonzero((counts == 0).any(axis=1)):
+            labels[a] = _relocate_empty(X, C[a], labels[a], k)
+            counts[a] = np.bincount(labels[a], minlength=k)
+        for r, total in zip(active.tolist(), _own_sq(X, C, labels).sum(axis=1).tolist()):
+            out.traces[r].append(total)
+        if n_iter > 1:
+            repeat = (labels == out.labels[active]).all(axis=1)
+            out.n_iter[active[repeat]] = n_iter
+            out.converged[active[repeat]] = True
+            active, labels, counts = active[~repeat], labels[~repeat], counts[~repeat]
+            if not active.size:
+                break
+        out.labels[active] = labels
+        out.centers[active] = _member_means(X, labels, counts)
+    return out
 
 
 def kmeans(data: TensorLike, k: int, seed: int = 0) -> ClusterModel:
@@ -192,43 +380,9 @@ def kmeans(data: TensorLike, k: int, seed: int = 0) -> ClusterModel:
     if ``_MAX_PASSES`` passes end without a repeat; the model then holds the
     last pass's labels, their member means and that pass's sum.
     ``inertia_trace`` holds each pass's sum. Output labels are size-ordered.
+    This is the one-restart case of the loop ``select_k`` runs.
     """
-    X = _as_points(data)
-    n = X.shape[0]
-    if not np.isfinite(X).all():
-        raise NonFiniteError("clustering input contains non-finite values")
-    if k > n:
-        raise KTooLargeError(f"k={k} exceeds the number of points n={n}")
-    if k < 2:
-        raise ValueError("k must be at least 2")
-
-    rng = np.random.default_rng(seed)
-    centers = _kmeans_pp_init(X, k, rng)
-    labels = None
-    converged = False
-    trace: list[float] = []
-    for n_iter in range(1, _MAX_PASSES + 1):
-        d2 = _pairwise_sq(X, centers)
-        new_labels = _relocate_empty(X, centers, d2.argmin(axis=1), k)
-        trace.append(float(d2[np.arange(n), new_labels].sum()))
-        if labels is not None and np.array_equal(new_labels, labels):
-            converged = True
-            break
-        labels = new_labels
-        centers = _means(X, labels, k)
-
-    model = ClusterModel(
-        k=k,
-        centroids=centers.reshape((k,) + _values(data).shape[1:]),
-        labels=labels + 1,
-        inertia=trace[-1],
-        seed=seed,
-        n_iter=n_iter,
-        converged=converged,
-        categories=getattr(data, "categories", ()),
-        inertia_trace=trace,
-    )
-    return relabel_by_size(model)
+    return _lloyd(_as_points(data), k, [seed]).model(0, data, seed)
 
 
 def relabel_by_size(model: ClusterModel) -> ClusterModel:
@@ -237,12 +391,12 @@ def relabel_by_size(model: ClusterModel) -> ClusterModel:
     Equal sizes keep their old relative order. Centroids are permuted in
     step, so centroid i always belongs to cluster i. Idempotent.
     """
-    sizes = model.sizes()
-    order = sorted(range(1, model.k + 1), key=lambda lab: (-sizes[lab], lab))
-    mapping = {old: new for new, old in enumerate(order, start=1)}
-    new_labels = np.array([mapping[int(lab)] for lab in model.labels], dtype=np.int64)
-    new_centroids = model.centroids[[old - 1 for old in order]]
-    return replace(model, centroids=new_centroids, labels=new_labels,
+    sizes = np.bincount(model.labels - 1, minlength=model.k)
+    order = np.argsort(-sizes, kind="stable")  # old 0-based labels, new order
+    new_of_old = np.empty(model.k, dtype=np.int64)
+    new_of_old[order] = np.arange(1, model.k + 1)
+    return replace(model, centroids=model.centroids[order],
+                   labels=new_of_old[model.labels - 1],
                    inertia_trace=list(model.inertia_trace))
 
 
@@ -321,35 +475,42 @@ def select_k(
     seed: int = 0,
     restarts: int = 10,
 ) -> tuple[ClusterModel, KSelectionReport]:
-    """Try each k in [k_min, k_max] with ``restarts`` runs of ``kmeans``
+    """Try each k in [k_min, k_max] with ``restarts`` k-means restarts
     (seeded by ``restart_seed``), keep the restart with the lowest inertia
     (the first on a tie), and pick the k with the highest silhouette score
-    (ties go to the smallest k). All the best models are scored from one pass
-    over the pairwise distances."""
-    n = _as_points(data).shape[0]
+    (ties go to the smallest k). The restarts of one k run together in one
+    Lloyd loop, and each equals the ``kmeans`` call with its seed. All the
+    best models are scored from one pass over the pairwise distances."""
+    X = _as_points(data)
+    n = X.shape[0]
     if k_min < 2 or k_min > k_max:
         raise ValueError("need 2 <= k_min <= k_max")
     if k_max > n:
         raise KTooLargeError(f"k_max={k_max} exceeds the number of points n={n}")
     inertias: dict[int, float] = {}
     best_models: dict[int, ClusterModel] = {}
+    unconverged = 0
     for k in range(k_min, k_max + 1):
-        best = None
-        for r in range(restarts):
-            model = kmeans(data, k, restart_seed(seed, k, r))
-            if best is None or model.inertia < best.inertia:
-                best = model
-        best_models[k] = best
-        inertias[k] = best.inertia
+        seeds = [restart_seed(seed, k, r) for r in range(restarts)]
+        runs = _lloyd(X, k, seeds)
+        best = min(range(restarts), key=lambda r: runs.traces[r][-1])
+        best_models[k] = runs.model(best, data, seeds[best])
+        inertias[k] = best_models[k].inertia
+        unconverged += int((~runs.converged).sum())
     scores = dict(zip(best_models, _silhouettes(
-        _as_points(data), [model.labels for model in best_models.values()])))
+        X, [model.labels for model in best_models.values()])))
     top = max(scores.values())
     tied = [k for k in sorted(scores) if scores[k] == top]
     chosen = tied[0]
     note = ""
     if len(tied) > 1:
         note = f"silhouette tie between k={tied}; smallest k chosen"
-    report = KSelectionReport(scores=scores, inertias=inertias, chosen_k=chosen, tie_break_note=note)
+    report = KSelectionReport(
+        scores=scores, inertias=inertias, chosen_k=chosen, tie_break_note=note,
+        n_iter={k: m.n_iter for k, m in best_models.items()},
+        converged={k: m.converged for k, m in best_models.items()},
+        unconverged_restarts=unconverged,
+    )
     return best_models[chosen], report
 
 

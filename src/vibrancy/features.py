@@ -56,9 +56,8 @@ class ThirdPlaceTaxonomy:
 
 def load_third_place_taxonomy(source) -> ThirdPlaceTaxonomy:
     """Load a ``label,category`` CSV. Duplicate labels are an error."""
-    return ThirdPlaceTaxonomy(
-        read_category_pairs(source, ["label", "category"], "third-place taxonomy")
-    )
+    return ThirdPlaceTaxonomy(read_category_pairs(
+        source, ["label", "category"], "third-place taxonomy", allowed=THIRD_PLACE_CATEGORIES))
 
 
 def filter_rare_labels(pois: Sequence[PoiRecord], min_count: int = 10) -> list[PoiRecord]:

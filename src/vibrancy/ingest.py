@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import chain, count, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, TextIO, Union
+from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -514,10 +514,12 @@ def parse_pois(source) -> tuple[list[PoiRecord], ParseReport]:
     return records, report
 
 
-def read_category_pairs(source, header: list[str], what: str, duplicate=DataError) -> dict:
+def read_category_pairs(source, header: list[str], what: str, duplicate=DataError,
+                        allowed: Optional[Sequence[str]] = None) -> dict:
     """Read a two-column ``<key>,category`` CSV into a key -> category map in
-    file order. An empty field or a repeated key (raised as ``duplicate``) is
-    an error naming the file and line."""
+    file order. An empty field, a repeated key (raised as ``duplicate``) or,
+    when ``allowed`` is given, a category outside it is an error naming the
+    file and line."""
     mapping: dict[str, str] = {}
     name = _source_name(source)
     with _open_source(source) as lines:
@@ -533,6 +535,9 @@ def read_category_pairs(source, header: list[str], what: str, duplicate=DataErro
                 raise DataError(f"{name}:{line_no}: empty {header[0]} or category")
             if key in mapping:
                 raise duplicate(f"{name}:{line_no}: duplicate {header[0]} {key!r}")
+            if allowed is not None and category not in allowed:
+                raise DataError(f"{name}:{line_no}: {header[0]} {key!r} maps to unknown "
+                                f"category {category!r}; expected one of {tuple(allowed)}")
             mapping[key] = category
     return mapping
 

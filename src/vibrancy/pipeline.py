@@ -32,7 +32,7 @@ from .clustering import (
     select_k,
     write_model,
 )
-from .errors import DataError, VibrancyError, read_json
+from .errors import DataError, UnknownServiceError, VibrancyError, read_json
 from .features import (
     FeatureTable,
     build_features,
@@ -94,12 +94,19 @@ def build_city_tensor(
     service_taxonomy,
     day_type: str,
     *,
+    traffic_path,
+    taxonomy_path,
     mean_per_day: bool = False,
     drop_silent: bool = False,
     segment_name: Optional[str] = None,
 ) -> SignatureTensor:
-    tensor = build_signatures(traffic, service_taxonomy, region, day_type,
-                              mean_per_day=mean_per_day)
+    """The city's signature tensor; a traffic service missing from the
+    taxonomy is an error naming both files."""
+    try:
+        tensor = build_signatures(traffic, service_taxonomy, region, day_type,
+                                  mean_per_day=mean_per_day)
+    except UnknownServiceError as exc:
+        raise UnknownServiceError(f"{traffic_path}: {exc} {taxonomy_path}") from None
     if drop_silent:
         tensor = drop_silent_cells(tensor)
     if segment_name is not None:
@@ -230,6 +237,7 @@ class _CityData:
     def __init__(self, cfg: CityConfig):
         self.name = cfg.name
         self.region = load_region(cfg.region)
+        self.traffic_path = cfg.traffic
         # read once here; every day type's tensor is built from this table
         self.traffic, self.traffic_report = read_traffic(cfg.traffic, self.region.grid)
         self.traffic_report.require_accepted(cfg.traffic, "traffic")
@@ -312,6 +320,8 @@ def _run_scope(scope, day_type, config, service_tax, place_tax, members, emit, q
                 city.traffic,
                 service_tax,
                 day_type,
+                traffic_path=city.traffic_path,
+                taxonomy_path=config.service_taxonomy,
                 mean_per_day=config.mean_per_day,
                 drop_silent=config.drop_silent_cells,
                 segment_name=city.name,
@@ -332,6 +342,11 @@ def _run_scope(scope, day_type, config, service_tax, place_tax, members, emit, q
         model, report = select_k(rr, k_min=config.k_min, k_max=config.k_max,
                                  seed=config.seed, restarts=config.restarts)
         write_cluster_stage(scoped, rr, model, report)
+        quality[scope]["kmeans"] = {
+            "n_iter": {str(k): v for k, v in report.n_iter.items()},
+            "converged": {str(k): v for k, v in report.converged.items()},
+            "unconverged_restarts": report.unconverged_restarts,
+        }
 
     with _stage("features"):
         pooled = [poi for city in members for poi in city.pois]

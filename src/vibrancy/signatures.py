@@ -141,7 +141,9 @@ def build_signatures(
     stamp_on_day = np.array([day_type_of(ts) == day_type for ts in traffic.stamps], dtype=bool)
 
     on_day = stamp_on_day[traffic.stamp]
-    n_dates = len({traffic.stamps[t].date() for t in np.unique(traffic.stamp[on_day]).tolist()})
+    # the on-day stamps that occur, counted without np.unique (which imports numpy.ma)
+    seen = np.flatnonzero(np.bincount(traffic.stamp[on_day], minlength=len(traffic.stamps)))
+    n_dates = len({traffic.stamps[t].date() for t in seen.tolist()})
 
     # A cell's key is its row-major position in the grid, so the active
     # cells' keys, in scan order, are sorted and a key's rank is its tensor row.

@@ -1,12 +1,16 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import vibrancy.pipeline
 from vibrancy.cli import main
+from vibrancy.clustering import read_model
 from vibrancy.config import parse_config
 from vibrancy.errors import ConfigError
 from vibrancy.pipeline import run_pipeline
@@ -164,6 +168,16 @@ class TestRun:
             assert quality["logit"] == {key: model[key] for key in (
                 "converged", "n_iter", "final_grad_norm")}
             assert quality["capped_columns"] == clean["quality"][f"alpha/{day}"]["capped_columns"]
+            scope = tmp_path / "o" / "alpha" / day
+            kselection = json.loads((scope / "kselection.json").read_text())
+            chosen = read_model(scope / "clusters.bin")
+            kmeans = quality["kmeans"]
+            assert set(kmeans) == {"n_iter", "converged", "unconverged_restarts"}
+            assert set(kmeans["n_iter"]) == set(kmeans["converged"]) == set(kselection["scores"])
+            assert kmeans["n_iter"][str(chosen.k)] == chosen.n_iter
+            assert kmeans["converged"][str(chosen.k)] is chosen.converged
+            assert all(n >= 2 for n in kmeans["n_iter"].values())
+            assert kmeans["unconverged_restarts"] == 0
 
     @pytest.mark.parametrize("text", ["[1, 2]", '{"format": "vibrancy-run-manifest"}'],
                              ids=["not an object", "no config"])
@@ -495,6 +509,18 @@ def _line_3_short(path: Path) -> None:
     path.write_text(_replace_line(path.read_text(), 3, "cafe"))
 
 
+def _line_2_category_unknown(path: Path) -> None:
+    text = path.read_text()
+    label = text.splitlines()[1].split(",")[0]
+    path.write_text(_replace_line(text, 2, f"{label},nowhere"))
+
+
+def _line_2_service_renamed(path: Path) -> None:
+    text = path.read_text()
+    category = text.splitlines()[1].split(",")[1]
+    path.write_text(_replace_line(text, 2, f"svc-renamed,{category}"))
+
+
 RUN_FILES = ("manifest.json", KSELECTION, COEFFICIENTS)
 
 # case id -> (file, corruption, line it names or None); report reads the
@@ -513,6 +539,9 @@ UNREADABLE_FILES = {
     "service taxonomy service repeated": ("service_taxonomy.csv", _line_3_repeats_line_2, 3),
     "third-place taxonomy header wrong": ("third_places.csv", _bad_header, None),
     "third-place taxonomy row short": ("third_places.csv", _line_3_short, 3),
+    "third-place taxonomy category unknown": ("third_places.csv", _line_2_category_unknown, 2),
+    "service taxonomy lacks a traffic service": ("service_taxonomy.csv",
+                                                 _line_2_service_renamed, None),
 }
 
 
@@ -536,6 +565,42 @@ def test_unreadable_file_is_a_one_line_data_error(city_dir, run_dir, tmp_path, c
     if line:
         assert f"{path}:{line}:" in err
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "signatures"])
+def test_service_missing_from_the_taxonomy_names_both_files(city_dir, tmp_path, capsys,
+                                                            command):
+    city = tmp_path / "city"
+    shutil.copytree(city_dir, city)
+    taxonomy, traffic = city / "service_taxonomy.csv", city / "traffic.csv"
+    _line_2_service_renamed(taxonomy)
+    if command == "run":
+        argv = ["run", "--config", str(city / "pipeline.cfg"), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["signatures", "--region", str(city / "region.json"), "--traffic", str(traffic),
+                "--service-taxonomy", str(taxonomy), "--day-type", "weekday",
+                "--out-raw", str(tmp_path / "raw.sig")]
+    assert main(argv) == 2
+    err = _one_line_data_error(capsys, taxonomy)
+    assert f"{traffic}: service 'svc-cat00-a' not in taxonomy {taxonomy}" in err
+
+
+def test_a_run_does_not_import_numpy_ma(city_dir, tmp_path):
+    # np.unique without index outputs imports numpy.ma (about 1 MiB of peak RSS)
+    code = (
+        "import sys\n"
+        "from vibrancy.config import parse_config\n"
+        "from vibrancy.pipeline import run_pipeline\n"
+        f"run_pipeline(parse_config({str(city_dir / 'pipeline.cfg')!r}), {str(tmp_path)!r})\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
+    )
+    src = str(Path(vibrancy.pipeline.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 # case id -> traffic rows after the header, and the rejects the error names

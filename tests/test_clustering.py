@@ -143,6 +143,38 @@ class TestKmeans:
         assert model.inertia == 0.0
 
 
+# Frozen copies of the k-means helpers that batched restarts replaced, so
+# the references below keep the arithmetic the batched loop must reproduce.
+def _reference_pairwise_sq(X, C):
+    """Exact squared distances, one einsum of each row-column difference (the
+    blocked form gives the same entries for any block split)."""
+    diff = X[:, None, :] - C[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def _reference_pp_init(X, k, rng):
+    n = X.shape[0]
+    centers = np.empty((k, X.shape[1]), dtype=np.float64)
+    centers[0] = X[int(rng.integers(n))]
+    d2 = ((X - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            idx = int(rng.integers(n))
+        centers[j] = X[idx]
+        d2 = np.minimum(d2, ((X - centers[j]) ** 2).sum(axis=1))
+    return centers
+
+
+def _reference_means(X, labels, k):
+    out = np.empty((k, X.shape[1]), dtype=np.float64)
+    for j in range(k):
+        out[j] = X[labels == j].mean(axis=0)
+    return out
+
+
 def _reference_relocate(X, centers, labels, k):
     """The relocation the reference loop ran: it also moves each empty
     cluster's centroid onto the point it takes."""
@@ -175,13 +207,13 @@ def reference_kmeans(data, k, seed=0, max_iter=300, tol=1e-6):
     """
     X = np.asarray(data, dtype=np.float64).reshape(len(data), -1)
     n = X.shape[0]
-    centers = vibrancy.clustering._kmeans_pp_init(X, k, np.random.default_rng(seed))
+    centers = _reference_pp_init(X, k, np.random.default_rng(seed))
     prev_labels = labels = None
     stop = "budget"
     for n_iter in range(1, max_iter + 1):
-        d2 = vibrancy.clustering._pairwise_sq(X, centers)
+        d2 = _reference_pairwise_sq(X, centers)
         labels, centers = _reference_relocate(X, centers, d2.argmin(axis=1), k)
-        new_centers = vibrancy.clustering._means(X, labels, k)
+        new_centers = _reference_means(X, labels, k)
         shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
         centers = new_centers
         stable = prev_labels is not None and np.array_equal(labels, prev_labels)
@@ -190,14 +222,14 @@ def reference_kmeans(data, k, seed=0, max_iter=300, tol=1e-6):
             stop = "repeat" if stable else "shift"
             break
     for _ in range(max_iter):
-        d2 = vibrancy.clustering._pairwise_sq(X, centers)
+        d2 = _reference_pairwise_sq(X, centers)
         new_labels, centers = _reference_relocate(X, centers, d2.argmin(axis=1), k)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        centers = vibrancy.clustering._means(X, labels, k)
+        centers = _reference_means(X, labels, k)
         n_iter += 1
-    d2 = vibrancy.clustering._pairwise_sq(X, centers)
+    d2 = _reference_pairwise_sq(X, centers)
     model = ClusterModel(
         k, centers.reshape((k,) + np.shape(data)[1:]), labels + 1,
         float(d2[np.arange(n), labels].sum()), seed, n_iter, converged=stop != "budget",
@@ -280,6 +312,215 @@ class TestSingleLoopMatchesReference:
             had_empty.clear()
             self.check(np.ones((8, 12, 1)), k, seed=k)
             assert had_empty and all(had_empty)
+
+
+def reference_lloyd(data, k, seed=0):
+    """The one-restart Lloyd loop that batched restarts replaced, on the
+    frozen helpers above: the model ``kmeans(data, k, seed)`` must equal."""
+    X = np.asarray(data, dtype=np.float64).reshape(len(data), -1)
+    n = X.shape[0]
+    centers = _reference_pp_init(X, k, np.random.default_rng(seed))
+    labels = None
+    converged = False
+    trace = []
+    for n_iter in range(1, vibrancy.clustering._MAX_PASSES + 1):
+        d2 = _reference_pairwise_sq(X, centers)
+        new_labels = _reference_relocate(X, centers, d2.argmin(axis=1), k)[0]
+        trace.append(float(d2[np.arange(n), new_labels].sum()))
+        if labels is not None and np.array_equal(new_labels, labels):
+            converged = True
+            break
+        labels = new_labels
+        centers = _reference_means(X, labels, k)
+    model = ClusterModel(k, centers.reshape((k,) + np.shape(data)[1:]), labels + 1, trace[-1],
+                         seed, n_iter, converged, inertia_trace=trace)
+    return relabel_by_size(model)
+
+
+def assert_same_model(model, ref):
+    assert np.array_equal(model.labels, ref.labels)
+    assert model.centroids.tobytes() == ref.centroids.tobytes()
+    assert (model.inertia, model.n_iter, model.converged, model.seed) == (
+        ref.inertia, ref.n_iter, ref.converged, ref.seed)
+    assert model.inertia_trace == ref.inertia_trace
+
+
+@pytest.fixture
+def rescored(monkeypatch):
+    """Record how many points each exact rescoring of the Gram screen takes
+    (the silhouette pass, which measures the points against themselves, is
+    not counted)."""
+    counts = []
+    blocks = vibrancy.clustering._sq_dist_blocks
+
+    def watched(X, C):
+        if X is not C:
+            counts.append(X.shape[0])
+        return blocks(X, C)
+
+    monkeypatch.setattr(vibrancy.clustering, "_sq_dist_blocks", watched)
+    return counts
+
+
+class TestBatchedRestartsMatchReference:
+    """All restarts of one k run in one Lloyd loop, assigned by a Gram screen
+    with exact rescoring: every restart, and so ``select_k``, must give
+    bitwise what the one-restart reference gives for its seed."""
+
+    def check(self, data, k_min, k_max, seed=0, restarts=4):
+        chosen, report = select_k(data, k_min=k_min, k_max=k_max, seed=seed,
+                                  restarts=restarts)
+        X = np.asarray(data, dtype=np.float64).reshape(len(data), -1)
+        unconverged = 0
+        for k in range(k_min, k_max + 1):
+            seeds = [restart_seed(seed, k, r) for r in range(restarts)]
+            refs = [reference_lloyd(data, k, s) for s in seeds]
+            runs = vibrancy.clustering._lloyd(X, k, seeds)
+            for r, ref in enumerate(refs):
+                assert_same_model(runs.model(r, data, seeds[r]), ref)
+            best = min(refs, key=lambda ref: ref.inertia)
+            assert report.inertias[k] == best.inertia
+            assert (report.n_iter[k], report.converged[k]) == (best.n_iter, best.converged)
+            assert report.scores[k] == silhouette(data, best.labels)
+            if k == report.chosen_k:
+                assert_same_model(chosen, best)
+            unconverged += sum(not ref.converged for ref in refs)
+        assert report.unconverged_restarts == unconverged
+        return report
+
+    def test_planted_stacks(self):
+        for spec_seed, k_true, sigma in [(2, 3, 0.5), (9, 5, 0.3), (3, 3, 1.0)]:
+            values, _ = planted_stack(SynthSpec(seed=spec_seed, n_cells=60, k_true=k_true,
+                                                noise_sigma=sigma))
+            assert self.check(values, 3, 6, seed=spec_seed).chosen_k == k_true
+
+    def test_uniform_stacks(self, rng):
+        for trial, shape in enumerate([(30, 12, 2), (25, 1, 1), (40, 3, 1), (12, 12, 30)]):
+            self.check(rng.uniform(size=shape), 2, 5, seed=trial)
+
+    def test_small_integer_stacks_are_rescored(self, rng, rescored):
+        for trial in range(6):
+            n = int(rng.integers(10, 40))
+            self.check(rng.integers(0, 3, size=(n, 3, 1)).astype(float), 2, 5, seed=trial)
+        assert sum(rescored) > 0
+
+    def test_duplicated_point_stacks_are_rescored(self, rng, rescored):
+        for trial in range(6):
+            data = _duplicated_stack(rng, int(rng.integers(5, 8)), int(rng.integers(2, 5)))
+            self.check(data, 2, 5, seed=trial)
+        assert sum(rescored) > 0
+
+    def test_k_equals_n(self, rng):
+        for n in (2, 3, 5):
+            self.check(rng.uniform(size=(n, 12, 2)), 2, n, seed=n)
+
+    def test_points_far_from_the_origin_are_rescored(self, rng, rescored):
+        # ‖x‖² near 2e15 cancels in the Gram form to about ±1, the size of
+        # the distances themselves; only the exact rescoring orders them
+        self.check(1e7 + rng.uniform(size=(30, 12, 2)), 2, 4, seed=1, restarts=3)
+        assert sum(rescored) > 0
+
+    def test_subnormal_distances(self, rng):
+        # squares of about 1e-322 round to a few subnormal steps, where only
+        # the slack's absolute floor keeps every exact minimum a candidate
+        for trial in range(3):
+            self.check(rng.uniform(size=(30, 12, 1)) * 1e-161, 2, 4, seed=trial, restarts=3)
+
+    def test_overflowing_norms_are_rescored_in_full(self, rng, rescored):
+        # ‖x‖² overflows to inf, while every difference, and so every exact
+        # distance, stays finite: each pass must rescore all 30 points
+        data = 1e160 + rng.normal(size=(30, 12, 1)) * 1e150
+        assert np.isinf(np.einsum("ij,ij->i", data[:, :, 0], data[:, :, 0])).all()
+        self.check(data, 2, 4, seed=5, restarts=3)
+        assert rescored and set(rescored) == {30}
+
+    def test_pass_budget(self, monkeypatch, rng):
+        monkeypatch.setattr(vibrancy.clustering, "_MAX_PASSES", 2)
+        report = self.check(rng.uniform(size=(40, 12, 2)), 2, 5, seed=4)
+        assert 0 < report.unconverged_restarts < 16
+
+    def test_restarts_do_not_depend_on_each_other(self, rng):
+        X = rng.uniform(size=(40, 6))
+        seeds = [3, 17, 29, 101]
+        runs = vibrancy.clustering._lloyd(X, 4, seeds)
+        for r, s in enumerate(seeds):
+            assert_same_model(runs.model(r, X, s), kmeans(X, 4, s))
+
+
+class TestBatchedParts:
+    def test_draw_matches_generator_choice(self, rng):
+        for trial in range(300):
+            rows, n = int(rng.integers(1, 6)), int(rng.integers(1, 60))
+            d2 = rng.exponential(size=(rows, n)) * (rng.random((rows, n)) < rng.random())
+            d2[rng.random(rows) < 0.2] = 0.0
+            if trial % 3 == 0:
+                d2 = rng.integers(0, 3, size=(rows, n)).astype(float)
+            seeds = rng.integers(2**63, size=rows)
+            drawn = vibrancy.clustering._draw(d2, [np.random.default_rng(s) for s in seeds])
+            for r, s in enumerate(seeds):
+                ref_rng, rng_after = np.random.default_rng(s), np.random.default_rng(s)
+                total = d2[r].sum()
+                if total > 0:
+                    expected = ref_rng.choice(n, p=d2[r] / total)
+                else:
+                    expected = ref_rng.integers(n)
+                assert drawn[r] == expected
+                # the stream is left where ``choice`` leaves it
+                vibrancy.clustering._draw(d2[r:r + 1], [rng_after])
+                assert rng_after.random() == ref_rng.random()
+
+    def test_seeding_matches_reference(self, rng):
+        for trial in range(20):
+            n, k = int(rng.integers(5, 40)), int(rng.integers(2, 5))
+            X = rng.integers(0, 3, size=(n, int(rng.integers(1, 6)))).astype(float)
+            seeds = rng.integers(2**63, size=3)
+            got = vibrancy.clustering._kmeans_pp(X, k, [np.random.default_rng(s) for s in seeds])
+            for r, s in enumerate(seeds):
+                expected = _reference_pp_init(X, k, np.random.default_rng(s))
+                assert got[r].tobytes() == expected.tobytes()
+
+    def test_norms_near_overflow_are_rescored(self):
+        # ‖c₀‖² overflows, yet x is nearer to c₀ (1e308) than to c₁ (1.69e308)
+        X = np.array([[1.3e154, 0.0]])
+        C = np.array([[[1.3e154, 1e154], [0.0, 0.0]]])
+        xx = np.einsum("ij,ij->i", X, X)
+        assert np.isfinite(xx).all()
+        assert vibrancy.clustering._assign(X, xx, C).tolist() == [[0]]
+        assert vibrancy.clustering._assign(X, xx, C[:, ::-1].copy()).tolist() == [[1]]
+
+    @pytest.mark.parametrize("budget", [600, None], ids=["tiny blocks", "default blocks"])
+    def test_own_distance_is_the_exact_block_entry(self, monkeypatch, rng, budget):
+        if budget is not None:
+            monkeypatch.setattr(vibrancy.clustering, "_BLOCK_BYTES", budget)
+        for p in [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 100, 127, 128, 255,
+                  256, 360, 400]:
+            n, k, restarts = int(rng.integers(1, 30)), int(rng.integers(1, 6)), 3
+            X = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-3, 4)
+            C = rng.normal(size=(restarts, k, p))
+            labels = rng.integers(0, k, size=(restarts, n))
+            own = vibrancy.clustering._own_sq(X, C, labels)
+            for a in range(restarts):
+                exact = np.concatenate(
+                    [block for _, _, block in vibrancy.clustering._sq_dist_blocks(X, C[a])])
+                assert own[a].tobytes() == exact[np.arange(n), labels[a]].tobytes()
+
+    def test_assignment_memory_is_bounded(self, rng):
+        def peak_mib(n):
+            X = rng.normal(size=(n, 40))
+            C = rng.normal(size=(10, 10, 40))
+            xx = np.einsum("ij,ij->i", X, X)
+            tracemalloc.start()
+            try:
+                labels = vibrancy.clustering._assign(X, xx, C)
+                vibrancy.clustering._own_sq(X, C, labels)
+                return tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak_mib(20_000), peak_mib(40_000)
+        # unblocked, one (restarts, n, p) difference would take 61 MiB at n = 20,000
+        assert small < 16.0
+        assert large <= small + 6.0
 
 
 def pairs_as_points():
@@ -388,14 +629,22 @@ class TestBlockedDistances:
                                                                  shape):
         data = rng.uniform(size=shape)
         labels = rng.integers(1, 4, size=shape[0])
-        wide = (silhouette(data, labels), kmeans(data, 3, seed=5))
+
+        def run():
+            # select_k runs its restarts batched, in blocks across restarts
+            return (silhouette(data, labels), kmeans(data, 3, seed=5),
+                    select_k(data, k_min=2, k_max=5, seed=5, restarts=4))
+
+        wide = run()
         monkeypatch.setattr(vibrancy.clustering, "_BLOCK_BYTES", 600)
-        narrow = (silhouette(data, labels), kmeans(data, 3, seed=5))
+        narrow = run()
         assert wide[0] == narrow[0]
-        a, b = wide[1], narrow[1]
-        assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.centroids, b.centroids)
-        assert (a.inertia, a.n_iter, a.inertia_trace) == (b.inertia, b.n_iter, b.inertia_trace)
+        for a, b in [(wide[1], narrow[1]), (wide[2][0], narrow[2][0])]:
+            assert np.array_equal(a.labels, b.labels)
+            assert np.array_equal(a.centroids, b.centroids)
+            assert (a.inertia, a.n_iter, a.inertia_trace) == (b.inertia, b.n_iter,
+                                                              b.inertia_trace)
+        assert wide[2][1] == narrow[2][1]
 
     def test_duplicated_points_score_exactly(self, tiny_blocks, rng):
         a = rng.integers(0, 10, size=(12, 2)).astype(float)
