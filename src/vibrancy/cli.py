@@ -387,8 +387,13 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "cluster" and bool(args.rr) == bool(args.raw):
-            raise _UsageError("pass exactly one of --rr or --raw")
+        if args.command == "cluster":
+            if bool(args.rr) == bool(args.raw):
+                raise _UsageError("pass exactly one of --rr or --raw")
+            if not 2 <= args.k_min <= args.k_max:
+                raise _UsageError("need 2 <= --k-min <= --k-max")
+            if args.restarts < 1:
+                raise _UsageError("--restarts must be at least 1")
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ the largest cluster is cluster 1.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -98,7 +99,9 @@ def distance(a: np.ndarray, b: np.ndarray) -> float:
 
 # Cap on the bytes of one distance block and of one difference block. Every
 # exact distance is the einsum of one (row, column) difference, so its bits do
-# not depend on how the rows and columns are split into blocks.
+# not depend on how the rows and columns are split into blocks. The k-means
+# loop, which keeps several temporaries alive at once, cuts each of them to a
+# sixteenth of it.
 _BLOCK_BYTES = 2 * 2**20
 
 
@@ -120,6 +123,7 @@ def _sq_dist_blocks(X: np.ndarray, C: np.ndarray):
             c1 = min(c0 + cols, m)
             diff = X[start:stop, None, :] - C[None, c0:c1, :]
             block[:, c0:c1] = np.einsum("ijk,ijk->ij", diff, diff)
+            del diff  # so that the next difference block does not meet this one
         yield start, stop, block
 
 
@@ -134,34 +138,45 @@ _SLACK_FLOOR = np.finfo(np.float64).tiny
 _GRAM_LIMIT = np.finfo(np.float64).max / 4
 
 
-def _sq_to(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """(R, n): ``((X - c) ** 2).sum(axis=1)`` for each row c of C (R, p),
-    with every (R, rows, p) temporary within ``_BLOCK_BYTES``."""
+def _sq_to(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """(len(idx), n): ``((X - X[i]) ** 2).sum(axis=1)`` for each index i in
+    ``idx``, each distinct index computed once, with every (rows, ·, p)
+    temporary within ``_BLOCK_BYTES // 16``."""
     n, p = X.shape
-    out = np.empty((C.shape[0], n), dtype=np.float64)
-    rows = max(1, _BLOCK_BYTES // (8 * C.shape[0] * p))
+    points, inverse = np.unique(idx, return_inverse=True)
+    C = X[points]
+    out = np.empty((len(C), n), dtype=np.float64)
+    rows = max(1, _BLOCK_BYTES // 16 // (8 * len(C) * p))
     for start in range(0, n, rows):
         diff = X[None, start:start + rows] - C[:, None, :]
         out[:, start:start + rows] = np.square(diff, out=diff).sum(axis=2)
-    return out
+        del diff  # so that the next difference block does not meet this one
+    return out[inverse]
 
 
-def _kmeans_pp(X: np.ndarray, k: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """k-means++ seeding of every restart, one generator each: (R, k, p).
+def _kmeans_pp(X: np.ndarray, ks: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """k-means++ seeding of restart r, with ``ks[r]`` centres drawn from
+    ``rngs[r]``: (sum(ks), p), restart r's centres from row sum(ks[:r]) on.
 
     A restart's first centre is a uniform draw; each next one is drawn with
     probability proportional to the squared distance to the nearest centre
-    so far (see ``_draw``).
+    so far (see ``_draw``). Restart r stops drawing at its own k.
     """
-    n, p = X.shape
-    centers = np.empty((len(rngs), k, p), dtype=np.float64)
+    n = X.shape[0]
+    first = np.cumsum(ks) - ks
+    centers = np.empty((ks.sum(), X.shape[1]), dtype=np.float64)
+    live = np.arange(len(rngs))
     idx = np.array([rng.integers(n) for rng in rngs])
-    centers[:, 0] = X[idx]
-    d2 = _sq_to(X, centers[:, 0])
-    for j in range(1, k):
-        idx = _draw(d2, rngs)
-        centers[:, j] = X[idx]
-        np.minimum(d2, _sq_to(X, centers[:, j]), out=d2)
+    centers[first] = X[idx]
+    d2 = _sq_to(X, idx)
+    for j in range(1, ks.max()):
+        if ks[live].min() <= j:
+            keep = ks[live] > j
+            live, d2 = live[keep], d2[keep]
+        idx = _draw(d2, [rngs[r] for r in live])
+        centers[first[live] + j] = X[idx]
+        if j + 1 < ks.max():
+            np.minimum(d2, _sq_to(X, idx), out=d2)
     return centers
 
 
@@ -188,10 +203,11 @@ def _draw(d2: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     return idx
 
 
-def _assign(X: np.ndarray, xx: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """(A, n) index of the nearest centroid of each restart's centroids C
-    (A, k, p) to every point, the first on a tie of the exact distances;
-    ``xx`` holds the points' squared norms.
+def _assign(X: np.ndarray, xx: np.ndarray, C: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """(A, n) index of the nearest of each restart's centroids to every
+    point, the first on a tie of the exact distances; C (sum(ks), p) holds
+    restart a's ``ks[a]`` centroids from row sum(ks[:a]) on, and ``xx`` the
+    points' squared norms.
 
     A Gram screen picks each point's candidates by BLAS: centroid j is one
     when G_j - s_j <= min(G + s), with G = ‖x‖² + ‖c‖² − 2·x·c and slack
@@ -200,47 +216,62 @@ def _assign(X: np.ndarray, xx: np.ndarray, C: np.ndarray) -> np.ndarray:
     candidate. A point with one candidate takes it; the others are rescored
     with the exact distances of ``_sq_dist_blocks``. The labels therefore
     equal the argmin of the exact distances, whatever the BLAS rounding.
+
+    The screen is laid out (slot, restart, point), so that its minimum,
+    candidate count and candidate index reduce over the leading axis along
+    runs of A·rows entries; slots past a restart's k hold +inf.
     """
-    A, k, p = C.shape
+    A, K = len(ks), ks.max()
     n = X.shape[0]
-    flat = C.reshape(A * k, p)
-    cc = np.einsum("ij,ij->i", flat, flat)
+    first = np.cumsum(ks) - ks
+    owner = np.repeat(np.arange(A), ks)
+    slot = (np.arange(len(C)) - first[owner]) * A + owner
+    cc = np.einsum("ij,ij->i", C, C)[:, None]
+    # a point's candidate count, and the sum of their indices: the one
+    # candidate's index where there is one (the others are rescored)
+    small = np.int16 if K <= np.iinfo(np.int16).max else np.int64
+    index = np.arange(K, dtype=small)[:, None, None]
     labels = np.empty((A, n), dtype=np.int64)
     rescore = np.ones((A, n), dtype=bool)
     # past the limit an entry may overflow, so every point is rescored
     if xx.max() + cc.max() <= _GRAM_LIMIT:
-        rows = max(1, _BLOCK_BYTES // (8 * A * k))
+        rows = min(n, max(1, _BLOCK_BYTES // 16 // (8 * K * A)))
+        screen = np.full((K * A, rows), np.inf)
         for start in range(0, n, rows):
             stop = min(start + rows, n)
-            slack = xx[start:stop, None] + cc
-            gram = X[start:stop] @ flat.T
+            block = screen[:, :stop - start]
+            slack = xx[start:stop] + cc
+            gram = C @ X[start:stop].T
             gram *= -2.0
             gram += slack
             slack *= _SLACK
             slack += _SLACK_FLOOR
-            bound = np.add(gram, slack).reshape(-1, A, k).min(axis=2, keepdims=True)
-            near = np.subtract(gram, slack, out=slack).reshape(-1, A, k) <= bound
-            labels[:, start:stop] = near.argmax(axis=2).T
-            rescore[:, start:stop] = (near.sum(axis=2) != 1).T
+            block[slot] = gram + slack
+            bound = block.reshape(K, A, -1).min(axis=0)
+            block[slot] = np.subtract(gram, slack, out=slack)
+            near = block.reshape(K, A, -1) <= bound
+            labels[:, start:stop] = np.multiply(near, index, dtype=small).sum(axis=0, dtype=small)
+            rescore[:, start:stop] = near.sum(axis=0, dtype=small) != 1
     for a in np.flatnonzero(rescore.any(axis=1)):
         points = np.flatnonzero(rescore[a])
-        for start, stop, block in _sq_dist_blocks(X[points], C[a]):
+        for start, stop, block in _sq_dist_blocks(X[points], C[first[a]:first[a] + ks[a]]):
             labels[a, points[start:stop]] = block.argmin(axis=1)
     return labels
 
 
-def _own_sq(X: np.ndarray, C: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def _own_sq(X: np.ndarray, C: np.ndarray, labels: np.ndarray, first: np.ndarray) -> np.ndarray:
     """(A, n) squared distance of every point to its own centroid, per
-    restart; each is bitwise the entry ``_sq_dist_blocks`` gives for that
-    point and centroid, since both are the einsum of one difference row."""
-    A, k, p = C.shape
-    n = X.shape[0]
+    restart a, whose centroids are the rows of C from ``first[a]`` on; each
+    is bitwise the entry ``_sq_dist_blocks`` gives for that point and
+    centroid, since both are the einsum of one difference row."""
+    A, n = labels.shape
     out = np.empty((A, n), dtype=np.float64)
-    rows = max(1, _BLOCK_BYTES // (8 * A * p))
+    rows = max(1, _BLOCK_BYTES // 16 // (8 * A * C.shape[1]))
     for start in range(0, n, rows):
-        diff = C[np.arange(A)[:, None], labels[:, start:start + rows]]
+        diff = C[labels[:, start:start + rows] + first[:, None]]
         np.subtract(X[None, start:start + rows], diff, out=diff)
         out[:, start:start + rows] = np.einsum("aip,aip->ai", diff, diff)
+        del diff  # so that the next difference block does not meet this one
     return out
 
 
@@ -271,23 +302,37 @@ def _relocate_empty(X, centers, labels, k):
     return labels
 
 
-def _member_means(X: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """(A, k, p) mean of each restart's clusters, whose member counts (A, k)
-    are all positive.
+def _member_means(X: np.ndarray, labels: np.ndarray, first: np.ndarray, counts: np.ndarray,
+                  out: np.ndarray, dest: np.ndarray) -> None:
+    """Write the mean of the members of each cluster c to ``out[dest[c]]``,
+    where restart a's clusters are numbered from ``first[a]`` on, ``labels``
+    (A, n) holds each restart's 0-based labels and ``counts`` the clusters'
+    positive member counts.
 
-    Each cluster's rows are added in index order (a stable argsort of the
-    labels) and divided by their count, which is bitwise
-    ``X[labels == j].mean(axis=0)``.
+    Each cluster's rows are added in index order and divided by their count,
+    which is bitwise ``X[labels == j].mean(axis=0)`` (for p = 1 numpy sums
+    that single column pairwise, so there each cluster is reduced whole).
+    Rows are added either one cluster per call or one rank per call: each
+    cluster's first member is copied, then the r-th member of every cluster
+    that has one is added, for r = 1, 2, .... Clusters of up to ``ranks``
+    members go by rank and larger ones by cluster, with ``ranks`` chosen to
+    make the fewest calls.
     """
-    order = np.argsort(labels, axis=1, kind="stable")
-    out = np.empty(counts.shape + X.shape[1:], dtype=np.float64)
-    for a, ends in enumerate(counts.cumsum(axis=1).tolist()):
-        start = 0
-        for j, stop in enumerate(ends):
-            np.add.reduce(X[order[a, start:stop]], axis=0, out=out[a, j])
-            start = stop
-    out /= counts[:, :, None]
-    return out
+    n, p = X.shape
+    order = np.argsort(labels + first[:, None], axis=None, kind="stable") % n
+    by_size = np.argsort(-counts, kind="stable")
+    sizes = counts[by_size]
+    starts = (np.cumsum(counts) - counts)[by_size]
+    # larger[t]: how many clusters have more than t members
+    larger = np.searchsorted(-sizes, -np.arange(sizes[0] + 1), side="left")
+    ranks = 0 if p == 1 else int(np.argmin(np.arange(sizes[0] + 1) + larger))
+    means = X[order[starts]]
+    for c in range(larger[ranks]):
+        np.add.reduce(X[order[starts[c]:starts[c] + sizes[c]]], axis=0, out=means[c])
+    for r in range(1, ranks):
+        means[larger[ranks]:larger[r]] += X[order[starts[larger[ranks]:larger[r]] + r]]
+    means /= sizes[:, None]
+    out[dest[by_size]] = means
 
 
 # Pass budget of one k-means restart; reaching it leaves ``converged`` False.
@@ -298,18 +343,20 @@ _MAX_PASSES = 300
 class _Restarts:
     """The outcome of each of R k-means restarts, labels 0-based."""
 
+    ks: np.ndarray  # (R,) each restart's k
     labels: np.ndarray  # (R, n)
-    centers: np.ndarray  # (R, k, p)
+    centers: np.ndarray  # (sum(ks), p), restart r's from row sum(ks[:r]) on
     traces: list[list[float]]  # each restart's per-pass sums
     n_iter: np.ndarray  # (R,)
     converged: np.ndarray  # (R,) bool
 
     def model(self, r: int, data: TensorLike, seed: int) -> ClusterModel:
         """Restart r as a size-ordered ``ClusterModel``."""
-        k = self.centers.shape[1]
+        k = int(self.ks[r])
+        first = int(self.ks[:r].sum())
         return relabel_by_size(ClusterModel(
             k=k,
-            centroids=self.centers[r].reshape((k,) + _values(data).shape[1:]),
+            centroids=self.centers[first:first + k].reshape((k,) + _values(data).shape[1:]),
             labels=self.labels[r] + 1,
             inertia=self.traces[r][-1],
             seed=seed,
@@ -320,8 +367,9 @@ class _Restarts:
         ))
 
 
-def _lloyd(X: np.ndarray, k: int, seeds: Sequence[int]) -> _Restarts:
-    """Run one k-means restart per seed, all in one Lloyd loop.
+def _lloyd(X: np.ndarray, ks, seeds: Sequence[int]) -> _Restarts:
+    """Run one k-means restart per seed, all in one Lloyd loop; ``ks`` is
+    one k for every seed, or one per seed.
 
     Each pass assigns the points of every restart still running (see
     ``_assign``; an empty cluster takes the point farthest from its
@@ -329,41 +377,49 @@ def _lloyd(X: np.ndarray, k: int, seeds: Sequence[int]) -> _Restarts:
     restart's trace. A restart stops when its assignment repeats its
     previous pass's; the others move every centroid to the mean of its
     members and go on. Each restart's arithmetic is that of a loop run on
-    its own, so its outcome does not depend on the other seeds.
+    its own, so its outcome does not depend on the other seeds or their k.
     """
     n = X.shape[0]
+    ks = np.broadcast_to(np.asarray(ks, dtype=np.int64), (len(seeds),))
     if not np.isfinite(X).all():
         raise NonFiniteError("clustering input contains non-finite values")
-    if k > n:
-        raise KTooLargeError(f"k={k} exceeds the number of points n={n}")
-    if k < 2:
+    if ks.max() > n:
+        raise KTooLargeError(f"k={ks.max()} exceeds the number of points n={n}")
+    if ks.min() < 2:
         raise ValueError("k must be at least 2")
 
-    centers = _kmeans_pp(X, k, [np.random.default_rng(s) for s in seeds])
     R = len(seeds)
-    out = _Restarts(np.zeros((R, n), dtype=np.int64), centers, [[] for _ in seeds],
-                    np.full(R, _MAX_PASSES), np.zeros(R, dtype=bool))
+    out = _Restarts(ks, np.zeros((R, n), dtype=np.int64),
+                    _kmeans_pp(X, ks, [np.random.default_rng(s) for s in seeds]),
+                    [[] for _ in seeds], np.full(R, _MAX_PASSES), np.zeros(R, dtype=bool))
     xx = np.einsum("ij,ij->i", X, X)
     active = np.arange(R)
+    # rows of out.centers that belong to the active restarts, in order
+    rows = np.arange(len(out.centers))
     for n_iter in range(1, _MAX_PASSES + 1):
-        C = out.centers[active]
-        labels = _assign(X, xx, C)
-        offsets = k * np.arange(len(active))[:, None]
-        counts = np.bincount((labels + offsets).ravel(), minlength=len(active) * k).reshape(-1, k)
-        for a in np.flatnonzero((counts == 0).any(axis=1)):
-            labels[a] = _relocate_empty(X, C[a], labels[a], k)
-            counts[a] = np.bincount(labels[a], minlength=k)
-        for r, total in zip(active.tolist(), _own_sq(X, C, labels).sum(axis=1).tolist()):
+        C = out.centers if len(rows) == len(out.centers) else out.centers[rows]
+        ka = ks[active]
+        first = np.cumsum(ka) - ka
+        labels = _assign(X, xx, C, ka)
+        counts = np.bincount((labels + first[:, None]).ravel(), minlength=len(C))
+        for a in np.flatnonzero(np.minimum.reduceat(counts, first) == 0):
+            labels[a] = _relocate_empty(X, C[first[a]:first[a] + ka[a]], labels[a], ka[a])
+            counts[first[a]:first[a] + ka[a]] = np.bincount(labels[a], minlength=ka[a])
+        for r, total in zip(active.tolist(), _own_sq(X, C, labels, first).sum(axis=1).tolist()):
             out.traces[r].append(total)
         if n_iter > 1:
             repeat = (labels == out.labels[active]).all(axis=1)
             out.n_iter[active[repeat]] = n_iter
             out.converged[active[repeat]] = True
-            active, labels, counts = active[~repeat], labels[~repeat], counts[~repeat]
+            if repeat.any():
+                going = np.repeat(~repeat, ka)
+                active, labels, ka = active[~repeat], labels[~repeat], ka[~repeat]
+                rows, counts = rows[going], counts[going]
+                first = np.cumsum(ka) - ka
             if not active.size:
                 break
         out.labels[active] = labels
-        out.centers[active] = _member_means(X, labels, counts)
+        _member_means(X, labels, first, counts, out.centers, rows)
     return out
 
 
@@ -463,8 +519,10 @@ def silhouette(data: TensorLike, labels: Sequence[int]) -> float:
     return _silhouettes(_as_points(data), [labels])[0]
 
 
+@functools.lru_cache(maxsize=4096)
 def restart_seed(seed: int, k: int, restart: int) -> int:
-    """Deterministic per-(k, restart) child seed used by select_k."""
+    """Deterministic per-(k, restart) child seed used by select_k; every
+    scope of a run asks for the same ones, so they are kept."""
     return int(np.random.SeedSequence((seed, k, restart)).generate_state(1)[0])
 
 
@@ -478,25 +536,33 @@ def select_k(
     """Try each k in [k_min, k_max] with ``restarts`` k-means restarts
     (seeded by ``restart_seed``), keep the restart with the lowest inertia
     (the first on a tie), and pick the k with the highest silhouette score
-    (ties go to the smallest k). The restarts of one k run together in one
-    Lloyd loop, and each equals the ``kmeans`` call with its seed. All the
-    best models are scored from one pass over the pairwise distances."""
+    (ties go to the smallest k). The restarts of every k run together in one
+    Lloyd loop (one loop per k when n is large), and each equals the
+    ``kmeans`` call with its seed. All the best models are scored from one
+    pass over the pairwise distances."""
     X = _as_points(data)
     n = X.shape[0]
     if k_min < 2 or k_min > k_max:
         raise ValueError("need 2 <= k_min <= k_max")
     if k_max > n:
         raise KTooLargeError(f"k_max={k_max} exceeds the number of points n={n}")
-    inertias: dict[int, float] = {}
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+    k_range = range(k_min, k_max + 1)
+    # A Lloyd loop holds a few (restarts, n) arrays per pass: every k shares
+    # one loop while those fit in a block, and each k has its own otherwise.
+    group = len(k_range) if 8 * len(k_range) * restarts * n <= _BLOCK_BYTES else 1
     best_models: dict[int, ClusterModel] = {}
     unconverged = 0
-    for k in range(k_min, k_max + 1):
-        seeds = [restart_seed(seed, k, r) for r in range(restarts)]
-        runs = _lloyd(X, k, seeds)
-        best = min(range(restarts), key=lambda r: runs.traces[r][-1])
-        best_models[k] = runs.model(best, data, seeds[best])
-        inertias[k] = best_models[k].inertia
+    for g in range(0, len(k_range), group):
+        ks = np.repeat(k_range[g:g + group], restarts)
+        seeds = [restart_seed(seed, int(k), r % restarts) for r, k in enumerate(ks)]
+        runs = _lloyd(X, ks, seeds)
+        for r in range(0, len(ks), restarts):
+            best = min(range(r, r + restarts), key=lambda i: runs.traces[i][-1])
+            best_models[int(ks[r])] = runs.model(best, data, seeds[best])
         unconverged += int((~runs.converged).sum())
+    del runs  # the silhouette pass below needs only the best models
     scores = dict(zip(best_models, _silhouettes(
         X, [model.labels for model in best_models.values()])))
     top = max(scores.values())
@@ -506,7 +572,8 @@ def select_k(
     if len(tied) > 1:
         note = f"silhouette tie between k={tied}; smallest k chosen"
     report = KSelectionReport(
-        scores=scores, inertias=inertias, chosen_k=chosen, tie_break_note=note,
+        scores=scores, inertias={k: m.inertia for k, m in best_models.items()},
+        chosen_k=chosen, tie_break_note=note,
         n_iter={k: m.n_iter for k, m in best_models.items()},
         converged={k: m.converged for k, m in best_models.items()},
         unconverged_restarts=unconverged,

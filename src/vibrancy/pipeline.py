@@ -64,8 +64,18 @@ from .synth import adjusted_rand_index
 MANIFEST_NAME = "manifest.json"
 
 
+# Bytes read per step while hashing a file, so that no file is held whole.
+_HASH_CHUNK = 64 * 1024
+
+
 def file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    chunk = bytearray(_HASH_CHUNK)
+    view = memoryview(chunk)
+    with open(path, "rb") as fh:
+        while size := fh.readinto(chunk):
+            digest.update(view[:size])
+    return digest.hexdigest()
 
 
 @contextmanager

@@ -4,8 +4,10 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vibrancy.pipeline
@@ -356,10 +358,47 @@ class TestReport:
         assert capsys.readouterr().out == ""
 
 
+CHUNK = vibrancy.pipeline._HASH_CHUNK
+
+
+class TestFileDigest:
+    @pytest.mark.parametrize("size", [0, 1000, CHUNK, 3 * CHUNK + 17],
+                             ids=["empty", "part of a chunk", "one chunk", "several chunks"])
+    def test_digest_is_the_sha256_of_the_bytes(self, tmp_path, rng, size):
+        data = rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
+        (tmp_path / "f").write_bytes(data)
+        assert vibrancy.pipeline.file_sha256(tmp_path / "f") == hashlib.sha256(data).hexdigest()
+
+    def test_memory_stays_near_one_chunk(self, tmp_path):
+        (tmp_path / "f").write_bytes(bytes(range(256)) * (40 * CHUNK // 256))
+        tracemalloc.start()
+        try:
+            vibrancy.pipeline.file_sha256(tmp_path / "f")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a whole-file read would peak at 40 chunks
+        assert peak < 2 * CHUNK
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         assert main(["cluster", "--bogus"]) == 1
         assert main(["definitely-not-a-command"]) == 1
+
+    @pytest.mark.parametrize("bad", [
+        ["--restarts", "0"],
+        ["--restarts", "-2"],
+        ["--k-min", "1"],
+        ["--k-min", "5", "--k-max", "4"],
+    ], ids=["no restarts", "negative restarts", "k-min below 2", "k-min above k-max"])
+    def test_cluster_ranges_are_usage_errors(self, run_dir, tmp_path, capsys, bad):
+        rr = run_dir / "alpha" / "weekday" / "signatures_rr.sig"
+        out = tmp_path / "c"
+        assert main(["cluster", "--rr", str(rr), "--out-dir", str(out), *bad]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1, err
+        assert not out.exists()
 
     def test_data_error_is_two(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),

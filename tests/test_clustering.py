@@ -447,6 +447,91 @@ class TestBatchedRestartsMatchReference:
             assert_same_model(runs.model(r, X, s), kmeans(X, 4, s))
 
 
+def watch_relocations(monkeypatch):
+    """Record the k of every restart whose assignment left a cluster empty."""
+    seen = []
+    relocate = vibrancy.clustering._relocate_empty
+
+    def watched(X, centers, labels, k):
+        if np.bincount(labels, minlength=k).min() == 0:
+            seen.append(k)
+        return relocate(X, centers, labels, k)
+
+    monkeypatch.setattr(vibrancy.clustering, "_relocate_empty", watched)
+    return seen
+
+
+class TestMixedKBatchesMatchReference:
+    """Restarts of different k share one seeding pass and one Lloyd loop, each
+    with its own k: every restart must give bitwise what the one-restart
+    reference gives for its seed."""
+
+    def check(self, data, ks, seeds=None):
+        X = np.asarray(data, dtype=np.float64).reshape(len(data), -1)
+        seeds = [restart_seed(1, int(k), r) for r, k in enumerate(ks)] if seeds is None else seeds
+        runs = vibrancy.clustering._lloyd(X, np.asarray(ks), seeds)
+        for r, (k, s) in enumerate(zip(ks, seeds)):
+            assert_same_model(runs.model(r, data, s), reference_lloyd(data, k, s))
+        return runs
+
+    def test_restarts_stop_at_different_passes(self, rng):
+        ks = np.repeat(np.arange(2, 9), 4)
+        runs = self.check(rng.uniform(size=(80, 2, 1)), rng.permutation(ks))
+        assert runs.n_iter.min() <= 4 and runs.n_iter.max() >= 10
+
+    def test_k_equals_n_in_a_batch(self, rng):
+        for n in (2, 3, 5):
+            self.check(rng.uniform(size=(n, 12, 2)), rng.permutation(np.arange(2, n + 1)))
+
+    def test_one_column(self, rng):
+        # for p = 1 numpy reduces a cluster's single column pairwise
+        self.check(rng.normal(size=(70, 1, 1)), [3, 9, 2, 6, 9, 4])
+        self.check(rng.integers(0, 5, size=(50, 1, 1)).astype(float), [2, 5, 3, 5])
+
+    def test_duplicated_points_relocate_empty_clusters(self, monkeypatch, rng):
+        relocated = watch_relocations(monkeypatch)
+        for trial in range(6):
+            distinct = int(rng.integers(3, 7))
+            data = _duplicated_stack(rng, distinct, int(rng.integers(2, 5)))
+            self.check(data, rng.integers(2, distinct + 1, size=6))
+        self.check(np.ones((8, 12, 1)), [2, 5, 3, 8])
+        assert len(set(relocated)) > 2
+
+    def test_rescored_stacks(self, rng, rescored):
+        self.check(rng.integers(0, 3, size=(30, 3, 1)).astype(float), [5, 2, 4, 3, 2])
+        self.check(1e7 + rng.uniform(size=(30, 12, 2)), [2, 4, 3])
+        assert sum(rescored) > 0
+        rescored.clear()
+        # norms overflow, so every pass rescores every point of every restart
+        data = 1e160 + rng.normal(size=(30, 12, 1)) * 1e150
+        self.check(data, [4, 2, 3])
+        assert rescored and set(rescored) == {30}
+
+    def test_subnormal_distances(self, rng):
+        self.check(rng.uniform(size=(30, 12, 1)) * 1e-161, [3, 2, 4, 2])
+
+    def test_select_k_of_one_k_and_one_restart(self, rng):
+        data = rng.uniform(size=(25, 12, 2))
+        chosen, report = select_k(data, k_min=4, k_max=4, seed=3, restarts=1)
+        assert_same_model(chosen, reference_lloyd(data, 4, restart_seed(3, 4, 0)))
+        assert list(report.scores) == [4] and report.chosen_k == 4
+
+    def test_batch_memory_is_bounded(self, monkeypatch, rng):
+        # n = 20,000 points of p = 48 for k = 3..10 with 10 restarts; two passes
+        # show every temporary a pass makes, and the silhouette pass is left out
+        monkeypatch.setattr(vibrancy.clustering, "_MAX_PASSES", 2)
+        monkeypatch.setattr(vibrancy.clustering, "_silhouettes",
+                            lambda X, labellings: [0.0] * len(labellings))
+        X = rng.normal(size=(20_000, 48))
+        tracemalloc.start()
+        try:
+            select_k(X, k_min=3, k_max=10, seed=1, restarts=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * vibrancy.clustering._BLOCK_BYTES
+
+
 class TestBatchedParts:
     def test_draw_matches_generator_choice(self, rng):
         for trial in range(300):
@@ -470,14 +555,37 @@ class TestBatchedParts:
                 assert rng_after.random() == ref_rng.random()
 
     def test_seeding_matches_reference(self, rng):
+        # restarts of different k share one seeding pass; each stops at its k
         for trial in range(20):
-            n, k = int(rng.integers(5, 40)), int(rng.integers(2, 5))
+            n = int(rng.integers(5, 40))
+            ks = rng.integers(2, 6, size=int(rng.integers(1, 5)))
             X = rng.integers(0, 3, size=(n, int(rng.integers(1, 6)))).astype(float)
-            seeds = rng.integers(2**63, size=3)
-            got = vibrancy.clustering._kmeans_pp(X, k, [np.random.default_rng(s) for s in seeds])
+            seeds = rng.integers(2**63, size=len(ks))
+            got = vibrancy.clustering._kmeans_pp(X, ks, [np.random.default_rng(s) for s in seeds])
+            assert got.shape == (ks.sum(), X.shape[1])
             for r, s in enumerate(seeds):
-                expected = _reference_pp_init(X, k, np.random.default_rng(s))
-                assert got[r].tobytes() == expected.tobytes()
+                expected = _reference_pp_init(X, ks[r], np.random.default_rng(s))
+                first = ks[:r].sum()
+                assert got[first:first + ks[r]].tobytes() == expected.tobytes()
+
+    def test_means_match_reference(self, rng):
+        # geometric cluster sizes: the few large clusters are reduced whole
+        # and the many small ones summed rank by rank
+        for p in [1, 2, 3, 7, 48]:
+            for trial in range(5):
+                n, ks = int(rng.integers(20, 200)), rng.integers(2, 9, size=3)
+                X = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+                labels = np.stack([np.minimum(rng.geometric(0.3, size=n) - 1, k - 1) for k in ks])
+                for a, k in enumerate(ks):
+                    labels[a, :k] = np.arange(k)
+                first = np.cumsum(ks) - ks
+                counts = np.bincount((labels + first[:, None]).ravel(), minlength=ks.sum())
+                means = np.empty((ks.sum(), p))
+                vibrancy.clustering._member_means(X, labels, first, counts, means,
+                                                  np.arange(ks.sum()))
+                for a, k in enumerate(ks):
+                    expected = _reference_means(X, labels[a], k)
+                    assert means[first[a]:first[a] + k].tobytes() == expected.tobytes()
 
     def test_norms_near_overflow_are_rescored(self):
         # ‖c₀‖² overflows, yet x is nearer to c₀ (1e308) than to c₁ (1.69e308)
@@ -485,8 +593,9 @@ class TestBatchedParts:
         C = np.array([[[1.3e154, 1e154], [0.0, 0.0]]])
         xx = np.einsum("ij,ij->i", X, X)
         assert np.isfinite(xx).all()
-        assert vibrancy.clustering._assign(X, xx, C).tolist() == [[0]]
-        assert vibrancy.clustering._assign(X, xx, C[:, ::-1].copy()).tolist() == [[1]]
+        ks = np.array([2])
+        assert vibrancy.clustering._assign(X, xx, C[0], ks).tolist() == [[0]]
+        assert vibrancy.clustering._assign(X, xx, C[0, ::-1].copy(), ks).tolist() == [[1]]
 
     @pytest.mark.parametrize("budget", [600, None], ids=["tiny blocks", "default blocks"])
     def test_own_distance_is_the_exact_block_entry(self, monkeypatch, rng, budget):
@@ -498,7 +607,8 @@ class TestBatchedParts:
             X = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-3, 4)
             C = rng.normal(size=(restarts, k, p))
             labels = rng.integers(0, k, size=(restarts, n))
-            own = vibrancy.clustering._own_sq(X, C, labels)
+            own = vibrancy.clustering._own_sq(X, C.reshape(-1, p), labels,
+                                              k * np.arange(restarts))
             for a in range(restarts):
                 exact = np.concatenate(
                     [block for _, _, block in vibrancy.clustering._sq_dist_blocks(X, C[a])])
@@ -507,12 +617,13 @@ class TestBatchedParts:
     def test_assignment_memory_is_bounded(self, rng):
         def peak_mib(n):
             X = rng.normal(size=(n, 40))
-            C = rng.normal(size=(10, 10, 40))
+            C = rng.normal(size=(100, 40))
+            ks = np.full(10, 10)
             xx = np.einsum("ij,ij->i", X, X)
             tracemalloc.start()
             try:
-                labels = vibrancy.clustering._assign(X, xx, C)
-                vibrancy.clustering._own_sq(X, C, labels)
+                labels = vibrancy.clustering._assign(X, xx, C, ks)
+                vibrancy.clustering._own_sq(X, C, labels, 10 * np.arange(10))
                 return tracemalloc.get_traced_memory()[1] / 2**20
             finally:
                 tracemalloc.stop()
@@ -597,6 +708,12 @@ class TestSelectK:
         with pytest.raises(KTooLargeError):
             select_k(rng.uniform(size=(5, 12, 1)), k_min=3, k_max=10)
 
+    @pytest.mark.parametrize("bad", [dict(k_min=1), dict(k_min=5, k_max=4), dict(restarts=0),
+                                     dict(restarts=-2)])
+    def test_bad_ranges_rejected(self, rng, bad):
+        with pytest.raises(ValueError):
+            select_k(rng.uniform(size=(12, 12, 1)), **{"k_min": 3, "k_max": 5, **bad})
+
 
 @pytest.fixture
 def tiny_blocks(monkeypatch):
@@ -631,7 +748,8 @@ class TestBlockedDistances:
         labels = rng.integers(1, 4, size=shape[0])
 
         def run():
-            # select_k runs its restarts batched, in blocks across restarts
+            # select_k runs its restarts batched, in blocks across restarts;
+            # by default all k share one loop, and with 600 bytes each has its own
             return (silhouette(data, labels), kmeans(data, 3, seed=5),
                     select_k(data, k_min=2, k_max=5, seed=5, restarts=4))
 
