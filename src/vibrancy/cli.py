@@ -18,7 +18,7 @@ import numpy as np
 from .config import parse_config
 from .clustering import read_labels_csv, select_k
 from .errors import DataError, NumericError, VibrancyError, read_json
-from .features import build_features, filter_rare_labels, load_third_place_taxonomy
+from .features import build_features, load_third_place_taxonomy, rare_labels
 from .features import export_features_csv, load_features_csv
 from .grid import load_region
 from .ingest import load_taxonomy, parse_pois, read_traffic
@@ -153,8 +153,8 @@ def _cmd_features(args) -> int:
     for extra in args.pool_pois or []:
         extra_pois, _ = parse_pois(extra)
         corpus.extend(extra_pois)
-    kept_labels = {p.label for p in filter_rare_labels(corpus, args.min_count)}
-    kept = [p for p in pois if p.label in kept_labels]
+    rare = rare_labels(corpus, args.min_count)
+    kept = [p for p in pois if p.label not in rare]
     cells = list(read_labels_csv(args.cells_from)) if args.cells_from else None
     table = build_features(kept, taxonomy, region, cells=cells)
     export_features_csv(table, args.out)
@@ -261,6 +261,58 @@ def _kselection_scores(path) -> list[tuple[int, float]]:
     return by_k
 
 
+def _lookup(doc, *keys):
+    """``doc[keys[0]][keys[1]]...``, or None where a key is missing or a level
+    is not an object."""
+    for key in keys:
+        doc = doc.get(key) if isinstance(doc, dict) else None
+    return doc
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _quality_lines(scope: str, quality) -> list[str]:
+    """The report lines of one scope's ``quality`` object. Each fact is
+    printed if the manifest holds it in the form a run writes, and skipped
+    otherwise, so an older or edited manifest still shows the rest."""
+    lines = []
+    cities = _lookup(quality, "cities")
+    for city in sorted(cities) if isinstance(cities, dict) else ():
+        for kind, what in (("traffic", "traffic rows"), ("pois", "POI rows")):
+            accepted = _lookup(cities, city, kind, "accepted")
+            rejected = _lookup(cities, city, kind, "rejected")
+            parts = [f"{accepted} accepted"] if _is_count(accepted) else []
+            if isinstance(rejected, dict):
+                reasons = sorted((r, n) for r, n in rejected.items() if _is_count(n))
+                by_reason = ", ".join(f"{n} {r}" for r, n in reasons)
+                parts.append(f"{sum(n for _, n in reasons)} rejected"
+                             + (f" ({by_reason})" if by_reason else ""))
+            if parts:
+                lines.append(f"  {city} {what}: {', '.join(parts)}")
+    capped = _lookup(quality, "capped_columns")
+    if _is_count(capped):
+        lines.append(f"  capped relative-risk columns: {capped}")
+    unconverged = _lookup(quality, "kmeans", "unconverged_restarts")
+    if _is_count(unconverged):
+        lines.append(f"  k-means unconverged restarts: {unconverged}")
+    logit = []
+    converged = _lookup(quality, "logit", "converged")
+    if isinstance(converged, bool):
+        logit.append("converged" if converged else "not converged")
+    n_iter = _lookup(quality, "logit", "n_iter")
+    if _is_count(n_iter):
+        logit.append(f"{n_iter} iterations")
+    if logit:
+        lines.append(f"  logit: {', '.join(logit)}")
+    rare = _lookup(quality, "rare_labels")
+    if isinstance(rare, dict):
+        counts = ", ".join(f"{label} {n}" for label, n in sorted(rare.items()) if _is_count(n))
+        lines.append(f"  rare POI labels removed: {counts or 'none'}")
+    return [f"\nquality [{scope}]:"] + lines if lines else []
+
+
 def _cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     path = run_dir / MANIFEST_NAME
@@ -271,8 +323,10 @@ def _cmd_report(args) -> int:
     scopes = sorted(_manifest_field(manifest, path, ("results",), dict))
     rows = [[_manifest_field(manifest, path, ("results", scope, column), kind)
              for column, kind in _REPORT_COLUMNS.items()] for scope in scopes]
+    quality = manifest.get("quality")
     details = []  # every scope file is read before anything is printed
     for scope in scopes:
+        details.extend(_quality_lines(scope, _lookup(quality, scope)))
         ksel_path = run_dir / scope / "kselection.json"
         if ksel_path.is_file():
             scores = ", ".join(f"k={k}: {v:.4f}" for k, v in _kselection_scores(ksel_path))

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import log2
+from itertools import repeat
+from math import floor, log2
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DataError, OutOfBoundsError, TooFewRowsError
-from .grid import CellId, CityRegion, point_to_cell
+from .errors import DataError, TooFewRowsError
+from .grid import CellId, CityRegion, GridSpec
 from .ingest import PoiRecord, read_category_pairs, read_cell_rows
 
 THIRD_PLACE_CATEGORIES = (
@@ -60,11 +61,18 @@ def load_third_place_taxonomy(source) -> ThirdPlaceTaxonomy:
         source, ["label", "category"], "third-place taxonomy", allowed=THIRD_PLACE_CATEGORIES))
 
 
+def rare_labels(pois: Sequence[PoiRecord], min_count: int = 10) -> dict[str, int]:
+    """The labels that occur fewer than ``min_count`` times in the given
+    corpus, each with its count, sorted by label."""
+    counts = Counter(p.label for p in pois)
+    return {label: n for label, n in sorted(counts.items()) if n < min_count}
+
+
 def filter_rare_labels(pois: Sequence[PoiRecord], min_count: int = 10) -> list[PoiRecord]:
     """Keep only records whose label occurs at least ``min_count`` times in the
     given corpus. Idempotent."""
-    counts = Counter(p.label for p in pois)
-    return [p for p in pois if counts[p.label] >= min_count]
+    rare = rare_labels(pois, min_count)
+    return [p for p in pois if p.label not in rare]
 
 
 def shannon_diversity(counts: Union[Mapping[str, float], Iterable[float]]) -> float:
@@ -121,38 +129,114 @@ def build_features(
     """Aggregate POIs into the 12 third-place covariates per cell.
 
     Rows default to the region's active cells in row-major order; pass
-    ``cells`` to align with an existing tensor instead. Non-third-place
-    labels and POIs outside the region contribute nothing; cells without
-    POIs are all zero. Input should already be rare-label filtered.
+    ``cells`` to align with an existing tensor instead (a cell listed twice
+    gets its POIs on its last row). Non-third-place labels and POIs outside
+    the region contribute nothing; cells without POIs are all zero. Input
+    should already be rare-label filtered.
+
+    The POIs are counted as arrays, in O(POIs + n) memory: one sort counts
+    each distinct (row, label) pair, and every diversity equals
+    ``shannon_diversity`` of its row's (or row and category's) label counts,
+    bit for bit.
     """
     row_cells = list(cells) if cells is not None else region.cells_in_scan_order()
-    index = {cell: i for i, cell in enumerate(row_cells)}
-    label_counts: list[Counter] = [Counter() for _ in row_cells]
-    by_category: list[dict[str, Counter]] = [
-        {c: Counter() for c in THIRD_PLACE_CATEGORIES} for _ in row_cells
-    ]
-    for poi in pois:
-        category = taxonomy.category_of(poi.label)
-        if category is None:
-            continue
-        try:
-            cell = point_to_cell(poi.x, poi.y, region.grid)
-        except OutOfBoundsError:
-            continue
-        i = index.get(cell)
-        if i is None:
-            continue
-        label_counts[i][poi.label] += 1
-        by_category[i][category][poi.label] += 1
-
-    values = np.zeros((len(row_cells), len(FEATURE_COLUMNS)))
-    for i in range(len(row_cells)):
-        values[i, 0] = sum(label_counts[i].values())
-        values[i, 1] = shannon_diversity(label_counts[i])
-        for j, cat in enumerate(THIRD_PLACE_CATEGORIES):
-            values[i, 2 + j] = sum(by_category[i][cat].values())
-            values[i, 7 + j] = shannon_diversity(by_category[i][cat])
+    n, n_cat = len(row_cells), len(THIRD_PLACE_CATEGORIES)
+    rows, categories, counts = _label_counts(pois, taxonomy, region.grid, row_cells)
+    in_category = rows * n_cat + categories
+    values = np.zeros((n, len(FEATURE_COLUMNS)))
+    values[:, 0] = np.bincount(rows, weights=counts, minlength=n)
+    values[:, 1] = _diversities(rows, counts, values[:, 0])
+    category_counts = np.bincount(in_category, weights=counts, minlength=n * n_cat)
+    values[:, 2:2 + n_cat] = category_counts.reshape(n, n_cat)
+    values[:, 2 + n_cat:] = _diversities(in_category, counts, category_counts).reshape(n, n_cat)
     return FeatureTable(row_cells, FEATURE_COLUMNS, values)
+
+
+def _label_counts(pois, taxonomy, grid: GridSpec, row_cells):
+    """Each distinct (row, third-place label) pair of the POIs in a cell of
+    ``row_cells``, ordered by row: its row, the label's category index and
+    the pair's count.
+
+    A point maps to its cell by ``floor`` as in ``point_to_cell``, which
+    raises on a non-finite coordinate; here the first third-place POI with
+    one raises the same error.
+    """
+    labels = [poi.label for poi in pois]
+    codes = {label: i for i, label in enumerate(
+        sorted(label for label in set(labels) if taxonomy.category_of(label) is not None))}
+    category_of = np.array([THIRD_PLACE_CATEGORIES.index(taxonomy.category_of(label))
+                            for label in codes], dtype=np.intp)
+    code = np.fromiter(map(codes.get, labels, repeat(-1)), np.intp, len(labels))
+    third = np.flatnonzero(code >= 0)
+    xs = np.fromiter((poi.x for poi in pois), np.float64, len(labels))
+    ys = np.fromiter((poi.y for poi in pois), np.float64, len(labels))
+    with np.errstate(over="ignore"):  # an overflow is a non-finite coordinate below
+        col = (xs[third] - grid.origin_x) / grid.cell_size
+        row = (ys[third] - grid.origin_y) / grid.cell_size
+    finite = np.isfinite(col) & np.isfinite(row)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        floor(float(col[i]))
+        floor(float(row[i]))
+    col, row = np.floor(col), np.floor(row)
+    on_grid = np.flatnonzero((col >= 0) & (col < grid.n_cols) & (row >= 0) & (row < grid.n_rows))
+    key = row[on_grid].astype(np.int64) * grid.n_cols + col[on_grid].astype(np.int64)
+    cell_key, cell_row = _cell_keys(row_cells, grid)
+    at = np.searchsorted(cell_key, key)
+    at[at == cell_key.size] = 0
+    hit = np.flatnonzero(cell_key[at] == key) if cell_key.size else at[:0]
+    n_codes = max(len(codes), 1)
+    pairs = cell_row[at[hit]] * n_codes + code[third[on_grid[hit]]]
+    pairs.sort(kind="stable")
+    starts = np.flatnonzero(_firsts(pairs))
+    rows, pair_codes = np.divmod(pairs[starts], n_codes)
+    return rows, category_of[pair_codes], np.diff(np.r_[starts, pairs.size])
+
+
+def _cell_keys(row_cells, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The row-major grid index of each in-grid cell of ``row_cells``,
+    sorted, and the row of each; a cell listed twice keeps its last row."""
+    n = len(row_cells)
+    col = np.fromiter((c.col for c in row_cells), np.int64, n)
+    row = np.fromiter((c.row for c in row_cells), np.int64, n)
+    key = np.where((col >= 0) & (col < grid.n_cols) & (row >= 0) & (row < grid.n_rows),
+                   row * grid.n_cols + col, -1)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    last = _firsts(key[::-1])[::-1] & (key >= 0)
+    return key[last], order[last]
+
+
+def _diversities(group: np.ndarray, counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """``shannon_diversity`` of each group's label counts, bit for bit:
+    ``counts[j]`` is one label's count in group ``group[j]``, and ``totals``
+    holds every group's sum (the number of groups is its size)."""
+    order = np.lexsort((counts, group))  # by group, each group's counts ascending
+    group = group[order]
+    p = counts[order] / totals[group]
+    # shannon_diversity subtracts a group's terms p·log2(p) from 0.0 one at a
+    # time in ascending count order. bincount adds them one at a time in that
+    # order, and rounding is symmetric, so 0.0 minus the sum has the same bits
+    # (and is 0.0, never -0.0, for a group with no terms or only zero ones).
+    return 0.0 - np.bincount(group, weights=p * _log2(p), minlength=totals.size)
+
+
+def _log2(values: np.ndarray) -> np.ndarray:
+    """``math.log2`` of each value, called once per distinct value (``np.log2``
+    may differ from it in the last bit)."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = _firsts(ordered)
+    logs = np.empty_like(values)
+    logs[order] = np.array([log2(v) for v in ordered[first].tolist()])[np.cumsum(first) - 1]
+    return logs
+
+
+def _firsts(a: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in ``a``."""
+    first = np.ones(a.size, dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return first
 
 
 def standardize(table: FeatureTable) -> FeatureTable:

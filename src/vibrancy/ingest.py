@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import chain, count, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -57,8 +57,7 @@ REJECT_UNKNOWN_SOURCE = "unknown_source_category"
 MAX_REJECT_EXAMPLES = 20
 
 
-@dataclass(frozen=True)
-class PoiRecord:
+class PoiRecord(NamedTuple):
     x: float
     y: float
     label: str

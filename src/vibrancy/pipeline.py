@@ -37,8 +37,8 @@ from .features import (
     FeatureTable,
     build_features,
     export_features_csv,
-    filter_rare_labels,
     load_third_place_taxonomy,
+    rare_labels,
     standardize,
 )
 from .grid import CellId, CityRegion, load_region
@@ -359,13 +359,13 @@ def _run_scope(scope, day_type, config, service_tax, place_tax, members, emit, q
         }
 
     with _stage("features"):
-        pooled = [poi for city in members for poi in city.pois]
-        kept = filter_rare_labels(pooled, config.min_label_count)
-        kept_labels = {p.label for p in kept}
+        rare = rare_labels([poi for city in members for poi in city.pois],
+                           config.min_label_count)
+        quality[scope]["rare_labels"] = rare
         tables = []
         for city in members:
             seg_cells = [rr.cells[i] for i in rows_of(city)]
-            city_kept = [p for p in city.pois if p.label in kept_labels]
+            city_kept = [p for p in city.pois if p.label not in rare]
             table = build_features(city_kept, place_tax, city.region, cells=seg_cells)
             tables.append(table)
             name = f"features_{city.name}.csv" if multi else "features.csv"

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from vibrancy.cli import main
 from vibrancy.clustering import read_model
 from vibrancy.config import parse_config
 from vibrancy.errors import ConfigError
+from vibrancy.ingest import parse_pois
 from vibrancy.pipeline import run_pipeline
 from vibrancy.synth import SynthSpec, generate_for_day_types, write_city
 
@@ -181,6 +183,24 @@ class TestRun:
             assert all(n >= 2 for n in kmeans["n_iter"].values())
             assert kmeans["unconverged_restarts"] == 0
 
+    def test_quality_names_the_rare_labels_removed(self, city_dir, run_dir, tmp_path):
+        city = tmp_path / "city"
+        shutil.copytree(city_dir, city)
+        with open(city / "pois.csv", "a", encoding="utf-8") as fh:
+            fh.write("10.0,10.0,kiosk,shop\n" * 3 + "20.0,20.0,fountain,amenity\n")
+        manifest = run_pipeline(parse_config(city / "pipeline.cfg"), tmp_path / "o")
+        pois, _ = parse_pois(city / "pois.csv")
+        counts = Counter(p.label for p in pois)
+        expected = {label: n for label, n in sorted(counts.items()) if n < 10}
+        assert {"kiosk": 3, "fountain": 1}.items() <= expected.items()
+        clean = json.loads((run_dir / "manifest.json").read_text())
+        for day in ("weekday", "weekend"):
+            rare = manifest["quality"][f"alpha/{day}"]["rare_labels"]
+            assert rare == expected and list(rare) == sorted(rare)
+            assert clean["quality"][f"alpha/{day}"]["rare_labels"] == {
+                label: n for label, n in expected.items() if label not in ("kiosk", "fountain")}
+        assert manifest["artifacts"] == clean["artifacts"]  # rare labels change nothing
+
     @pytest.mark.parametrize("text", ["[1, 2]", '{"format": "vibrancy-run-manifest"}'],
                              ids=["not an object", "no config"])
     def test_malformed_manifest_is_a_data_error(self, tmp_path, capsys, text):
@@ -277,6 +297,10 @@ class TestGlobalLevel:
         assert result["ari_vs_truth"] == 1.0
         labels_a = (scope / "labels_alpha.csv").read_text().splitlines()
         assert len(labels_a) == 37  # header + 36 cells
+        pooled = Counter(p.label for name in ("alpha", "beta")
+                         for p in parse_pois(cities[name] / "pois.csv")[0])
+        assert manifest["quality"]["global/weekday"]["rare_labels"] == {
+            label: n for label, n in sorted(pooled.items()) if n < 10}
 
 
 def _json_edit(edit):
@@ -339,6 +363,48 @@ class TestReport:
         assert "alpha/weekday" in out
         assert "silhouette by k" in out
         assert "total_diversity" in out
+
+    def test_report_prints_quality(self, run_dir, capsys):
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert main(["report", "--run-dir", str(run_dir)]) == 0
+        out = capsys.readouterr().out
+        for day in ("weekday", "weekend"):
+            quality = manifest["quality"][f"alpha/{day}"]
+            rows = quality["cities"]["alpha"]
+            assert (f"\nquality [alpha/{day}]:\n"
+                    f"  alpha traffic rows: {rows['traffic']['accepted']} accepted, 0 rejected\n"
+                    f"  alpha POI rows: {rows['pois']['accepted']} accepted, 0 rejected\n"
+                    f"  capped relative-risk columns: {quality['capped_columns']}\n"
+                    "  k-means unconverged restarts: 0\n"
+                    f"  logit: converged, {quality['logit']['n_iter']} iterations\n"
+                    "  rare POI labels removed: none\n") in out
+
+    def test_report_prints_what_quality_it_finds(self, run_dir, tmp_path, capsys):
+        def edit(doc):
+            quality = doc["quality"]
+            quality["alpha/weekday"]["cities"]["alpha"]["traffic"] = {
+                "accepted": 90, "rejected": {"out_of_bounds": 1, "malformed": 2}}
+            quality["alpha/weekday"]["cities"]["alpha"]["pois"] = "unknown"
+            quality["alpha/weekday"]["rare_labels"] = {"fountain": 1, "kiosk": 3}
+            for key in ("capped_columns", "kmeans"):
+                del quality["alpha/weekday"][key]
+            quality["alpha/weekday"]["logit"] = {"n_iter": 4}
+            del quality["alpha/weekend"]
+
+        for name in RUN_FILES:
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+        path = tmp_path / "manifest.json"
+        path.write_bytes(_json_edit(edit)(path.read_bytes()))
+        assert main(["report", "--run-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert ("\nquality [alpha/weekday]:\n"
+                "  alpha traffic rows: 90 accepted, 3 rejected (2 malformed, 1 out_of_bounds)\n"
+                "  logit: 4 iterations\n"
+                "  rare POI labels removed: fountain 1, kiosk 3\n"
+                "\nsilhouette by k [alpha/weekday]") in out
+        assert "quality [alpha/weekend]" not in out
+        assert "alpha/weekend" in out
 
     def test_report_needs_manifest(self, tmp_path, capsys):
         assert main(["report", "--run-dir", str(tmp_path)]) == 2
@@ -560,6 +626,24 @@ def _line_2_service_renamed(path: Path) -> None:
     path.write_text(_replace_line(text, 2, f"svc-renamed,{category}"))
 
 
+def _empty(path: Path) -> None:
+    path.write_bytes(b"")
+
+
+def _no_header(path: Path) -> None:
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
+
+
+def _random_bytes(path: Path) -> None:
+    path.write_bytes(np.random.default_rng(11).bytes(4096))
+
+
+def _middle_byte_flipped(path: Path) -> None:
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0x80  # an ASCII byte becomes a lone continuation byte
+    path.write_bytes(bytes(data))
+
+
 RUN_FILES = ("manifest.json", KSELECTION, COEFFICIENTS)
 
 # case id -> (file, corruption, line it names or None); report reads the
@@ -574,6 +658,10 @@ UNREADABLE_FILES = {
     "coefficients not UTF-8": (COEFFICIENTS, _not_utf8, None),
     "traffic header wrong": ("traffic.csv", _bad_header, None),
     "POI header wrong": ("pois.csv", _bad_header, None),
+    "POI file empty": ("pois.csv", _empty, None),
+    "POI file without a header": ("pois.csv", _no_header, None),
+    "POI file random bytes": ("pois.csv", _random_bytes, None),
+    "POI byte flip breaks UTF-8": ("pois.csv", _middle_byte_flipped, None),
     "service taxonomy header wrong": ("service_taxonomy.csv", _bad_header, None),
     "service taxonomy service repeated": ("service_taxonomy.csv", _line_3_repeats_line_2, 3),
     "third-place taxonomy header wrong": ("third_places.csv", _bad_header, None),
@@ -604,6 +692,34 @@ def test_unreadable_file_is_a_one_line_data_error(city_dir, run_dir, tmp_path, c
     if line:
         assert f"{path}:{line}:" in err
     assert capsys.readouterr().out == ""
+
+
+def _cut_mid_line(text: str) -> str:
+    middle = len(text) // 2
+    return text[:text.index(",", middle) + 2]
+
+
+# case id -> edit of the POI file's text that a run accepts: odd lines are
+# rejected or ignored row by row
+ODD_POI_LINES = {
+    "truncated mid-line": _cut_mid_line,
+    "CRLF line ends": lambda text: text.replace("\n", "\r\n"),
+    "lone CR line ends": lambda text: text.replace("\n", "\r"),
+    "quoted comma in a label": lambda text: text + '12.5,40.0,"cafe, bar",amenity\n',
+    "nan, inf and negative coordinates": lambda text: text + (
+        "nan,40.0,cafe,amenity\n40.0,inf,cafe,amenity\n-inf,-inf,bar,amenity\n"
+        "-40.0,-12.5,cafe,amenity\n40.0,-0.5,bar,amenity\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ODD_POI_LINES))
+def test_odd_poi_lines_still_run(city_dir, tmp_path, capsys, case):
+    city = tmp_path / "city"
+    shutil.copytree(city_dir, city)
+    pois = city / "pois.csv"
+    pois.write_bytes(ODD_POI_LINES[case](pois.read_text()).encode())
+    assert main(["run", "--config", str(city / "pipeline.cfg"), "--out", str(tmp_path / "o")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "signatures"])
