@@ -456,18 +456,83 @@ def relabel_by_size(model: ClusterModel) -> ClusterModel:
                    inertia_trace=list(model.inertia_trace))
 
 
+# Rows of a silhouette distance tile. BLAS picks its kernel, and so the bits
+# of an entry, from the shape of the whole call, so every call has a fixed shape.
+_TILE = 128
+# A labelling's one-hot tiles are its cluster count rounded up to a multiple
+# of this many columns wide.
+_ONE_HOT = 16
+# A Gram entry d² ≤ this fraction of ‖x‖² + ‖y‖² may have lost most of its
+# bits to cancellation, so it is rescored exactly. Above it, the Gram form's
+# rounding of about 4·p·2⁻⁵³·(‖x‖² + ‖y‖²) is a small part of d².
+_RESCORE = 1e-9
+
+
+def _one_hot(lab_idx: np.ndarray, start: int, T: int, width: int) -> np.ndarray:
+    """(T, width): row t is the indicator of point ``start + t``'s 0-based
+    label, or all 0 past the last point."""
+    hot = np.zeros((T, width), dtype=np.float64)
+    labels = lab_idx[start:start + T]
+    hot[np.arange(len(labels)), labels] = 1.0
+    return hot
+
+
+def _dist_tile(A: np.ndarray, aa: np.ndarray, ra: int, B: np.ndarray, bb: np.ndarray,
+               rb: int, exact: bool) -> np.ndarray:
+    """(T, T) Euclidean distances between the rows of the tiles A and B,
+    with squared norms ``aa`` and ``bb``. Only the first ``ra`` rows of A and
+    ``rb`` of B are points; the other entries are finite and not negative.
+
+    Entries come from the Gram form ‖a‖² + ‖b‖² − 2·A·Bᵀ, and each of two
+    points at most ``_RESCORE``·(‖a‖² + ‖b‖²) from the einsum of its
+    difference row. Past ``_GRAM_LIMIT`` (``exact``) all come from
+    ``_sq_dist_blocks``.
+    """
+    if exact:
+        d2 = np.zeros((len(A), len(B)), dtype=np.float64)
+        real = A[:ra]
+        for start, stop, block in _sq_dist_blocks(real, real if B is A else B[:rb]):
+            d2[start:stop, :rb] = block
+        return np.sqrt(d2, out=d2)
+    d2 = A @ B.T
+    d2 *= -2.0
+    bound = aa[:, None] + bb
+    d2 += bound
+    bound *= _RESCORE
+    rows, cols = np.nonzero(d2[:ra, :rb] <= bound[:ra, :rb])
+    chunk = max(1, _BLOCK_BYTES // 16 // (8 * A.shape[1]))
+    for s in range(0, len(rows), chunk):
+        r, c = rows[s:s + chunk], cols[s:s + chunk]
+        diff = A[r]
+        diff -= B[c]
+        d2[r, c] = np.einsum("ij,ij->i", diff, diff)
+        del diff  # so that the next difference block does not meet this one
+    # no clamp at 0: every other point pair is over its bound, and an entry
+    # of a padding row is ‖a‖² or ‖b‖² exactly
+    return np.sqrt(d2, out=d2)
+
+
 def _silhouettes(X: np.ndarray, labellings: Sequence[Sequence[int]]) -> list[float]:
     """Mean silhouette score of each labelling of the points X, from one pass
-    over the exact pairwise distances.
+    over the pairwise distances.
 
-    Distances are streamed in row blocks (see ``_sq_dist_blocks``); from each
-    block every labelling adds its per-cluster distance sums into its own
-    (n, n_clusters) array. The sums are taken over the columns sorted by
-    label with ``np.add.reduceat``, so a point's sums do not depend on the
-    block split or on the other labellings. Memory is O(_BLOCK_BYTES + n * sum
-    of cluster counts).
+    The points are cut into tiles of T = min(``_TILE``, n) rows; only the
+    last may be partial, and a zero-padded copy of it stands in for it. Each
+    pair of tiles (i ≤ j) gets one (T, T) distance tile (see ``_dist_tile``),
+    whose transpose serves the pair (j, i). Each labelling multiplies the
+    distance tile by a one-hot tile of its labels for those columns, of its
+    own fixed width, and adds the product into its (n, clusters) sums; a row
+    tile's sums are added in column-tile order. Every call therefore has a
+    shape fixed by T, p and the labelling's width, and every sum an order
+    fixed by the tiles: no bit depends on ``_BLOCK_BYTES``, the BLAS thread
+    count or the other labellings, and ``silhouette`` of one labelling is
+    bitwise its score here. Memory is O(T·p + T² + n·(sum of cluster
+    counts)).
     """
-    n = X.shape[0]
+    n, p = X.shape
+    # the extremes show any nan or inf without an (n, p) temporary
+    if not (np.isfinite(X.min()) and np.isfinite(X.max())):
+        raise NonFiniteError("silhouette input contains non-finite values")
     plans = []
     for labels in labellings:
         labels = np.asarray(labels)
@@ -476,17 +541,29 @@ def _silhouettes(X: np.ndarray, labellings: Sequence[Sequence[int]]) -> list[flo
         uniq, lab_idx = np.unique(labels, return_inverse=True)
         if uniq.size < 2:
             raise SingleClusterError("silhouette needs at least two distinct clusters")
-        counts = np.bincount(lab_idx)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        order = np.argsort(lab_idx, kind="stable")
-        sums = np.empty((n, uniq.size), dtype=np.float64)
-        plans.append((lab_idx, counts, starts, order, sums))
-    for start, stop, block in _sq_dist_blocks(X, X):
-        dist = np.sqrt(np.maximum(block, 0.0, out=block), out=block)
-        for _, _, starts, order, sums in plans:
-            sums[start:stop] = np.add.reduceat(dist[:, order], starts, axis=1)
-    return [_mean_silhouette(lab_idx, counts, sums)
-            for lab_idx, counts, _, _, sums in plans]
+        width = -(-uniq.size // _ONE_HOT) * _ONE_HOT
+        plans.append((lab_idx, np.bincount(lab_idx), np.zeros((n, uniq.size)), width))
+    T = min(_TILE, n)
+    xx = np.einsum("ij,ij->i", X, X)
+    exact = xx.max() > _GRAM_LIMIT / 2
+    tiles = [(start, T, X[start:start + T], xx[start:start + T])
+             for start in range(0, n - T + 1, T)]
+    if n % T:
+        start, rows = n - n % T, n % T
+        part, part_xx = np.zeros((T, p)), np.zeros(T)
+        part[:rows], part_xx[:rows] = X[start:], xx[start:]
+        tiles.append((start, rows, part, part_xx))
+    for i, (a0, ra, A, aa) in enumerate(tiles):
+        own = [_one_hot(lab_idx, a0, T, width) for lab_idx, _, _, width in plans]
+        for b0, rb, B, bb in tiles[i:]:
+            dist = _dist_tile(A, aa, ra, B, bb, rb, exact)
+            for (lab_idx, _, sums, width), hot in zip(plans, own):
+                k = sums.shape[1]
+                cols = hot if b0 == a0 else _one_hot(lab_idx, b0, T, width)
+                sums[a0:a0 + ra] += (dist @ cols)[:ra, :k]
+                if b0 != a0:
+                    sums[b0:b0 + rb] += (dist.T @ hot)[:rb, :k]
+    return [_mean_silhouette(lab_idx, counts, sums) for lab_idx, counts, sums, _ in plans]
 
 
 def _mean_silhouette(lab_idx: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> float:
@@ -513,8 +590,11 @@ def silhouette(data: TensorLike, labels: Sequence[int]) -> float:
     Per point: a is the mean distance to its own cluster (self excluded),
     b the smallest mean distance to any other cluster, and the score is
     (b - a) / max(a, b). Singleton points and points with a = b = 0 score 0.
-    Exact distances, streamed in blocks of bounded size; ``select_k`` scores
-    its candidates with the same routine, so its scores equal this one's.
+    Distances come from fixed-shape Gram tiles, with near and coincident
+    pairs rescored exactly (coincident points are exactly 0 apart); see
+    ``_silhouettes``. ``select_k`` scores its candidates with the same
+    routine, so its scores equal this one's bitwise. Non-finite data raises
+    ``NonFiniteError``.
     """
     return _silhouettes(_as_points(data), [labels])[0]
 

@@ -658,6 +658,13 @@ class TestSilhouette:
         with pytest.raises(SingleClusterError):
             silhouette(pairs_as_points(), [1, 1, 1, 1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        data = np.arange(40.0).reshape(10, 4)
+        data[3, 2] = bad
+        with pytest.raises(NonFiniteError):
+            silhouette(data, [1, 2] * 5)
+
     def test_matches_bruteforce(self, rng):
         for _ in range(10):
             data = rng.uniform(size=(40, 12, 2))
@@ -721,6 +728,12 @@ def tiny_blocks(monkeypatch):
     monkeypatch.setattr(vibrancy.clustering, "_BLOCK_BYTES", 600)
 
 
+@pytest.fixture
+def small_tiles(monkeypatch):
+    """Silhouette tiles of 8 rows: 9, 17 or 25 points end in a padded tile."""
+    monkeypatch.setattr(vibrancy.clustering, "_TILE", 8)
+
+
 # (n, bins, categories): with a 600-byte budget, 37 points of 3 values come in
 # row blocks of 2 and column blocks of 12, each ending in a partial block; 40
 # points of 24 values in row blocks of 1 and column blocks of 3, the last partial.
@@ -741,7 +754,29 @@ class TestBlockedDistances:
                 silhouette_oracle(data.reshape(n, -1), labels), abs=1e-12
             )
 
-    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    @pytest.mark.parametrize("n", [7, 8, 9, 17, 25])
+    def test_tiles_match_definition(self, small_tiles, rng, n):
+        for _ in range(3):
+            data = rng.uniform(size=(n, 3, 2))
+            labels = rng.integers(1, 4, size=n)
+            labels[:3] = [1, 2, 3]
+            assert silhouette(data, labels) == pytest.approx(
+                silhouette_oracle(data.reshape(n, -1), labels), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("tiles", [8, 128], ids=["small tiles", "default tiles"])
+    def test_overflowing_norms_match_definition(self, monkeypatch, rng, tiles):
+        # ‖x‖² overflows, so every tile takes the exact distances
+        monkeypatch.setattr(vibrancy.clustering, "_TILE", tiles)
+        data = 1e160 + rng.normal(size=(30, 12, 1)) * 1e150
+        labels = rng.integers(1, 4, size=30)
+        labels[:3] = [1, 2, 3]
+        assert silhouette(data, labels) == pytest.approx(
+            silhouette_oracle(data.reshape(30, -1), labels), abs=1e-12
+        )
+
+    # 150 points make one full tile and one padded tile of 22 points
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES + [(150, 4, 2)])
     def test_scores_and_models_do_not_depend_on_the_block_size(self, monkeypatch, rng,
                                                                  shape):
         data = rng.uniform(size=shape)
@@ -773,6 +808,28 @@ class TestBlockedDistances:
         assert silhouette(data, model.labels) == 1.0
         assert silhouette(np.ones((6, 1, 1)), [1, 1, 1, 2, 2, 2]) == 0.0
 
+    @pytest.mark.parametrize("offset", [0.0, 1e7])
+    def test_coincident_points_in_other_tiles_score_exactly(self, small_tiles, rng, offset):
+        # copies of two points spread over four tiles: every own-cluster
+        # distance is rescored to exactly 0, far from the origin too, where
+        # the Gram form alone leaves about ±1
+        a = offset + rng.uniform(size=(12, 2))
+        order = rng.permutation(30)
+        data = np.stack([a] * 15 + [a + 5.0] * 15)[order]
+        labels = np.repeat([1, 2], 15)[order]
+        assert silhouette(data, labels) == 1.0
+        assert silhouette(np.full((30, 12, 2), offset), np.tile([1, 2, 3], 10)) == 0.0
+
+    def test_labellings_score_alike_alone_and_in_a_batch(self, rng):
+        # 300 points: two full tiles and a padded one; k = 17 has one-hot
+        # tiles 32 columns wide, the others 16
+        X = rng.normal(size=(300, 24))
+        labellings = [rng.integers(0, k, size=300) for k in (2, 3, 5, 8, 10, 16, 17, 4)]
+        batch = vibrancy.clustering._silhouettes(X, labellings)
+        assert batch[::-1] == vibrancy.clustering._silhouettes(X, labellings[::-1])
+        for labels, score in zip(labellings, batch):
+            assert silhouette(X, labels) == score
+
     @pytest.mark.parametrize("budget", [600, None], ids=["tiny blocks", "default blocks"])
     def test_select_k_scores_equal_silhouette_bitwise(self, monkeypatch, budget):
         if budget is not None:
@@ -801,6 +858,20 @@ class TestBlockedDistances:
         # an (n, n, p) difference block alone would take 1,758 MiB at n = 800
         assert small < 32.0
         assert large <= 1.5 * small
+
+    def test_select_k_silhouette_memory_is_linear_in_the_sums(self, rng):
+        # the 8 labellings of a default select_k: their (n, k) sums take
+        # 8·n·52 bytes (1.6 MiB), and the tiles only O(T·p + T²) more
+        n, ks = 4_000, range(3, 11)
+        X = rng.normal(size=(n, 360))
+        labellings = [rng.integers(1, k + 1, size=n) for k in ks]
+        tracemalloc.start()
+        try:
+            vibrancy.clustering._silhouettes(X, labellings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * n * sum(ks)
 
 
 class TestRelabelBySize:
