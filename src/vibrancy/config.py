@@ -31,6 +31,7 @@ Top-level keys::
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -78,12 +79,18 @@ class PipelineConfig:
                 raise ConfigError(f"unknown day type {dt!r}")
         if not self.day_types:
             raise ConfigError("day_types is empty")
+        if len(set(self.day_types)) != len(self.day_types):
+            raise ConfigError("day_types lists a day type twice")
         if not (2 <= self.k_min <= self.k_max):
             raise ConfigError("need 2 <= k_min <= k_max")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.restarts < 1:
             raise ConfigError("restarts must be at least 1")
-        if self.lam < 0:
-            raise ConfigError("lambda must be nonnegative")
+        if not (0.0 <= self.lam < math.inf):
+            raise ConfigError("lambda must be finite and nonnegative")
+        if not (0.0 < self.rr_cap < math.inf):
+            raise ConfigError("rr_cap must be finite and positive")
         if not (0.0 <= self.holdout < 1.0):
             raise ConfigError("holdout must be in [0, 1)")
         names = [c.name for c in self.cities]
@@ -223,11 +230,14 @@ def parse_config(path) -> PipelineConfig:
         raise ConfigError(f"config file {path} does not exist")
     top, sections = _read_sections(path)
     cities = [
-        _build(CityConfig, body, f"[city.{name}]", path.parent, name=name)
+        _build(CityConfig, body, f"{path}: [city.{name}]", path.parent, name=name)
         for name, body in sections.items()
     ]
-    config = _build(PipelineConfig, top, "config", path.parent, cities=cities)
-    config.validate()
+    config = _build(PipelineConfig, top, f"{path}: config", path.parent, cities=cities)
+    try:
+        config.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return config
 
 

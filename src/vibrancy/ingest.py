@@ -481,11 +481,17 @@ def read_traffic(source, grid: GridSpec) -> tuple[TrafficTable, ParseReport]:
 parse_traffic = read_traffic
 
 
+#: each accepted source key to the one ``str`` object every POI record shares
+_SOURCE_KEY_OF = {key: key for key in POI_SOURCE_KEYS}
+
+
 def parse_pois(source) -> tuple[list[PoiRecord], ParseReport]:
     """Parse a POI CSV; rows with a source key outside amenity/leisure/shop/sport
-    are rejected."""
+    are rejected. The records share one ``str`` object per distinct label and
+    per distinct source key."""
     records: list[PoiRecord] = []
     report = ParseReport()
+    label_of: dict[str, str] = {}
     with _open_source(source) as lines:
         reader = csv.reader(lines)
         _check_header(next(reader, None), POI_HEADER, "POI", source)
@@ -505,10 +511,11 @@ def parse_pois(source) -> tuple[list[PoiRecord], ParseReport]:
             if not (math.isfinite(x) and math.isfinite(y)) or not label:
                 report._reject(line_no, REJECT_MALFORMED)
                 continue
-            if source_cat not in POI_SOURCE_KEYS:
+            source_cat = _SOURCE_KEY_OF.get(source_cat)
+            if source_cat is None:
                 report._reject(line_no, REJECT_UNKNOWN_SOURCE)
                 continue
-            records.append(PoiRecord(x, y, label, source_cat))
+            records.append(PoiRecord(x, y, label_of.setdefault(label, label), source_cat))
             report.accepted += 1
     return records, report
 

@@ -1,6 +1,8 @@
 """Run orchestration: ingestion through model fitting, with a manifest.
 
-A run executes, per requested day type and at the configured spatial level,
+A run first reads every city, building each requested day type's raw
+signature tensor from the city's traffic table and dropping the table. Then
+it executes, per requested day type and at the configured spatial level,
 the chain signatures -> relative risk -> k selection -> size-ordered labels
 -> third-place features -> membership model -> metrics, exporting every
 artifact into a run directory. The manifest records the resolved config,
@@ -32,7 +34,7 @@ from .clustering import (
     select_k,
     write_model,
 )
-from .errors import DataError, UnknownServiceError, VibrancyError, read_json
+from .errors import ConfigError, DataError, UnknownServiceError, VibrancyError, read_json
 from .features import (
     FeatureTable,
     build_features,
@@ -244,13 +246,32 @@ def write_model_stage(emit, logit_model: MultinomialLogit, metrics, extra: dict)
 
 
 class _CityData:
-    def __init__(self, cfg: CityConfig):
+    """One city after ingest: its region, the raw tensor of each configured
+    day type, its POIs and its parse reports. The traffic table each tensor
+    is built from is gone before the next city is read, so a run holds
+    O(cells x 12 x D) per city and day type, not its traffic rows."""
+
+    def __init__(self, cfg: CityConfig, config: PipelineConfig, service_tax):
         self.name = cfg.name
         self.region = load_region(cfg.region)
-        self.traffic_path = cfg.traffic
-        # read once here; every day type's tensor is built from this table
-        self.traffic, self.traffic_report = read_traffic(cfg.traffic, self.region.grid)
+        traffic, self.traffic_report = read_traffic(cfg.traffic, self.region.grid)
         self.traffic_report.require_accepted(cfg.traffic, "traffic")
+        # day type -> raw tensor; each serves one scope, which takes it out
+        self.raw = {
+            day_type: build_city_tensor(
+                self.region,
+                traffic,
+                service_tax,
+                day_type,
+                traffic_path=cfg.traffic,
+                taxonomy_path=config.service_taxonomy,
+                mean_per_day=config.mean_per_day,
+                drop_silent=config.drop_silent_cells,
+                segment_name=cfg.name,
+            )
+            for day_type in config.day_types
+        }
+        del traffic  # before the POIs are read
         self.pois, self.poi_report = parse_pois(cfg.pois)
         self.truth = load_truth_labels(cfg.truth) if cfg.truth else None
 
@@ -271,7 +292,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
             inputs[str(p)] = file_sha256(p)
         service_tax = load_taxonomy(config.service_taxonomy)
         place_tax = load_third_place_taxonomy(config.third_place_taxonomy)
-        cities = [_CityData(c) for c in config.cities]
+        cities = [_CityData(c, config, service_tax) for c in config.cities]
 
     artifacts: list[Path] = []
     quality: dict[str, dict] = {}
@@ -289,8 +310,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
         else:
             groups = [(f"global/{day_type}", cities)]
         for scope, members in groups:
-            _run_scope(scope, day_type, config, service_tax, place_tax, members, emit,
-                       quality, results)
+            _run_scope(scope, day_type, config, place_tax, members, emit, quality, results)
 
     manifest = {
         "format": "vibrancy-run-manifest",
@@ -312,7 +332,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
     return manifest
 
 
-def _run_scope(scope, day_type, config, service_tax, place_tax, members, emit, quality, results):
+def _run_scope(scope, day_type, config, place_tax, members, emit, quality, results):
     """One (scope x day_type) pass; members has one city at local level, all at global."""
     multi = len(members) > 1
 
@@ -325,17 +345,7 @@ def _run_scope(scope, day_type, config, service_tax, place_tax, members, emit, q
     with _stage("signatures"):
         raws = []
         for city in members:
-            raw = build_city_tensor(
-                city.region,
-                city.traffic,
-                service_tax,
-                day_type,
-                traffic_path=city.traffic_path,
-                taxonomy_path=config.service_taxonomy,
-                mean_per_day=config.mean_per_day,
-                drop_silent=config.drop_silent_cells,
-                segment_name=city.name,
-            )
+            raw = city.raw.pop(day_type)
             raws.append(raw)
             name = f"signatures_raw_{city.name}.sig" if multi else "signatures_raw.sig"
             emit(f"{scope}/{name}", lambda p, t=raw: write_tensor(t, p))
@@ -421,7 +431,10 @@ def read_manifest(path) -> dict:
 def run_from_manifest(manifest_path, out_dir, verify_inputs: bool = True) -> dict:
     """Re-execute a run from its manifest; inputs are hash-checked first."""
     doc = read_manifest(manifest_path)
-    config = config_from_dict(doc["config"])
+    try:
+        config = config_from_dict(doc["config"])
+    except ConfigError as exc:
+        raise ConfigError(f"manifest {manifest_path}: {exc}") from None
     if verify_inputs:
         for path, digest in doc.get("inputs", {}).items():
             if not Path(path).is_file():

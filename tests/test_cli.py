@@ -1,10 +1,14 @@
+import csv
+import gc
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -16,7 +20,7 @@ from vibrancy.cli import main
 from vibrancy.clustering import read_model
 from vibrancy.config import parse_config
 from vibrancy.errors import ConfigError
-from vibrancy.ingest import parse_pois
+from vibrancy.ingest import ParseReport, PoiRecord, parse_pois
 from vibrancy.pipeline import run_pipeline
 from vibrancy.synth import SynthSpec, generate_for_day_types, write_city
 
@@ -98,6 +102,25 @@ class TestConfigParser:
         path.write_text(body)
         with pytest.raises(ConfigError):
             parse_config(path)
+
+
+@pytest.mark.parametrize("setting", [
+    "seed = -1", "lambda = nan", "lambda = inf", "lambda = -0.5", "rr_cap = nan",
+    "rr_cap = inf", "rr_cap = -1", "rr_cap = 0", "restarts = 0", "k_min = three",
+    "day_types = weekday, weekend, weekday",
+])
+def test_bad_config_value_is_a_one_line_data_error_naming_the_file(city_dir, tmp_path, capsys,
+                                                                     setting):
+    key = setting.split("=")[0].strip()
+    lines = (city_dir / "pipeline.cfg").read_text().splitlines()
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join([setting] + [ln for ln in lines if ln.split("=")[0].strip() != key])
+                   + "\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = _one_line_data_error(capsys, cfg)
+    assert err.startswith(f"data error: {cfg}: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 class TestRun:
@@ -201,8 +224,10 @@ class TestRun:
                 label: n for label, n in expected.items() if label not in ("kiosk", "fountain")}
         assert manifest["artifacts"] == clean["artifacts"]  # rare labels change nothing
 
-    @pytest.mark.parametrize("text", ["[1, 2]", '{"format": "vibrancy-run-manifest"}'],
-                             ids=["not an object", "no config"])
+    @pytest.mark.parametrize("text", [
+        "[1, 2]", '{"format": "vibrancy-run-manifest"}',
+        '{"format": "vibrancy-run-manifest", "config": {}}',
+    ], ids=["not an object", "no config", "empty config"])
     def test_malformed_manifest_is_a_data_error(self, tmp_path, capsys, text):
         path = tmp_path / "manifest.json"
         path.write_text(text)
@@ -261,25 +286,31 @@ class TestChainingEqualsRun:
             assert sha(chain / name) == sha(run_scope / name), name
 
 
+def _two_city_global_config(tmp_path: Path) -> Path:
+    """Two synthetic cities, alpha and beta, with one plant, pooled in one
+    ``level = global`` weekday scope."""
+    for name, seed in (("alpha", 5), ("beta", 6)):
+        spec = SynthSpec(seed=seed, n_cells=36, k_true=2, noise_sigma=0.8,
+                         region_name=name)
+        write_city(generate_for_day_types(spec, ["weekday"]), tmp_path / name)
+    cfg = tmp_path / "global.cfg"
+    cfg.write_text(
+        "seed = 4\nlevel = global\nday_types = weekday\n"
+        "k_min = 2\nk_max = 4\nrestarts = 3\n"
+        f"service_taxonomy = alpha/service_taxonomy.csv\n"
+        f"third_place_taxonomy = alpha/third_places.csv\n\n"
+        "[city.alpha]\nregion = alpha/region.json\ntraffic = alpha/traffic.csv\n"
+        "pois = alpha/pois.csv\ntruth = alpha/truth_labels.csv\n\n"
+        "[city.beta]\nregion = beta/region.json\ntraffic = beta/traffic.csv\n"
+        "pois = beta/pois.csv\ntruth = beta/truth_labels.csv\n"
+    )
+    return cfg
+
+
 class TestGlobalLevel:
     def test_two_city_global_run(self, tmp_path):
-        cities = {}
-        for name, seed in (("alpha", 5), ("beta", 6)):
-            spec = SynthSpec(seed=seed, n_cells=36, k_true=2, noise_sigma=0.8,
-                             region_name=name)
-            write_city(generate_for_day_types(spec, ["weekday"]), tmp_path / name)
-            cities[name] = tmp_path / name
-        cfg = tmp_path / "global.cfg"
-        cfg.write_text(
-            "seed = 4\nlevel = global\nday_types = weekday\n"
-            "k_min = 2\nk_max = 4\nrestarts = 3\n"
-            f"service_taxonomy = alpha/service_taxonomy.csv\n"
-            f"third_place_taxonomy = alpha/third_places.csv\n\n"
-            "[city.alpha]\nregion = alpha/region.json\ntraffic = alpha/traffic.csv\n"
-            "pois = alpha/pois.csv\ntruth = alpha/truth_labels.csv\n\n"
-            "[city.beta]\nregion = beta/region.json\ntraffic = beta/traffic.csv\n"
-            "pois = beta/pois.csv\ntruth = beta/truth_labels.csv\n"
-        )
+        cfg = _two_city_global_config(tmp_path)
+        cities = {name: tmp_path / name for name in ("alpha", "beta")}
         out = tmp_path / "gout"
         manifest = run_pipeline(parse_config(cfg), out)
         scope = out / "global" / "weekday"
@@ -301,6 +332,31 @@ class TestGlobalLevel:
                          for p in parse_pois(cities[name] / "pois.csv")[0])
         assert manifest["quality"]["global/weekday"]["rare_labels"] == {
             label: n for label, n in sorted(pooled.items()) if n < 10}
+
+
+@pytest.mark.parametrize("level", ["local", "global"])
+def test_no_traffic_table_survives_ingest(city_dir, tmp_path, monkeypatch, level):
+    """Once every city is read, a run holds each city's day-type tensors, not
+    the traffic tables they were built from."""
+    tables = []
+    read_traffic, select_k = vibrancy.pipeline.read_traffic, vibrancy.pipeline.select_k
+
+    def read_and_watch(*args, **kwargs):
+        table, report = read_traffic(*args, **kwargs)
+        tables.append(weakref.ref(table))
+        return table, report
+
+    def select_k_without_tables(*args, **kwargs):
+        gc.collect()
+        assert [ref() for ref in tables] == [None] * len(tables)
+        return select_k(*args, **kwargs)
+
+    monkeypatch.setattr(vibrancy.pipeline, "read_traffic", read_and_watch)
+    monkeypatch.setattr(vibrancy.pipeline, "select_k", select_k_without_tables)
+    cfg = city_dir / "pipeline.cfg" if level == "local" else _two_city_global_config(tmp_path)
+    manifest = run_pipeline(parse_config(cfg), tmp_path / "out")
+    assert len(tables) == len(manifest["config"]["cities"])
+    assert len(manifest["results"]) == (2 if level == "local" else 1)
 
 
 def _json_edit(edit):
@@ -722,6 +778,49 @@ def test_odd_poi_lines_still_run(city_dir, tmp_path, capsys, case):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def _reference_parse_pois(path: Path) -> tuple[list[PoiRecord], ParseReport]:
+    """POI rows read one ``csv`` row at a time, each record with its own strings."""
+    records, report = [], ParseReport()
+    with open(path, encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            report.total_lines += 1
+            if len(row) != 4:
+                report._reject(line_no, "malformed")
+                continue
+            x_s, y_s, label, source_cat = (c.strip() for c in row)
+            try:
+                x, y = float(x_s), float(y_s)
+            except ValueError:
+                report._reject(line_no, "malformed")
+                continue
+            if not (math.isfinite(x) and math.isfinite(y)) or not label:
+                report._reject(line_no, "malformed")
+            elif source_cat not in ("amenity", "leisure", "shop", "sport"):
+                report._reject(line_no, "unknown_source_category")
+            else:
+                records.append(PoiRecord(x, y, label, source_cat))
+                report.accepted += 1
+    return records, report
+
+
+@pytest.mark.parametrize("case", ["as written"] + sorted(ODD_POI_LINES))
+def test_parse_pois_shares_its_strings(city_dir, tmp_path, case):
+    pois = tmp_path / "pois.csv"
+    text = (city_dir / "pois.csv").read_text()
+    pois.write_bytes((ODD_POI_LINES[case](text) if case in ODD_POI_LINES else text).encode())
+    records, report = parse_pois(pois)
+    assert (records, report) == _reference_parse_pois(pois)
+    labels = {p.label for p in records}
+    assert len(labels) < len(records)  # the file repeats labels
+    assert len({id(p.label) for p in records}) == len(labels)
+    assert (len({id(p.source_category) for p in records})
+            == len({p.source_category for p in records}))
+
+
 @pytest.mark.parametrize("command", ["run", "signatures"])
 def test_service_missing_from_the_taxonomy_names_both_files(city_dir, tmp_path, capsys,
                                                             command):
@@ -738,6 +837,8 @@ def test_service_missing_from_the_taxonomy_names_both_files(city_dir, tmp_path, 
     assert main(argv) == 2
     err = _one_line_data_error(capsys, taxonomy)
     assert f"{traffic}: service 'svc-cat00-a' not in taxonomy {taxonomy}" in err
+    if command == "run":  # the tensors are built as the city is read
+        assert err.startswith("data error: stage 'ingest': ")
 
 
 def test_a_run_does_not_import_numpy_ma(city_dir, tmp_path):
