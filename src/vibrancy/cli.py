@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .config import parse_config
 from .clustering import read_labels_csv, select_k
-from .errors import DataError, NumericError, VibrancyError, read_json
+from .errors import ConfigError, DataError, NumericError, VibrancyError, read_json
 from .features import build_features, load_third_place_taxonomy, rare_labels
 from .features import export_features_csv, load_features_csv
 from .grid import load_region
@@ -201,16 +200,21 @@ def _cmd_fit(args) -> int:
 
 def _cmd_run(args) -> int:
     out = args.out
+    given = {name: getattr(args, name) for name in args.overrides
+             if getattr(args, name) is not None}
+    options = ", ".join(args.overrides[name] for name in given)
     if args.manifest:
+        if given:
+            raise _UsageError(f"--manifest reruns its recorded config; drop {options}")
         manifest = run_from_manifest(args.manifest, out)
     else:
-        config = parse_config(args.config)
-        # each `run` option is named after the config field it overrides
-        for f in fields(config):
-            value = getattr(args, f.name, None)
-            if value is not None:
-                setattr(config, f.name, value)
-        config.validate()
+        config = parse_config(args.config)  # validated, so a failure below is an option's
+        for name, value in given.items():
+            setattr(config, name, value)
+        try:
+            config.validate()
+        except ConfigError as exc:
+            raise _UsageError(f"{options}: {exc}") from None
         manifest = run_pipeline(config, out)
     print(f"run complete: {len(manifest['artifacts'])} artifacts in {out}")
     for scope in sorted(manifest["results"]):
@@ -414,17 +418,20 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--config")
     src.add_argument("--manifest")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--k-min", type=int)
-    p.add_argument("--k-max", type=int)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--level", choices=("local", "global"))
-    p.add_argument("--day-type", dest="day_types", action="append", choices=DAY_TYPES)
-    p.add_argument("--holdout", type=float)
-    p.add_argument("--drop-silent-cells", action="store_true", default=None)
-    p.add_argument("--mean-per-day", action="store_true", default=None)
-    p.set_defaults(func=_cmd_run)
+    # each override's dest is the config field it sets
+    overrides = [
+        p.add_argument("--seed", type=int),
+        p.add_argument("--lambda", dest="lam", type=float),
+        p.add_argument("--k-min", type=int),
+        p.add_argument("--k-max", type=int),
+        p.add_argument("--restarts", type=int),
+        p.add_argument("--level", choices=("local", "global")),
+        p.add_argument("--day-type", dest="day_types", action="append", choices=DAY_TYPES),
+        p.add_argument("--holdout", type=float),
+        p.add_argument("--drop-silent-cells", action="store_true", default=None),
+        p.add_argument("--mean-per-day", action="store_true", default=None),
+    ]
+    p.set_defaults(func=_cmd_run, overrides={a.dest: a.option_strings[0] for a in overrides})
 
     p = sub.add_parser("report", help="re-emit result tables from a finished run")
     p.add_argument("--run-dir", required=True)

@@ -6,11 +6,12 @@ Formats (header line mandatory):
 * POIs:     ``x,y,label,source_category``
 * services: ``service,category``
 
-Traffic parsing rejects bad rows instead of aborting: each rejected line is
-counted under a reason so that accepted + rejected always equals the number
-of data lines. Accepted traffic rows are kept as typed columns
-(``TrafficTable``), read once per file, not as one object per row; plain
-chunks of the file are parsed with numpy (see ``read_traffic``). A wrong
+Traffic and POI files share one chunked reader (``_read_csv``). It rejects
+bad rows instead of aborting: each rejected line is counted under a reason
+so that accepted + rejected always equals the number of data lines. Each
+format only turns a batch of fields into reject reasons and keeps the rows
+it accepts, with numpy, not row by row. Accepted traffic rows are kept as
+typed columns (``TrafficTable``), not as one object per row. A wrong
 header, or a line error in a taxonomy, is a DataError naming the file.
 """
 
@@ -20,12 +21,12 @@ import csv
 import io
 import math
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime
-from itertools import chain, count, repeat
+from itertools import chain, count, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -90,13 +91,9 @@ class ParseReport:
             raise DataError(f"{_source_name(source)}: no {what} row accepted of "
                             f"{self.total_lines} data lines (rejected: {rejected or 'none'})")
 
-    def _reject(self, line_no: int, reason: str) -> None:
-        self.rejects[reason] = self.rejects.get(reason, 0) + 1
-        if len(self.rejected_lines) < MAX_REJECT_EXAMPLES:
-            self.rejected_lines.append((line_no, reason))
-
     def _reject_lines(self, line_nos: list[int], reasons: list[str]) -> None:
-        """``_reject`` for each line and its reason, in line order."""
+        """Count each line's reject reason, and keep the first lines as
+        examples; the lines come in order."""
         for reason in dict.fromkeys(reasons):
             self.rejects[reason] = self.rejects.get(reason, 0) + reasons.count(reason)
         room = max(MAX_REJECT_EXAMPLES - len(self.rejected_lines), 0)
@@ -230,15 +227,15 @@ def _parse_timestamp(text: str) -> datetime:
     return ts
 
 
-#: bytes ``read_traffic`` reads per step; each step then runs on to its line's end
+#: bytes ``_read_csv`` reads per step; each step then runs on to its line's end
 CHUNK_BYTES = 1 << 15
+#: csv rows ``_read_csv`` takes at a time once a chunk is not plain
+_ROW_BATCH = 4096
 
 # A chunk of these bytes only, each "\r" just before a "\n", holds no quote
 # and no whitespace, so each of its lines is one csv row.
 _FIELD_BYTES = b"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz.:_+-"
 _PLAIN_BYTES = _FIELD_BYTES + b",\n\r"
-_DIRECTION_OF = {d.encode(): i for i, d in enumerate(DIRECTIONS)}
-_REASONS = (None, REJECT_MALFORMED, REJECT_UNKNOWN_DIRECTION, REJECT_OUT_OF_BOUNDS)
 _NOT_INT = -(2**63)  # int64's least value
 
 
@@ -259,14 +256,14 @@ def _float_or_nan(text) -> float:
         return math.nan
 
 
-def _codes(fields: list) -> tuple[np.ndarray, list]:
+def _codes(fields: list) -> tuple[np.ndarray, list[str]]:
     """Each field's index among the distinct fields, and the distinct fields
-    in order of first appearance."""
+    as ``str`` in order of first appearance."""
     first = {}  # field -> position of its first appearance
     at = np.fromiter(map(first.setdefault, fields, count()), np.intp, len(fields))
     index = np.zeros(len(fields), np.intp)
     index[list(first.values())] = np.arange(len(first))
-    return index[at], list(first)
+    return index[at], [f.decode() if isinstance(f, bytes) else f for f in first]
 
 
 def _parse_all(fields: list, parse, parse_or_flag, dtype) -> np.ndarray:
@@ -277,170 +274,111 @@ def _parse_all(fields: list, parse, parse_or_flag, dtype) -> np.ndarray:
         return np.fromiter(map(parse_or_flag, fields), dtype, len(fields))
 
 
-class _TrafficReader:
-    """Accepted traffic rows of one source as growing typed columns, with the
-    timestamp and service indexes and the ParseReport of every line so far."""
+def _plain(data: bytes) -> Optional[bytes]:
+    """``data`` with ``\\r\\n`` line ends as ``\\n`` if the chunk is plain;
+    None if it is not."""
+    if data.translate(None, _PLAIN_BYTES):
+        return None
+    if b"\r" in data:  # so the two counts and the replace skip "\n"-only chunks
+        if data.count(b"\r") != data.count(b"\r\n"):
+            return None
+        data = data.replace(b"\r\n", b"\n")
+    return data
 
-    def __init__(self, grid: GridSpec, source):
-        # col, row, stamp, service, direction, volume
-        self.columns = [array(code) for code in "qqiibd"]
-        self.stamps: list[datetime] = []
-        self.stamp_of: dict[str, Optional[int]] = {}  # stripped text -> index, None if malformed
-        self.service_of: dict[str, int] = {}
-        self.n_cols, self.n_rows = grid.n_cols, grid.n_rows
-        self.source = source
-        self.report = ParseReport()
-        self.line_no = 1  # of the next line to read; the header is line 1
 
-    def stamp_index(self, text: str) -> Optional[int]:
-        try:
-            return self.stamp_of[text]
-        except KeyError:
-            try:
-                self.stamps.append(_parse_timestamp(text))
-                stamp = len(self.stamps) - 1
-            except ValueError:
-                stamp = None
-            self.stamp_of[text] = stamp
-            return stamp
+def _split_plain(data: bytes, width: int) -> tuple[np.ndarray, list[list[bytes]]]:
+    """Each line's field count (0 if blank) in a plain chunk, and the fields
+    of its lines with ``width`` fields, one list per column."""
+    separators = data.translate(None, _FIELD_BYTES) + (b"" if data.endswith(b"\n") else b"\n")
+    n_lines = separators.count(b"\n")
+    if separators == (b"," * (width - 1) + b"\n") * n_lines:  # the usual chunk
+        n_fields = np.full(n_lines, width)
+        blank = np.zeros(n_lines, bool)
+    else:
+        lines = data.split(b"\n")[:n_lines]
+        n_fields = np.fromiter(map(bytes.count, lines, repeat(b",")), np.intp, n_lines) + 1
+        blank = ~np.fromiter(map(bool, lines), bool, n_lines)
+        del lines
+    full = np.flatnonzero(n_fields == width)
+    fields = data.replace(b"\n", b",").split(b",")
+    if len(full) < n_lines:  # keep the fields of full lines only
+        first = (np.cumsum(n_fields) - n_fields)[full].tolist()
+        fields = [fields[j] for i in first for j in range(i, i + width)]
+    n_fields[blank] = 0
+    return n_fields, [fields[i : width * len(full) : width] for i in range(width)]
 
-    def read_plain(self, data: bytes) -> bool:
-        """Read the whole lines in ``data`` with numpy if the chunk is plain;
-        False, with nothing read, if it is not."""
-        if data.translate(None, _PLAIN_BYTES):
-            return False
-        if b"\r" in data:
-            if data.count(b"\r") != data.count(b"\r\n"):
-                return False
-            data = data.replace(b"\r\n", b"\n")
-        if self.line_no == 1:
-            header, _, data = data.partition(b"\n")
-            _check_header(header.decode().split(","), TRAFFIC_HEADER, "traffic", self.source)
-            self.line_no = 2
+
+def _split_rows(rows: Iterator[list[str]], width: int) -> Iterator[tuple[np.ndarray, list]]:
+    """``_split_plain`` for csv rows, ``_ROW_BATCH`` rows at a time, every
+    field stripped."""
+    while batch := list(islice(rows, _ROW_BATCH)):
+        n_fields = np.fromiter(map(len, batch), np.intp, len(batch))
+        columns = zip(*(row for row in batch if len(row) == width))
+        yield n_fields, [list(map(str.strip, c)) for c in columns] or [[] for _ in range(width)]
+
+
+def _batches(fh, header: list[str], what: str, source) -> Iterator[tuple[np.ndarray, list]]:
+    """The split lines after the header of an open binary file or text
+    stream: plain chunks with ``_split_plain``; from the first chunk that is
+    not plain on, ``csv.reader`` rows with ``_split_rows``."""
+    checked = False  # the header
+    while chunk := fh.read(CHUNK_BYTES):
+        chunk += fh.readline()
+        text = isinstance(chunk, str)
+        data = _plain(chunk.encode("utf-8", "surrogatepass") if text else chunk)
+        if data is None:
+            # a file as UTF-8 text with universal newlines, as open() reads it
+            with nullcontext(fh) if text else io.TextIOWrapper(fh, encoding="utf-8") as rest:
+                head = io.StringIO(chunk) if text else io.TextIOWrapper(io.BytesIO(chunk),
+                                                                        encoding="utf-8")
+                rows = csv.reader(chain(head, rest))
+                if not checked:
+                    _check_header(next(rows, None), header, what, source)
+                yield from _split_rows(rows, len(header))
+            return
+        if not checked:
+            head, _, data = data.partition(b"\n")
+            _check_header(head.decode().split(","), header, what, source)
+            checked = True
         if data:
-            # the chunk's temporaries are gone before the columns grow
-            for column, values in zip(self.columns, self._parse_plain(data)):
-                column.frombytes(memoryview(values.astype(column.typecode, copy=False)).cast("B"))
-        return True
+            yield _split_plain(data, len(header))
+    if not checked:  # no line at all
+        _check_header(None, header, what, source)
 
-    def _parse_plain(self, data: bytes) -> tuple[np.ndarray, ...]:
-        """Count every line of a plain chunk in the report; return the
-        accepted rows' values, one array per column."""
-        separators = data.translate(None, _FIELD_BYTES) + (b"" if data.endswith(b"\n") else b"\n")
-        n_lines = separators.count(b"\n")
-        if separators == b",,,,,\n" * n_lines:  # every line has 6 fields
-            n_fields = np.full(n_lines, 6)
-            blank = np.zeros(n_lines, bool)
-        else:
-            lines = data.split(b"\n")[:n_lines]
-            n_fields = np.fromiter(map(bytes.count, lines, repeat(b",")), np.intp, n_lines) + 1
-            blank = ~np.fromiter(map(bool, lines), bool, n_lines)
-            del lines
-        six = np.flatnonzero(n_fields == 6)
-        fields = data.replace(b"\n", b",").split(b",")
-        if len(six) < len(n_fields):  # keep the fields of 6-field lines only
-            first = (np.cumsum(n_fields) - n_fields)[six].tolist()
-            fields = [fields[j] for i in first for j in range(i, i + 6)]
-        col_s, row_s, ts_s, service_s, direction_s, volume_s = (
-            fields[i : 6 * len(six) : 6] for i in range(6)
-        )
-        del fields
 
-        stamp_code, stamp_texts = _codes(ts_s)  # first appearance among 6-field rows
-        stamp_ids = [self.stamp_index(text.decode()) for text in stamp_texts]
-        stamp = np.array([-1 if i is None else i for i in stamp_ids], np.intp)[stamp_code]
-        direction_code, direction_texts = _codes(direction_s)
-        direction = np.array([_DIRECTION_OF.get(text, -1) for text in direction_texts],
-                             np.intp)[direction_code]
-        service_code, service_texts = _codes(service_s)
-        col = _parse_all(col_s, int, _int_or_flag, np.int64)
-        row = _parse_all(row_s, int, _int_or_flag, np.int64)
-        volume = _parse_all(volume_s, float, _float_or_nan, np.float64)
-        reason = np.zeros(len(six), np.intp)  # an index in _REASONS; the last mask set wins
-        reason[~((0 <= col) & (col < self.n_cols) & (0 <= row) & (row < self.n_rows))] = 3
-        reason[direction < 0] = 2
-        reason[(col == _NOT_INT) | (row == _NOT_INT) | (stamp < 0)
-               | ~(np.isfinite(volume) & (volume >= 0))] = 1
-        if b"" in service_texts:
-            reason[service_code == service_texts.index(b"")] = 1
+def _read_csv(source, header: list[str], what: str, take, reasons: tuple) -> ParseReport:
+    """Read a ``what`` CSV that must start with ``header``, in chunks of
+    ``CHUNK_BYTES`` run on to the end of their line, and count every data
+    line in a ParseReport.
 
-        line_reason = (~blank).astype(np.intp)  # not blank, not 6 fields: malformed
-        line_reason[six] = reason
-        rejected = np.flatnonzero(line_reason)
-        self.report.total_lines += len(blank) - int(np.count_nonzero(blank))
-        self.report._reject_lines((rejected + self.line_no).tolist(),
-                                  [_REASONS[r] for r in line_reason[rejected].tolist()])
-        self.line_no += len(blank)
+    A plain chunk (ASCII letters, digits, ``,.:_+-`` and line ends only,
+    each carriage return just before a line feed) has one csv row per line
+    and is split with ``bytes`` operations. The first chunk that is not plain
+    hands itself and the rest of the source to ``csv.reader``, over UTF-8
+    text with universal newlines as ``open`` reads a file. Blank lines are
+    skipped; a line with another number of fields than ``header`` is
+    ``reasons[1]``, malformed. ``take`` gets the fields of each batch of
+    full lines, one list per column (ASCII ``bytes`` from a plain chunk, else
+    ``str``), keeps the rows it accepts, and returns an index in ``reasons``
+    for each (0 to accept).
+    """
+    report = ParseReport()
+    line_no = 2  # of the next line; the header is line 1
+    with _open_source(source, binary=True) as fh:
+        for n_fields, fields in _batches(fh, header, what, source):
+            line_reason = (n_fields != 0).astype(np.intp)  # not blank, not full: malformed
+            line_reason[n_fields == len(header)] = take(fields)
+            rejected = np.flatnonzero(line_reason)
+            report.total_lines += int(np.count_nonzero(n_fields))
+            report._reject_lines((rejected + line_no).tolist(),
+                                 [reasons[r] for r in line_reason[rejected].tolist()])
+            line_no += len(n_fields)
+    report.accepted = report.total_lines - report.rejected
+    return report
 
-        ok = reason == 0
-        service_code = service_code[ok]
-        codes, first = np.unique(service_code, return_index=True)
-        service_id = np.zeros(len(service_texts), np.int32)
-        for code in codes[np.argsort(first)].tolist():  # first appearance among accepted rows
-            service_id[code] = self.service_of.setdefault(service_texts[code].decode(),
-                                                          len(self.service_of))
-        return col[ok], row[ok], stamp[ok], service_id[service_code], direction[ok], volume[ok]
 
-    def read_rows(self, lines: Iterable[str]) -> None:
-        """Read the csv rows of ``lines`` one at a time, from the current line
-        on: the path for quoting, whitespace, lone carriage returns and
-        non-ASCII text."""
-        add_col, add_row, add_stamp, add_service, add_direction, add_volume = (
-            c.append for c in self.columns
-        )
-        stamp_index = self.stamp_index
-        service_of = self.service_of
-        direction_of = {d: i for i, d in enumerate(DIRECTIONS)}
-        n_cols, n_rows = self.n_cols, self.n_rows
-        reject = self.report._reject
-        total = 0
-        reader = csv.reader(lines)
-        if self.line_no == 1:
-            _check_header(next(reader, None), TRAFFIC_HEADER, "traffic", self.source)
-            self.line_no = 2
-        for line_no, fields in enumerate(reader, start=self.line_no):
-            if not fields:
-                continue
-            total += 1
-            if len(fields) != 6:
-                reject(line_no, REJECT_MALFORMED)
-                continue
-            col_s, row_s, ts_s, service, direction, volume_s = map(str.strip, fields)
-            stamp = stamp_index(ts_s)
-            try:
-                col, row = int(col_s), int(row_s)
-                volume = float(volume_s)
-            except ValueError:
-                reject(line_no, REJECT_MALFORMED)
-                continue
-            if stamp is None or not service or not math.isfinite(volume) or volume < 0:
-                reject(line_no, REJECT_MALFORMED)
-                continue
-            direction_id = direction_of.get(direction)
-            if direction_id is None:
-                reject(line_no, REJECT_UNKNOWN_DIRECTION)
-                continue
-            if not (0 <= col < n_cols and 0 <= row < n_rows):  # as GridSpec.contains_cell
-                reject(line_no, REJECT_OUT_OF_BOUNDS)
-                continue
-            add_col(col)
-            add_row(row)
-            add_stamp(stamp)
-            add_service(service_of.setdefault(service, len(service_of)))
-            add_direction(direction_id)
-            add_volume(volume)
-        self.report.total_lines += total
-
-    def table(self) -> TrafficTable:
-        if self.line_no == 1:  # no line at all, so no header
-            _check_header(None, TRAFFIC_HEADER, "traffic", self.source)
-        self.report.accepted = len(self.columns[-1])
-        return TrafficTable(
-            *(np.frombuffer(c, dtype=c.typecode) for c in self.columns),
-            tuple(self.stamps),
-            tuple(self.service_of),
-            DIRECTIONS,
-        )
+_DIRECTION_OF = {d: i for i, d in enumerate(DIRECTIONS)}
+_TRAFFIC_REASONS = (None, REJECT_MALFORMED, REJECT_UNKNOWN_DIRECTION, REJECT_OUT_OF_BOUNDS)
 
 
 def read_traffic(source, grid: GridSpec) -> tuple[TrafficTable, ParseReport]:
@@ -449,31 +387,60 @@ def read_traffic(source, grid: GridSpec) -> tuple[TrafficTable, ParseReport]:
     Returns the accepted rows as a TrafficTable in file order plus a
     ParseReport counting rejections (malformed row, unknown direction,
     out-of-bounds cell). Each distinct timestamp text is validated once.
-
-    The source is read in chunks of ``CHUNK_BYTES``, each run on to the end
-    of its line. A plain chunk (ASCII letters, digits, ``,.:_+-`` and line
-    ends only, each carriage return just before a line feed) has one csv row
-    per line and is parsed a chunk at a time with numpy. The first chunk that is not plain
-    hands itself and the rest of the source to the per-row ``csv.reader``
-    loop in text mode, which continues the same line numbers, columns and
-    report. Both give what the per-row loop gives for the whole source; the
-    columns grow in place.
+    The source is read by ``_read_csv``; the columns grow in place, a batch
+    at a time.
     """
-    reader = _TrafficReader(grid, source)
-    with _open_source(source, binary=True) as fh:
-        while chunk := fh.read(CHUNK_BYTES):
-            chunk += fh.readline()
-            text = isinstance(chunk, str)
-            if not reader.read_plain(chunk.encode("utf-8", "surrogatepass") if text else chunk):
-                if text:
-                    reader.read_rows(chain(io.StringIO(chunk), fh))
-                else:  # UTF-8 text with universal newlines, as open() reads a file
-                    with io.TextIOWrapper(fh, encoding="utf-8") as rest:
-                        head = io.TextIOWrapper(io.BytesIO(chunk), encoding="utf-8")
-                        reader.read_rows(chain(head, rest))
-                break
-        table = reader.table()
-    return table, reader.report
+    columns = [array(code) for code in "qqiibd"]  # col, row, stamp, service, direction, volume
+    stamps: list[datetime] = []
+    stamp_of: dict[str, int] = {}  # stripped text -> index in stamps, -1 if malformed
+    service_of: dict[str, int] = {}
+
+    def stamp_index(text: str) -> int:
+        if text not in stamp_of:
+            try:
+                stamps.append(_parse_timestamp(text))
+                stamp_of[text] = len(stamps) - 1
+            except ValueError:
+                stamp_of[text] = -1
+        return stamp_of[text]
+
+    def take(fields: list[list]) -> np.ndarray:
+        col_s, row_s, ts_s, service_s, direction_s, volume_s = fields
+        stamp_code, stamp_texts = _codes(ts_s)  # first appearance among full rows
+        stamp = np.array([stamp_index(text) for text in stamp_texts], np.intp)[stamp_code]
+        direction_code, direction_texts = _codes(direction_s)
+        direction = np.array([_DIRECTION_OF.get(text, -1) for text in direction_texts],
+                             np.intp)[direction_code]
+        service_code, service_texts = _codes(service_s)
+        col = _parse_all(col_s, int, _int_or_flag, np.int64)
+        row = _parse_all(row_s, int, _int_or_flag, np.int64)
+        volume = _parse_all(volume_s, float, _float_or_nan, np.float64)
+        reason = np.zeros(len(col), np.intp)  # an index in _TRAFFIC_REASONS; the last mask set wins
+        reason[~((0 <= col) & (col < grid.n_cols) & (0 <= row) & (row < grid.n_rows))] = 3
+        reason[direction < 0] = 2
+        reason[(col == _NOT_INT) | (row == _NOT_INT) | (stamp < 0)
+               | ~(np.isfinite(volume) & (volume >= 0))] = 1
+        if "" in service_texts:
+            reason[service_code == service_texts.index("")] = 1
+
+        ok = reason == 0
+        service_code = service_code[ok]
+        codes, first = np.unique(service_code, return_index=True)
+        service_id = np.zeros(len(service_texts), np.int32)
+        for code in codes[np.argsort(first)].tolist():  # first appearance among accepted rows
+            service_id[code] = service_of.setdefault(service_texts[code], len(service_of))
+        for column, values in zip(columns, (col[ok], row[ok], stamp[ok], service_id[service_code],
+                                            direction[ok], volume[ok])):
+            column.frombytes(memoryview(values.astype(column.typecode, copy=False)).cast("B"))
+        return reason
+
+    report = _read_csv(source, TRAFFIC_HEADER, "traffic", take, _TRAFFIC_REASONS)
+    return TrafficTable(
+        *(np.frombuffer(c, dtype=c.typecode) for c in columns),
+        tuple(stamps),
+        tuple(service_of),
+        DIRECTIONS,
+    ), report
 
 
 # The benchmark's replay (perfbench/replay.py) still imports this name; it
@@ -483,41 +450,37 @@ parse_traffic = read_traffic
 
 #: each accepted source key to the one ``str`` object every POI record shares
 _SOURCE_KEY_OF = {key: key for key in POI_SOURCE_KEYS}
+_POI_REASONS = (None, REJECT_MALFORMED, REJECT_UNKNOWN_SOURCE)
 
 
 def parse_pois(source) -> tuple[list[PoiRecord], ParseReport]:
-    """Parse a POI CSV; rows with a source key outside amenity/leisure/shop/sport
-    are rejected. The records share one ``str`` object per distinct label and
-    per distinct source key."""
+    """Parse a POI CSV with ``_read_csv``; rows with a non-finite coordinate
+    or an empty label are malformed, and rows with a source key outside
+    amenity/leisure/shop/sport are rejected. The records share one ``str``
+    object per distinct label and per distinct source key."""
     records: list[PoiRecord] = []
-    report = ParseReport()
     label_of: dict[str, str] = {}
-    with _open_source(source) as lines:
-        reader = csv.reader(lines)
-        _check_header(next(reader, None), POI_HEADER, "POI", source)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            report.total_lines += 1
-            if len(row) != 4:
-                report._reject(line_no, REJECT_MALFORMED)
-                continue
-            x_s, y_s, label, source_cat = (c.strip() for c in row)
-            try:
-                x, y = float(x_s), float(y_s)
-            except ValueError:
-                report._reject(line_no, REJECT_MALFORMED)
-                continue
-            if not (math.isfinite(x) and math.isfinite(y)) or not label:
-                report._reject(line_no, REJECT_MALFORMED)
-                continue
-            source_cat = _SOURCE_KEY_OF.get(source_cat)
-            if source_cat is None:
-                report._reject(line_no, REJECT_UNKNOWN_SOURCE)
-                continue
-            records.append(PoiRecord(x, y, label_of.setdefault(label, label), source_cat))
-            report.accepted += 1
-    return records, report
+
+    def take(fields: list[list]) -> np.ndarray:
+        x_s, y_s, label_s, key_s = fields
+        x = _parse_all(x_s, float, _float_or_nan, np.float64)
+        y = _parse_all(y_s, float, _float_or_nan, np.float64)
+        label_code, labels = _codes(label_s)
+        key_code, keys = _codes(key_s)
+        reason = np.zeros(len(x), np.intp)  # an index in _POI_REASONS; the last mask set wins
+        reason[~np.array([key in _SOURCE_KEY_OF for key in keys], bool)[key_code]] = 2
+        reason[~(np.isfinite(x) & np.isfinite(y))] = 1
+        if "" in labels:
+            reason[label_code == labels.index("")] = 1
+        ok = reason == 0
+        labels = [label_of.setdefault(label, label) for label in labels]
+        keys = list(map(_SOURCE_KEY_OF.get, keys))
+        records.extend(map(PoiRecord, x[ok].tolist(), y[ok].tolist(),
+                           map(labels.__getitem__, label_code[ok].tolist()),
+                           map(keys.__getitem__, key_code[ok].tolist())))
+        return reason
+
+    return records, _read_csv(source, POI_HEADER, "POI", take, _POI_REASONS)
 
 
 def read_category_pairs(source, header: list[str], what: str, duplicate=DataError,

@@ -1,8 +1,6 @@
-import csv
 import gc
 import hashlib
 import json
-import math
 import os
 import shutil
 import subprocess
@@ -20,9 +18,11 @@ from vibrancy.cli import main
 from vibrancy.clustering import read_model
 from vibrancy.config import parse_config
 from vibrancy.errors import ConfigError
-from vibrancy.ingest import ParseReport, PoiRecord, parse_pois
+from vibrancy.ingest import parse_pois
 from vibrancy.pipeline import run_pipeline
 from vibrancy.synth import SynthSpec, generate_for_day_types, write_city
+
+from test_ingest import reference_parse_pois
 
 
 def sha(path: Path) -> str:
@@ -508,18 +508,34 @@ class TestExitCodes:
         assert main(["cluster", "--bogus"]) == 1
         assert main(["definitely-not-a-command"]) == 1
 
-    @pytest.mark.parametrize("bad", [
-        ["--restarts", "0"],
-        ["--restarts", "-2"],
-        ["--k-min", "1"],
-        ["--k-min", "5", "--k-max", "4"],
-    ], ids=["no restarts", "negative restarts", "k-min below 2", "k-min above k-max"])
-    def test_cluster_ranges_are_usage_errors(self, run_dir, tmp_path, capsys, bad):
-        rr = run_dir / "alpha" / "weekday" / "signatures_rr.sig"
+    @pytest.mark.parametrize("command, bad", [
+        ("cluster", ["--restarts", "0"]),
+        ("cluster", ["--restarts", "-2"]),
+        ("cluster", ["--k-min", "1"]),
+        ("cluster", ["--k-min", "5", "--k-max", "4"]),
+        ("run", ["--restarts", "0"]),
+        ("run", ["--lambda", "nan"]),
+        ("run", ["--holdout", "1"]),
+        ("run", ["--k-min", "5", "--k-max", "4"]),
+        ("run --manifest", ["--seed", "5"]),
+        ("run --manifest", ["--restarts", "0"]),
+    ], ids=["no restarts", "negative restarts", "k-min below 2", "k-min above k-max",
+            "run no restarts", "run lambda nan", "run holdout 1", "run k-min above k-max",
+            "run manifest with seed", "run manifest with restarts"])
+    def test_cluster_ranges_are_usage_errors(self, city_dir, run_dir, tmp_path, capsys,
+                                             command, bad):
         out = tmp_path / "c"
-        assert main(["cluster", "--rr", str(rr), "--out-dir", str(out), *bad]) == 1
+        if command == "cluster":
+            rr = run_dir / "alpha" / "weekday" / "signatures_rr.sig"
+            argv = ["cluster", "--rr", str(rr), "--out-dir", str(out)]
+        elif command == "run":
+            argv = ["run", "--config", str(city_dir / "pipeline.cfg"), "--out", str(out)]
+        else:
+            argv = ["run", "--manifest", str(run_dir / "manifest.json"), "--out", str(out)]
+        assert main([*argv, *bad]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1, err
+        assert bad[0] in err  # the option is named
         assert not out.exists()
 
     def test_data_error_is_two(self, tmp_path, capsys):
@@ -713,6 +729,10 @@ UNREADABLE_FILES = {
     "manifest a directory": ("manifest.json", _a_directory, None),
     "coefficients not UTF-8": (COEFFICIENTS, _not_utf8, None),
     "traffic header wrong": ("traffic.csv", _bad_header, None),
+    "traffic file empty": ("traffic.csv", _empty, None),
+    "traffic file without a header": ("traffic.csv", _no_header, None),
+    "traffic file random bytes": ("traffic.csv", _random_bytes, None),
+    "traffic byte flip breaks UTF-8": ("traffic.csv", _middle_byte_flipped, None),
     "POI header wrong": ("pois.csv", _bad_header, None),
     "POI file empty": ("pois.csv", _empty, None),
     "POI file without a header": ("pois.csv", _no_header, None),
@@ -778,42 +798,13 @@ def test_odd_poi_lines_still_run(city_dir, tmp_path, capsys, case):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def _reference_parse_pois(path: Path) -> tuple[list[PoiRecord], ParseReport]:
-    """POI rows read one ``csv`` row at a time, each record with its own strings."""
-    records, report = [], ParseReport()
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            report.total_lines += 1
-            if len(row) != 4:
-                report._reject(line_no, "malformed")
-                continue
-            x_s, y_s, label, source_cat = (c.strip() for c in row)
-            try:
-                x, y = float(x_s), float(y_s)
-            except ValueError:
-                report._reject(line_no, "malformed")
-                continue
-            if not (math.isfinite(x) and math.isfinite(y)) or not label:
-                report._reject(line_no, "malformed")
-            elif source_cat not in ("amenity", "leisure", "shop", "sport"):
-                report._reject(line_no, "unknown_source_category")
-            else:
-                records.append(PoiRecord(x, y, label, source_cat))
-                report.accepted += 1
-    return records, report
-
-
 @pytest.mark.parametrize("case", ["as written"] + sorted(ODD_POI_LINES))
 def test_parse_pois_shares_its_strings(city_dir, tmp_path, case):
     pois = tmp_path / "pois.csv"
     text = (city_dir / "pois.csv").read_text()
     pois.write_bytes((ODD_POI_LINES[case](text) if case in ODD_POI_LINES else text).encode())
     records, report = parse_pois(pois)
-    assert (records, report) == _reference_parse_pois(pois)
+    assert (records, report) == reference_parse_pois(pois)
     labels = {p.label for p in records}
     assert len(labels) < len(records)  # the file repeats labels
     assert len({id(p.label) for p in records}) == len(labels)

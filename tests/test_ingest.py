@@ -7,6 +7,7 @@ from array import array
 from datetime import datetime
 from importlib.resources import files
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -23,11 +24,15 @@ from vibrancy.grid import CellId, GridSpec, load_region
 from vibrancy.ingest import (
     DIRECTIONS,
     MAX_REJECT_EXAMPLES,
+    POI_HEADER,
+    POI_SOURCE_KEYS,
     REJECT_MALFORMED,
     REJECT_OUT_OF_BOUNDS,
     REJECT_UNKNOWN_DIRECTION,
+    REJECT_UNKNOWN_SOURCE,
     TRAFFIC_HEADER,
     ParseReport,
+    PoiRecord,
     ServiceTaxonomy,
     TrafficTable,
     _parse_timestamp,
@@ -189,7 +194,7 @@ def reference_read_traffic(source, grid):
                 continue
             total += 1
             if len(fields) != 6:
-                report._reject(line_no, REJECT_MALFORMED)
+                report._reject_lines([line_no], [REJECT_MALFORMED])
                 continue
             col_s, row_s, ts_s, service, direction, volume_s = map(str.strip, fields)
             if ts_s not in stamp_of:
@@ -203,16 +208,16 @@ def reference_read_traffic(source, grid):
                 col, row = int(col_s), int(row_s)
                 volume = float(volume_s)
             except ValueError:
-                report._reject(line_no, REJECT_MALFORMED)
+                report._reject_lines([line_no], [REJECT_MALFORMED])
                 continue
             if stamp is None or not service or not math.isfinite(volume) or volume < 0:
-                report._reject(line_no, REJECT_MALFORMED)
+                report._reject_lines([line_no], [REJECT_MALFORMED])
                 continue
             if direction not in direction_of:
-                report._reject(line_no, REJECT_UNKNOWN_DIRECTION)
+                report._reject_lines([line_no], [REJECT_UNKNOWN_DIRECTION])
                 continue
             if not (0 <= col < grid.n_cols and 0 <= row < grid.n_rows):
-                report._reject(line_no, REJECT_OUT_OF_BOUNDS)
+                report._reject_lines([line_no], [REJECT_OUT_OF_BOUNDS])
                 continue
             for column, value in zip(columns, (col, row, stamp, service_of.setdefault(
                     service, len(service_of)), direction_of[direction], volume)):
@@ -226,6 +231,49 @@ def reference_read_traffic(source, grid):
                         tuple(stamps), tuple(service_of), DIRECTIONS), report
 
 
+def reference_parse_pois(source):
+    """POI rows read one ``csv`` row at a time, each record with its own
+    strings: the reader that the chunked ``parse_pois`` replaced."""
+    records, report = [], ParseReport()
+    lines = source if hasattr(source, "read") else open(source, encoding="utf-8")
+    try:
+        reader = csv.reader(lines)
+        header = next(reader, None)
+        if header is None or [c.strip() for c in header] != POI_HEADER:
+            raise DataError("bad header")
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            report.total_lines += 1
+            if len(row) != 4:
+                report._reject_lines([line_no], [REJECT_MALFORMED])
+                continue
+            x_s, y_s, label, source_cat = (c.strip() for c in row)
+            try:
+                x, y = float(x_s), float(y_s)
+            except ValueError:
+                report._reject_lines([line_no], [REJECT_MALFORMED])
+                continue
+            if not (math.isfinite(x) and math.isfinite(y)) or not label:
+                report._reject_lines([line_no], [REJECT_MALFORMED])
+            elif source_cat not in POI_SOURCE_KEYS:
+                report._reject_lines([line_no], [REJECT_UNKNOWN_SOURCE])
+            else:
+                records.append(PoiRecord(x, y, label, source_cat))
+                report.accepted += 1
+    finally:
+        if lines is not source:
+            lines.close()
+    return records, report
+
+
+def assert_same_report(report, ref_report):
+    """Equal counts, and the same rejects in the same order."""
+    assert (report.total_lines, report.accepted) == (ref_report.total_lines, ref_report.accepted)
+    assert list(report.rejects.items()) == list(ref_report.rejects.items())
+    assert report.rejected_lines == ref_report.rejected_lines
+
+
 def assert_same_read(got, want):
     """Equal tables, bit for bit, and equal reports, rejects in the same order."""
     (table, report), (ref_table, ref_report) = got, want
@@ -234,9 +282,15 @@ def assert_same_read(got, want):
         assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
     assert (table.stamps, table.services, table.directions) == (
         ref_table.stamps, ref_table.services, ref_table.directions)
-    assert (report.total_lines, report.accepted) == (ref_report.total_lines, ref_report.accepted)
-    assert list(report.rejects.items()) == list(ref_report.rejects.items())
-    assert report.rejected_lines == ref_report.rejected_lines
+    assert_same_report(report, ref_report)
+
+
+def assert_same_pois(got, want):
+    """Equal records, coordinates bit for bit, and equal reports."""
+    (records, report), (ref_records, ref_report) = got, want
+    assert [(p.x.hex(), p.y.hex(), p.label, p.source_category) for p in records] == [
+        (p.x.hex(), p.y.hex(), p.label, p.source_category) for p in ref_records]
+    assert_same_report(report, ref_report)
 
 
 # Fields the fuzz draws from: plain text first, then what only the per-row
@@ -256,33 +310,84 @@ FUZZ_NOT_PLAIN = [
     "1,1,2019-03-18T08:00,Café,uplink,1",
     "1,1,2019-03-18T08:00,App\tTab,uplink,1",
 ]
+FUZZ_COORDS = ["1.5", "0", "-3", "40.25", "1e3", "-0", "+5", "1_0", "nan", "-nan", "inf",
+               "-inf", "1e400", "-1e400", "lots", "", "0x10"]
+FUZZ_LABELS = ["cafe", "bar", "post_office", "fast_food", "Pub-1", ""]
+FUZZ_KEYS = ["amenity", "leisure", "shop", "sport", "building", "Amenity", ""]
+FUZZ_POI_NOT_PLAIN = [
+    '12.5,40.0,"cafe, bar",amenity',
+    " 1.5 , 2.5 , cafe ,shop ",
+    "3.0,4.0,café,leisure",
+    '"5.0",6.0,"Multi\nLine",sport',
+    "7.0,8.0,tab\tbar,amenity",
+    "9.0, 1e400 ,café,amenity",
+]
 
 
-def fuzz_traffic(rng, plain: bool) -> str:
-    """A traffic CSV of random good and bad lines, with \\n and \\r\\n line
-    ends and blank lines; unless ``plain``, also lone \\r line ends and lines
-    only the per-row path reads, from a random line on."""
-    parts = [",".join(TRAFFIC_HEADER)]
+def _good_traffic(rng) -> str:
+    return (f"{rng.integers(0, 10)},{rng.integers(0, 10)},"
+            f"2019-03-{rng.integers(16, 24)}T{rng.integers(0, 24):02d}:"
+            f"{15 * rng.integers(0, 4):02d},{rng.choice(FUZZ_SERVICES[:4])},"
+            f"{rng.choice(DIRECTIONS)},{rng.random() * 100:.6g}")
+
+
+def _good_poi(rng) -> str:
+    return (f"{rng.random() * 500:.6g},{rng.random() * 500:.17g},"
+            f"{rng.choice(FUZZ_LABELS[:4])},{rng.choice(POI_SOURCE_KEYS)}")
+
+
+class Format(NamedTuple):
+    """A row format as the fuzz tests see it: how to read it, the per-row
+    reference it must equal, and what its fuzzed lines are made of."""
+
+    name: str  # the file name
+    header: list
+    read: Callable
+    reference: Callable
+    assert_same: Callable
+    reasons: set  # every reject reason
+    good: Callable  # rng -> a likely good line
+    pools: list  # per field, the values a random line draws from
+    not_plain: list  # lines only the per-row path reads
+    wrong_counts: list  # field counts of short and long lines
+
+
+TRAFFIC = Format(
+    "traffic.csv", TRAFFIC_HEADER, lambda source: read_traffic(source, GRID),
+    lambda source: reference_read_traffic(source, GRID), assert_same_read,
+    {REJECT_MALFORMED, REJECT_UNKNOWN_DIRECTION, REJECT_OUT_OF_BOUNDS}, _good_traffic,
+    [FUZZ_CELLS, FUZZ_CELLS, FUZZ_STAMPS, FUZZ_SERVICES, FUZZ_DIRECTIONS, FUZZ_VOLUMES],
+    FUZZ_NOT_PLAIN, [1, 2, 5, 7])
+POIS = Format(
+    "pois.csv", POI_HEADER, parse_pois, reference_parse_pois, assert_same_pois,
+    {REJECT_MALFORMED, REJECT_UNKNOWN_SOURCE}, _good_poi,
+    [FUZZ_COORDS, FUZZ_COORDS, FUZZ_LABELS, FUZZ_KEYS], FUZZ_POI_NOT_PLAIN, [1, 3, 5, 6])
+# (format, plain) pairs; traffic's ids name only the mix
+FORMATS_PLAIN = pytest.mark.parametrize(
+    "fmt, plain", [(TRAFFIC, True), (TRAFFIC, False), (POIS, True), (POIS, False)],
+    ids=["plain", "mixed", "POI-plain", "POI-mixed"])
+
+
+def fuzz_csv(rng, plain: bool, fmt: Format) -> str:
+    """A CSV of random good and bad lines, with \\n and \\r\\n line ends and
+    blank lines; unless ``plain``, also lone \\r line ends and lines only the
+    per-row path reads, from a random line on."""
+    parts = [",".join(fmt.header)]
     n = int(rng.integers(0, 120))
     mixed_from = n if plain else int(rng.integers(0, n + 1))
     for i in range(n):
         kind = rng.random()
         if i >= mixed_from and kind < 0.15:
-            line = FUZZ_NOT_PLAIN[int(rng.integers(len(FUZZ_NOT_PLAIN)))]
+            line = fmt.not_plain[int(rng.integers(len(fmt.not_plain)))]
         elif kind < 0.2:
             line = ""
         elif kind < 0.27:
-            k = int(rng.choice([1, 2, 5, 7]))
+            k = int(rng.choice(fmt.wrong_counts))
             line = ",".join(str(int(rng.integers(0, 9))) for _ in range(k))
         elif kind < 0.6:  # a likely good row
-            line = (f"{rng.integers(0, 10)},{rng.integers(0, 10)},"
-                    f"2019-03-{rng.integers(16, 24)}T{rng.integers(0, 24):02d}:"
-                    f"{15 * rng.integers(0, 4):02d},{rng.choice(FUZZ_SERVICES[:4])},"
-                    f"{rng.choice(DIRECTIONS)},{rng.random() * 100:.6g}")
+            line = fmt.good(rng)
         else:
-            pick = [FUZZ_CELLS, FUZZ_CELLS, FUZZ_STAMPS, FUZZ_SERVICES, FUZZ_DIRECTIONS,
-                    FUZZ_VOLUMES]
-            line = ",".join(str(rng.choice(values)) for values in pick)
+            line = ",".join(str(rng.choice(values)) for values in fmt.pools)
         parts.append(line)
     ends = ["\n", "\r\n"] if plain else ["\n", "\r\n", "\r"]
     text = "".join(p + str(rng.choice(ends, p=[0.8, 0.2] if plain else [0.75, 0.2, 0.05]))
@@ -291,38 +396,38 @@ def fuzz_traffic(rng, plain: bool) -> str:
 
 
 class TestChunkedRead:
-    """``read_traffic`` against the per-row reader it replaced, with chunks of
-    a few dozen bytes (every line a chunk boundary somewhere) and at the
-    default size."""
+    """``read_traffic`` and ``parse_pois`` against the per-row readers they
+    replaced, with chunks of a few dozen bytes (every line a chunk boundary
+    somewhere) and at the default size."""
 
     @pytest.mark.parametrize("chunk", [23, 64, vibrancy.ingest.CHUNK_BYTES])
-    @pytest.mark.parametrize("plain", [True, False], ids=["plain", "mixed"])
-    def test_fuzzed_files_read_as_the_reference_does(self, tmp_path, monkeypatch, chunk, plain):
+    @FORMATS_PLAIN
+    def test_fuzzed_files_read_as_the_reference_does(self, tmp_path, monkeypatch, chunk, fmt,
+                                                     plain):
         monkeypatch.setattr(vibrancy.ingest, "CHUNK_BYTES", chunk)
         rng = np.random.default_rng(8 + plain)
-        path = tmp_path / "traffic.csv"
+        path = tmp_path / fmt.name
         for _ in range(60):
-            path.write_bytes(fuzz_traffic(rng, plain).encode("utf-8"))
+            path.write_bytes(fuzz_csv(rng, plain, fmt).encode("utf-8"))
             try:
-                want = reference_read_traffic(path, GRID)
+                want = fmt.reference(path)
             except DataError:  # a cut header
-                with pytest.raises(DataError, match="traffic.csv"):
-                    read_traffic(path, GRID)
+                with pytest.raises(DataError, match=fmt.name):
+                    fmt.read(path)
                 continue
-            assert_same_read(read_traffic(path, GRID), want)
+            fmt.assert_same(fmt.read(path), want)
 
-    @pytest.mark.parametrize("chunk", [23, vibrancy.ingest.CHUNK_BYTES])
-    @pytest.mark.parametrize("plain", [True, False], ids=["plain", "mixed"])
-    def test_fuzzed_text_streams_read_as_the_reference_does(self, monkeypatch, chunk, plain):
+    @pytest.mark.parametrize("chunk", [23, 64, vibrancy.ingest.CHUNK_BYTES])
+    @FORMATS_PLAIN
+    def test_fuzzed_text_streams_read_as_the_reference_does(self, monkeypatch, chunk, fmt, plain):
         monkeypatch.setattr(vibrancy.ingest, "CHUNK_BYTES", chunk)
         rng = np.random.default_rng(10 + plain)
         for _ in range(60):
             # a text stream splits lines at "\n" only, so no lone "\r" here
-            text = re.sub("\r(?!\n)", "\n", fuzz_traffic(rng, plain))
-            if not text.startswith(",".join(TRAFFIC_HEADER) + "\n"):
+            text = re.sub("\r(?!\n)", "\n", fuzz_csv(rng, plain, fmt))
+            if not text.startswith(",".join(fmt.header) + "\n"):
                 continue
-            assert_same_read(read_traffic(io.StringIO(text), GRID),
-                             reference_read_traffic(io.StringIO(text), GRID))
+            fmt.assert_same(fmt.read(io.StringIO(text)), fmt.reference(io.StringIO(text)))
 
     @pytest.mark.parametrize("chunk", [23, vibrancy.ingest.CHUNK_BYTES])
     @pytest.mark.parametrize("last", ["1,1", ",,,,", ",,,,,,", "1,1,2019-03-18T08:00,App,uplink",
@@ -337,22 +442,24 @@ class TestChunkedRead:
 
     def test_fuzz_reaches_both_paths_and_every_reason(self, tmp_path, monkeypatch):
         monkeypatch.setattr(vibrancy.ingest, "CHUNK_BYTES", 64)
-        rng = np.random.default_rng(9)
-        plain_calls, row_calls, reasons = [], [], set()
-        reader = vibrancy.ingest._TrafficReader
-        monkeypatch.setattr(reader, "read_plain", lambda self, data, f=reader.read_plain: (
-            plain_calls.append(f(self, data)) or plain_calls[-1]))
-        monkeypatch.setattr(reader, "read_rows", lambda self, lines, f=reader.read_rows: (
-            row_calls.append(1), f(self, lines))[1])
-        path = tmp_path / "traffic.csv"
-        for _ in range(20):
-            path.write_bytes(fuzz_traffic(rng, plain=False).encode("utf-8"))
-            try:
-                reasons.update(read_traffic(path, GRID)[1].rejects)
-            except DataError:  # a cut header
-                pass
-        assert True in plain_calls and False in plain_calls and row_calls
-        assert reasons == {REJECT_MALFORMED, REJECT_UNKNOWN_DIRECTION, REJECT_OUT_OF_BOUNDS}
+        calls = []
+        for name in ("_split_plain", "_split_rows"):
+            split = getattr(vibrancy.ingest, name)
+            monkeypatch.setattr(vibrancy.ingest, name, lambda *args, name=name, split=split: (
+                calls.append(name), split(*args))[1])
+        for fmt in (TRAFFIC, POIS):
+            rng = np.random.default_rng(9)
+            calls.clear()
+            reasons = set()
+            path = tmp_path / fmt.name
+            for _ in range(20):
+                path.write_bytes(fuzz_csv(rng, False, fmt).encode("utf-8"))
+                try:
+                    reasons.update(fmt.read(path)[1].rejects)
+                except DataError:  # a cut header
+                    pass
+            assert set(calls) == {"_split_plain", "_split_rows"}, fmt.name
+            assert reasons == fmt.reasons
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_benchmark_workload_files_read_as_the_reference_does(self, tmp_path, name):
@@ -364,26 +471,36 @@ class TestChunkedRead:
             got, want = read_traffic(path, grid), reference_read_traffic(path, grid)
             assert got[1].accepted > 0
             assert_same_read(got, want)
+            got, want = parse_pois(path.parent / "pois.csv"), reference_parse_pois(
+                path.parent / "pois.csv")
+            assert got[1].accepted > 0
+            assert_same_pois(got, want)
 
+    @pytest.mark.parametrize("fmt, good, bad", [
+        (TRAFFIC, b"1,1,2019-03-18T08:00,App,uplink,1.5\n", b"1,1,2019-03-18T08:00,\xff,uplink,1.5\n"),
+        (POIS, b"1.5,2.5,cafe,amenity\n", b"1.5,2.5,caf\xff,amenity\n"),
+    ], ids=["traffic", "POI"])
     def test_non_utf8_byte_in_the_last_chunk_is_a_data_error_naming_the_file(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, fmt, good, bad):
         monkeypatch.setattr(vibrancy.ingest, "CHUNK_BYTES", 64)
-        path = tmp_path / "traffic.csv"
-        good = b"1,1,2019-03-18T08:00,App,uplink,1.5\n" * 40
-        path.write_bytes(b"col,row,timestamp,service,direction,volume\n" + good
-                         + b"1,1,2019-03-18T08:00,\xff,uplink,1.5\n")
+        path = tmp_path / fmt.name
+        path.write_bytes(",".join(fmt.header).encode() + b"\n" + good * 80 + bad)
         assert path.stat().st_size > 20 * vibrancy.ingest.CHUNK_BYTES
-        with pytest.raises(DataError, match="traffic.csv"):
-            read_traffic(path, GRID)
+        with pytest.raises(DataError, match=fmt.name):
+            fmt.read(path)
 
-    @pytest.mark.parametrize("text", ["", "col,row,timestamp\n1,1,x\n",
-                                      "\ncol,row,timestamp,service,direction,volume\n"],
-                             ids=["empty", "short header", "blank first line"])
-    def test_bad_header_is_a_data_error_naming_the_file(self, tmp_path, text):
-        path = tmp_path / "traffic.csv"
+    @pytest.mark.parametrize("fmt, text", [
+        (TRAFFIC, ""), (TRAFFIC, "col,row,timestamp\n1,1,x\n"),
+        (TRAFFIC, "\ncol,row,timestamp,service,direction,volume\n"),
+        (POIS, ""), (POIS, "x,y\n1,1\n"), (POIS, "\nx,y,label,source_category\n"),
+    ], ids=["empty", "short header", "blank first line",
+            "POI empty", "POI short header", "POI blank first line"])
+    def test_bad_header_is_a_data_error_naming_the_file(self, tmp_path, fmt, text):
+        path = tmp_path / fmt.name
         path.write_text(text)
-        with pytest.raises(DataError, match=f"^{path}: traffic file must start with header"):
-            read_traffic(path, GRID)
+        what = "traffic" if fmt is TRAFFIC else "POI"
+        with pytest.raises(DataError, match=f"^{path}: {what} file must start with header"):
+            fmt.read(path)
 
 
 class TestParsePois:
