@@ -147,10 +147,12 @@ def _cmd_cluster(args) -> int:
 def _cmd_features(args) -> int:
     region = load_region(args.region)
     taxonomy = load_third_place_taxonomy(args.third_places)
-    pois, _ = parse_pois(args.pois)
+    pois, report = parse_pois(args.pois)
+    report.require_accepted(args.pois, "POI")
     corpus = list(pois)
     for extra in args.pool_pois or []:
-        extra_pois, _ = parse_pois(extra)
+        extra_pois, report = parse_pois(extra)
+        report.require_accepted(extra, "POI")
         corpus.extend(extra_pois)
     rare = rare_labels(corpus, args.min_count)
     kept = [p for p in pois if p.label not in rare]

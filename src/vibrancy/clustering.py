@@ -17,6 +17,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from ._stream import Stream, generate_state
 from .errors import (
     KTooLargeError,
     NonFiniteError,
@@ -154,9 +155,10 @@ def _sq_to(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return out[inverse]
 
 
-def _kmeans_pp(X: np.ndarray, ks: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+def _kmeans_pp(X: np.ndarray, ks: np.ndarray, rngs: Sequence[Stream]) -> np.ndarray:
     """k-means++ seeding of restart r, with ``ks[r]`` centres drawn from
     ``rngs[r]``: (sum(ks), p), restart r's centres from row sum(ks[:r]) on.
+    A numpy ``Generator`` seeded alike draws what a ``Stream`` draws.
 
     A restart's first centre is a uniform draw; each next one is drawn with
     probability proportional to the squared distance to the nearest centre
@@ -180,7 +182,7 @@ def _kmeans_pp(X: np.ndarray, ks: np.ndarray, rngs: Sequence[np.random.Generator
     return centers
 
 
-def _draw(d2: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+def _draw(d2: np.ndarray, rngs: Sequence[Stream]) -> np.ndarray:
     """(R,) index ``rngs[r].choice(n, p=d2[r] / d2[r].sum())`` draws, for
     each row of d2 (R, n); a uniform ``integers(n)`` where the row is all 0.
 
@@ -390,7 +392,7 @@ def _lloyd(X: np.ndarray, ks, seeds: Sequence[int]) -> _Restarts:
 
     R = len(seeds)
     out = _Restarts(ks, np.zeros((R, n), dtype=np.int64),
-                    _kmeans_pp(X, ks, [np.random.default_rng(s) for s in seeds]),
+                    _kmeans_pp(X, ks, [Stream(s) for s in seeds]),
                     [[] for _ in seeds], np.full(R, _MAX_PASSES), np.zeros(R, dtype=bool))
     xx = np.einsum("ij,ij->i", X, X)
     active = np.arange(R)
@@ -603,7 +605,7 @@ def silhouette(data: TensorLike, labels: Sequence[int]) -> float:
 def restart_seed(seed: int, k: int, restart: int) -> int:
     """Deterministic per-(k, restart) child seed used by select_k; every
     scope of a run asks for the same ones, so they are kept."""
-    return int(np.random.SeedSequence((seed, k, restart)).generate_state(1)[0])
+    return generate_state((seed, k, restart), 1)[0]
 
 
 def select_k(

@@ -17,6 +17,7 @@ header, or a line error in a taxonomy, is a DataError naming the file.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -164,13 +165,13 @@ def _source_name(source) -> str:
 @contextmanager
 def _open_source(source: Union[str, Path, TextIO], binary: bool = False) -> Iterator:
     """An open text stream as it is, or a file streamed from disk (as UTF-8
-    text, or as bytes if ``binary``); a file that cannot be opened or decoded
-    is a DataError naming it."""
+    text without a leading byte order mark, or as bytes if ``binary``); a
+    file that cannot be opened or decoded is a DataError naming it."""
     if hasattr(source, "read"):
         yield source
         return
     try:
-        fh = open(source, "rb") if binary else open(source, encoding="utf-8")
+        fh = open(source, "rb") if binary else open(source, encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {source}: {exc}") from exc
     with fh:
@@ -325,6 +326,8 @@ def _batches(fh, header: list[str], what: str, source) -> Iterator[tuple[np.ndar
     while chunk := fh.read(CHUNK_BYTES):
         chunk += fh.readline()
         text = isinstance(chunk, str)
+        if not checked:  # a byte order mark, as spreadsheet exports write
+            chunk = chunk.removeprefix("\ufeff" if text else codecs.BOM_UTF8)
         data = _plain(chunk.encode("utf-8", "surrogatepass") if text else chunk)
         if data is None:
             # a file as UTF-8 text with universal newlines, as open() reads it
@@ -349,7 +352,7 @@ def _batches(fh, header: list[str], what: str, source) -> Iterator[tuple[np.ndar
 def _read_csv(source, header: list[str], what: str, take, reasons: tuple) -> ParseReport:
     """Read a ``what`` CSV that must start with ``header``, in chunks of
     ``CHUNK_BYTES`` run on to the end of their line, and count every data
-    line in a ParseReport.
+    line in a ParseReport. A leading UTF-8 byte order mark is dropped.
 
     A plain chunk (ASCII letters, digits, ``,.:_+-`` and line ends only,
     each carriage return just before a line feed) has one csv row per line

@@ -3,10 +3,12 @@
 The model maps the per-cell covariates to cluster-membership probabilities
 through a softmax over per-class linear scores. Training minimizes the mean
 cross-entropy plus ``lambda / (2N)`` times the squared weight norm
-(intercepts are not penalized) by a damped Newton method: each step solves
-the exact Hessian system for the minimum-norm Newton direction (the Hessian
-is singular along the intercept shift) and backtracks along it from the
-full step, which keeps every run deterministic. After fitting, the
+(intercepts are not penalized) by a damped Newton method in identified
+coordinates: an all-zero covariate keeps weight 0, and every step moves the
+weights and intercepts by vectors over classes that sum to zero, so the
+shifts the loss cannot see are never taken. Each step is solved by Cholesky
+when ``lambda > 0`` (least squares at ``lambda = 0``) and backtracked from
+the full step, which keeps every run deterministic. After fitting, the
 class-mean of the weights and intercepts is subtracted; this sum-to-zero
 identification leaves predictions unchanged but makes the exported
 coefficient tables well-defined.
@@ -15,6 +17,7 @@ coefficient tables well-defined.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -97,26 +100,63 @@ def _inf_norm(grad_w, grad_b) -> float:
     return float(max(np.abs(grad_w).max(), np.abs(grad_b).max()))
 
 
-def _hessian(probs, Xt, lam) -> np.ndarray:
-    """Hessian of the penalized loss in the parameters ``[W | b]`` flattened
-    row by row, at class probabilities ``probs`` (N, C); ``Xt`` is the
-    covariate matrix with a column of ones appended.
+def _sum_to_zero_basis(n_classes: int) -> np.ndarray:
+    """(C, C-1) orthonormal basis of the vectors over C classes that sum to
+    zero (the Helmert contrasts)."""
+    B = np.zeros((n_classes, n_classes - 1))
+    for a in range(n_classes - 1):
+        scale = math.sqrt((a + 1) * (a + 2))
+        B[:a + 1, a] = 1.0 / scale
+        B[a + 1, a] = -(a + 1) / scale
+    return B
 
-    Block (c, d) is ``Xt.T @ diag(pi_c * (delta_cd - pi_d) / N) @ Xt``, built
-    one block at a time so memory stays O(N * P + (C * P)^2).
+
+def _hessian(probs, Xt, B, lam) -> np.ndarray:
+    """Hessian of the penalized loss in the coordinates D (C-1, m), flattened
+    row by row, of the step ``B @ D`` on ``[W | b]``, at class probabilities
+    ``probs`` (N, C); ``Xt`` holds the free covariate columns and a column of
+    ones, and B is ``_sum_to_zero_basis``.
+
+    Block (a, e) is ``Xt.T @ diag(w) @ Xt`` with ``w = (probs @ (B_a * B_e)
+    - (probs @ B_a) * (probs @ B_e)) / N``, built one block at a time so
+    memory stays O(N * m + (C * m)^2). B is orthonormal, so the penalty adds
+    ``lam / N`` to each weight's diagonal entry.
     """
     n, m = Xt.shape
-    n_classes = probs.shape[1]
-    H = np.empty((n_classes * m, n_classes * m))
-    for c in range(n_classes):
-        for d in range(c, n_classes):
-            weight = probs[:, c] * (float(c == d) - probs[:, d]) / n
+    r = B.shape[1]
+    Q = probs @ B
+    H = np.empty((r * m, r * m))
+    for a in range(r):
+        for e in range(a, r):
+            weight = (probs @ (B[:, a] * B[:, e]) - Q[:, a] * Q[:, e]) / n
             block = Xt.T @ (weight[:, None] * Xt)
-            H[c * m:(c + 1) * m, d * m:(d + 1) * m] = block
-            H[d * m:(d + 1) * m, c * m:(c + 1) * m] = block.T
-    weight_entries = np.arange(n_classes * m).reshape(n_classes, m)[:, :-1].ravel()
+            H[a * m:(a + 1) * m, e * m:(e + 1) * m] = block
+            H[e * m:(e + 1) * m, a * m:(a + 1) * m] = block.T
+    weight_entries = np.arange(r * m).reshape(r, m)[:, :-1].ravel()
     H[weight_entries, weight_entries] += lam / n
     return H
+
+
+def _newton_step(H, grad, lam) -> np.ndarray:
+    """The Newton step ``-H^-1 grad``. For ``lam > 0`` H is positive
+    definite: it is factored by Cholesky and solved by two triangular
+    substitutions. At ``lam = 0`` collinear covariates or separable classes
+    can still make H singular, and at a ``lam`` too small to outweigh
+    rounding Cholesky can fail; the step is then the minimum-norm
+    least-squares one."""
+    if lam > 0:
+        try:
+            L = np.linalg.cholesky(H)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            x = -grad
+            for i in range(len(x)):
+                x[i] = (x[i] - L[i, :i] @ x[:i]) / L[i, i]
+            for i in reversed(range(len(x))):
+                x[i] = (x[i] - L[i + 1:, i] @ x[i + 1:]) / L[i, i]
+            return x
+    return np.linalg.lstsq(H, -grad, rcond=None)[0]
 
 
 def fit(
@@ -130,15 +170,18 @@ def fit(
 ) -> MultinomialLogit:
     """Fit the multinomial model; deterministic and independent of row order.
 
-    The loss is minimized by damped Newton steps: each solves the exact
-    Hessian system by least squares (the minimum-norm step, since the
-    Hessian is singular along the intercept shift, and along the weight
-    shift and any all-zero column when ``lam`` is 0), then halves the step
-    from 1 until the Armijo condition holds. ``n_iter`` counts accepted
-    steps. Converged means the gradient infinity-norm fell below ``tol``.
-    If ``max_iter`` steps run out first, or no step length down to
-    ``MIN_STEP`` lowers the loss, the model is still returned with
-    ``converged=False``. ``init`` optionally sets the starting weights and
+    The loss is minimized by damped Newton steps in identified coordinates.
+    A covariate that is 0 in every row keeps weight 0. The weights start
+    from their sum-to-zero representative, which changes no probability and
+    does not raise the loss, and every step is ``B @ D`` for the sum-to-zero
+    basis B. So the intercept shift, which the loss cannot see, and the
+    weight shift, along which only the penalty moves and is lowest at the
+    start, are never taken. Each step solves the Hessian system in D (see
+    ``_newton_step``), then halves the step from 1 until the Armijo
+    condition holds. ``n_iter`` counts accepted steps. Converged means the
+    gradient infinity-norm fell below ``tol``. If ``max_iter`` steps run out
+    first, or no step length down to ``MIN_STEP`` lowers the loss, the model
+    is still returned with ``converged=False``. ``init`` optionally sets the starting weights and
     intercepts (used to verify the optimum is init-independent); the default
     start is zero weights with intercepts at the log class frequencies, which
     is already optimal whenever the covariates carry no signal.
@@ -174,21 +217,28 @@ def fit(
         if W.shape != (n_classes, n_cov) or b.shape != (n_classes,):
             raise DimensionMismatchError("init shapes do not match the problem")
 
-    Xt = np.hstack([X, np.ones((X.shape[0], 1))])
+    nonzero = X.any(axis=0)
+    W[:, ~nonzero] = 0.0  # all-zero columns stay 0
+    free = np.flatnonzero(nonzero)
+    W = W - W.mean(axis=0, keepdims=True)  # the sum-to-zero representative
+    B = _sum_to_zero_basis(n_classes)
+    Xt = np.hstack([X[:, free], np.ones((X.shape[0], 1))])
+    step_w = np.zeros((n_classes, n_cov))
     loss, grad_w, grad_b = _loss_and_grads(W, b, X, y_idx, lam)
     trace = [loss]
     n_iter = 0
     while n_iter < max_iter and _inf_norm(grad_w, grad_b) >= tol:
-        grad = np.hstack([grad_w, grad_b[:, None]]).ravel()
+        grad = (B.T @ np.hstack([grad_w[:, free], grad_b[:, None]])).ravel()
         probs = np.exp(_log_softmax(X @ W.T + b))
-        step = np.linalg.lstsq(_hessian(probs, Xt, lam), -grad, rcond=None)[0]
+        step = _newton_step(_hessian(probs, Xt, B, lam), grad, lam)
         # a slope that rounding leaves just above 0 must not let the loss rise
         slope = min(float(grad @ step), 0.0)
-        step = step.reshape(n_classes, n_cov + 1)
+        step = B @ step.reshape(n_classes - 1, len(free) + 1)
+        step_w[:, free] = step[:, :-1]
         t = 1.0
         while t >= MIN_STEP:
-            cand_w = W + t * step[:, :n_cov]
-            cand_b = b + t * step[:, n_cov]
+            cand_w = W + t * step_w
+            cand_b = b + t * step[:, -1]
             cand_loss = _penalized_loss(cand_w, cand_b, X, y_idx, lam)
             if cand_loss <= loss + ARMIJO_C * t * slope:
                 break

@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
+from ._stream import Stream
 from .config import CityConfig, PipelineConfig, config_from_dict, config_to_dict
 from .clustering import (
     ClusterModel,
@@ -137,10 +138,11 @@ def fit_membership_model(
 ):
     """Stack (features, labels) pairs, optionally z-score, fit, and evaluate.
 
-    With a holdout fraction the rows are split by a seeded permutation; the
-    model trains on the remainder and metrics are computed on the held-out
-    rows. Standardization statistics come from the full table and are stored
-    on the model.
+    With a holdout fraction the rows are split by a seeded permutation, that
+    of ``numpy.random.default_rng(numpy.random.SeedSequence((seed, 7919)))``
+    as ``Stream`` draws it; the model trains on the remainder and metrics
+    are computed on the held-out rows. Standardization statistics come from
+    the full table and are stored on the model.
     """
     if len(tables) != len(label_vectors) or not tables:
         raise DataError("need matching, nonempty feature/label inputs")
@@ -167,8 +169,7 @@ def fit_membership_model(
 
     n = X.shape[0]
     if holdout > 0.0:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 7919)))
-        perm = rng.permutation(n)
+        perm = np.array(Stream((seed, 7919)).permutation(n), dtype=np.int64)
         n_eval = int(round(holdout * n))
         eval_idx = np.sort(perm[:n_eval])
         train_idx = np.sort(perm[n_eval:])
@@ -273,6 +274,7 @@ class _CityData:
         }
         del traffic  # before the POIs are read
         self.pois, self.poi_report = parse_pois(cfg.pois)
+        self.poi_report.require_accepted(cfg.pois, "POI")
         self.truth = load_truth_labels(cfg.truth) if cfg.truth else None
 
 

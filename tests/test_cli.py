@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vibrancy.ingest
 import vibrancy.pipeline
 from vibrancy.cli import main
 from vibrancy.clustering import read_model
@@ -716,6 +717,17 @@ def _middle_byte_flipped(path: Path) -> None:
     path.write_bytes(bytes(data))
 
 
+def _truncated(path: Path) -> None:
+    """Cut the file in the middle of a line, as an interrupted copy leaves it."""
+    data = path.read_bytes()
+    end = data.find(b"\n", len(data) // 2)
+    path.write_bytes(data[:end - 1] if end > 0 else data[:len(data) // 2])
+
+
+def _header_only(path: Path) -> None:
+    path.write_text(path.read_text().splitlines(keepends=True)[0])
+
+
 RUN_FILES = ("manifest.json", KSELECTION, COEFFICIENTS)
 
 # case id -> (file, corruption, line it names or None); report reads the
@@ -725,6 +737,9 @@ UNREADABLE_FILES = {
     "config a directory": ("pipeline.cfg", _a_directory, None),
     "region not UTF-8": ("region.json", _not_utf8, None),
     "region a directory": ("region.json", _a_directory, None),
+    "region file empty": ("region.json", _empty, None),
+    "region file random bytes": ("region.json", _random_bytes, None),
+    "region file truncated": ("region.json", _truncated, None),
     "manifest not UTF-8": ("manifest.json", _not_utf8, None),
     "manifest a directory": ("manifest.json", _a_directory, None),
     "coefficients not UTF-8": (COEFFICIENTS, _not_utf8, None),
@@ -738,6 +753,7 @@ UNREADABLE_FILES = {
     "POI file without a header": ("pois.csv", _no_header, None),
     "POI file random bytes": ("pois.csv", _random_bytes, None),
     "POI byte flip breaks UTF-8": ("pois.csv", _middle_byte_flipped, None),
+    "POI file without an accepted row": ("pois.csv", _header_only, None),
     "service taxonomy header wrong": ("service_taxonomy.csv", _bad_header, None),
     "service taxonomy service repeated": ("service_taxonomy.csv", _line_3_repeats_line_2, 3),
     "third-place taxonomy header wrong": ("third_places.csv", _bad_header, None),
@@ -745,6 +761,12 @@ UNREADABLE_FILES = {
     "third-place taxonomy category unknown": ("third_places.csv", _line_2_category_unknown, 2),
     "service taxonomy lacks a traffic service": ("service_taxonomy.csv",
                                                  _line_2_service_renamed, None),
+    **{f"{what} {case}": (name, corrupt, None)
+       for what, name in [("service taxonomy", "service_taxonomy.csv"),
+                          ("third-place taxonomy", "third_places.csv"),
+                          ("truth labels", "truth_labels.csv")]
+       for case, corrupt in [("empty", _empty), ("without a header", _no_header),
+                             ("random bytes", _random_bytes), ("truncated", _truncated)]},
 }
 
 
@@ -848,6 +870,62 @@ def test_a_run_does_not_import_numpy_ma(city_dir, tmp_path):
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_a_run_does_not_import_numpy_random(city_dir, tmp_path):
+    # k-means++ seeds and the holdout split come from vibrancy._stream
+    code = (
+        "import sys\n"
+        "from vibrancy.cli import main\n"
+        f"assert main(['run', '--config', {str(city_dir / 'pipeline.cfg')!r}, '--out', "
+        f"{str(tmp_path)!r}, '--holdout', '0.25', '--lambda', '2']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+    )
+    src = str(Path(vibrancy.pipeline.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    metrics = json.loads((tmp_path / "alpha" / "weekday" / "metrics.json").read_text())
+    assert metrics["n_eval"] == round(0.25 * metrics["n_rows"]) > 0
+
+
+@pytest.mark.parametrize("name", ["traffic.csv", "pois.csv", "service_taxonomy.csv",
+                                  "third_places.csv", "truth_labels.csv"])
+def test_a_byte_order_mark_changes_no_artifact(city_dir, tmp_path, monkeypatch, name):
+    city = tmp_path / "city"
+    shutil.copytree(city_dir, city)
+    argv = ["run", "--config", str(city / "pipeline.cfg"), "--out"]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    assert main(argv + [str(plain)]) == 0
+    path = city / name
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    if name == "traffic.csv":  # the mark must not send the file down the csv.reader path
+        monkeypatch.setattr(vibrancy.ingest, "_split_rows", None)
+    assert main(argv + [str(marked)]) == 0
+    files = sorted(p.relative_to(plain) for p in plain.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(marked) for p in marked.rglob("*") if p.is_file())
+    for rel in files:
+        if rel.name != "manifest.json":
+            assert (marked / rel).read_bytes() == (plain / rel).read_bytes(), rel
+    ours, theirs = (json.loads((d / "manifest.json").read_text()) for d in (marked, plain))
+    differ = [p for p in ours["inputs"] if ours["inputs"][p] != theirs["inputs"][p]]
+    assert differ == [str(path)]
+    ours.pop("inputs"), theirs.pop("inputs")
+    assert ours == theirs
+
+
+def test_features_without_an_accepted_poi_row_is_a_one_line_data_error(city_dir, tmp_path,
+                                                                       capsys):
+    pois = tmp_path / "pois.csv"
+    pois.write_text((city_dir / "pois.csv").read_text().splitlines(keepends=True)[0])
+    argv = ["features", "--region", str(city_dir / "region.json"), "--pois", str(pois),
+            "--third-places", str(city_dir / "third_places.csv"),
+            "--out", str(tmp_path / "f.csv")]
+    assert main(argv) == 2
+    assert f"{pois}: no POI row accepted of 0 data lines" in _one_line_data_error(capsys, pois)
 
 
 # case id -> traffic rows after the header, and the rejects the error names

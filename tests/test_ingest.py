@@ -430,6 +430,25 @@ class TestChunkedRead:
             fmt.assert_same(fmt.read(io.StringIO(text)), fmt.reference(io.StringIO(text)))
 
     @pytest.mark.parametrize("chunk", [23, vibrancy.ingest.CHUNK_BYTES])
+    @FORMATS_PLAIN
+    def test_a_byte_order_mark_is_dropped(self, tmp_path, monkeypatch, chunk, fmt, plain):
+        monkeypatch.setattr(vibrancy.ingest, "CHUNK_BYTES", chunk)
+        rng = np.random.default_rng(12 + plain)
+        path = tmp_path / fmt.name
+        for _ in range(20):
+            text = re.sub("\r(?!\n)", "\n", fuzz_csv(rng, plain, fmt))
+            if not text.startswith(",".join(fmt.header) + "\n"):
+                continue
+            path.write_bytes(text.encode("utf-8"))
+            want = fmt.read(path)
+            path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+            with monkeypatch.context() as patch:
+                if plain:  # the mark keeps a plain file on the bytes path
+                    patch.setattr(vibrancy.ingest, "_split_rows", None)
+                fmt.assert_same(fmt.read(path), want)
+            fmt.assert_same(fmt.read(io.StringIO("\ufeff" + text)), want)
+
+    @pytest.mark.parametrize("chunk", [23, vibrancy.ingest.CHUNK_BYTES])
     @pytest.mark.parametrize("last", ["1,1", ",,,,", ",,,,,,", "1,1,2019-03-18T08:00,App,uplink",
                                       "1,1,2019-03-18T08:00,App,uplink,1.5", "1"])
     def test_last_line_without_a_line_end(self, tmp_path, monkeypatch, chunk, last):

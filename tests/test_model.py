@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import vibrancy.pipeline
 from vibrancy.errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -13,6 +14,8 @@ from vibrancy.errors import (
     NotFittedError,
     SingleClassError,
 )
+from vibrancy.features import FeatureTable, standardize
+from vibrancy.grid import CellId
 from vibrancy.logit import (
     ARMIJO_C,
     MIN_STEP,
@@ -28,6 +31,7 @@ from vibrancy.logit import (
     predict_proba,
     save_logit,
 )
+from vibrancy.pipeline import fit_membership_model
 
 
 def zero_model(n_classes=3, n_cov=2, lam=1.0):
@@ -205,6 +209,56 @@ class TestNewtonSolver:
         assert model.converged == (model.final_grad_norm < 1e-8)
         assert np.all(np.diff(model.loss_trace) <= 0.0)
         assert list(predict(model, X)) == list(y)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("case", ["random", "separable", "nonzero init"])
+    def test_all_zero_column_weights_are_exactly_zero(self, case, lam):
+        rng = np.random.default_rng(30)
+        X, y = random_instance(rng, n=30, p=12, c=3)
+        X[:, [4, 9]] = 0.0
+        init = None
+        if case == "separable":
+            X[:, 0] = 4.0 * y
+        elif case == "nonzero init":
+            init = (rng.standard_normal((3, 12)), rng.standard_normal(3))
+        model = fit(X, y, lam=lam, max_iter=50, init=init)
+        assert np.isfinite(model.weights).all()
+        assert (model.weights[:, [4, 9]] == 0.0).all()
+        if case == "separable":
+            assert list(predict(model, X)) == list(y)
+
+    @pytest.mark.parametrize("lam", [1e-12, 1e-15, 1e-300])
+    def test_tiny_lambda_on_collinear_covariates_reaches_the_unpenalized_fit(self, lam):
+        # as the pipeline's total_count is the sum of the category counts;
+        # Cholesky can fail here, and the step falls back to least squares
+        rng = np.random.default_rng(32)
+        X, y = random_instance(rng, n=300, p=6, c=3)
+        X[:, 0] += y
+        X = np.hstack([X, X[:, 1:4].sum(axis=1, keepdims=True)])
+        X = (X - X.mean(axis=0)) / X.std(axis=0)
+        model, unpenalized = fit(X, y, lam=lam), fit(X, y, lam=0.0)
+        assert model.converged
+        assert model.final_loss <= unpenalized.final_loss + 1e-12
+        assert np.array_equal(predict(model, X), predict(unpenalized, X))
+
+    @pytest.mark.parametrize("case", ["random", "zero column", "separable", "five classes"])
+    def test_positive_lambda_never_calls_least_squares(self, monkeypatch, case):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq called")
+
+        rng = np.random.default_rng(31)
+        X, y = random_instance(rng, n=60, p=5, c=5 if case == "five classes" else 3)
+        if case == "zero column":
+            X[:, 2] = 0.0
+        elif case == "separable":
+            X[:, 0] = 4.0 * y
+        expected = fit(X, y, lam=0.0, max_iter=50)  # the fallback runs at lambda 0
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        for lam in (1e-6, 1.0, 10.0):
+            assert fit(X, y, lam=lam).converged
+        with pytest.raises(AssertionError, match="lstsq called"):
+            fit(X, y, lam=0.0, max_iter=50)
+        assert expected.n_iter > 0
 
     def test_memory_stays_bounded(self):
         rng = np.random.default_rng(4)
@@ -407,3 +461,33 @@ class TestModelPersistence:
         assert np.array_equal(loaded.intercepts, model.intercepts)
         assert loaded.standardization == model.standardization
         assert np.array_equal(predict(loaded, X), predict(model, X))
+
+
+class TestHoldoutSplit:
+    @pytest.mark.parametrize("n,seed", [(4, 0), (17, 9), (48, 3), (203, 2**32 - 1),
+                                        (1000, 12345)])
+    def test_split_is_numpys_seeded_permutation(self, monkeypatch, n, seed):
+        rng = np.random.default_rng(n)
+        table = FeatureTable([CellId(i, 0) for i in range(n)], ("a", "b", "c"),
+                             rng.standard_normal((n, 3)))
+        y = np.arange(n) % 3 + 1
+        seen = {}
+
+        def fit_spy(X, y, **kwargs):
+            seen["train"] = X
+            return fit(X, y, **kwargs)
+
+        def predict_spy(model, X):
+            seen["eval"] = X
+            return predict(model, X)
+
+        monkeypatch.setattr(vibrancy.pipeline, "fit", fit_spy)
+        monkeypatch.setattr(vibrancy.pipeline, "predict", predict_spy)
+        _, report, extra = fit_membership_model([table], [y], holdout=0.25, seed=seed)
+        # the split the pipeline drew from numpy.random before it had its own stream
+        perm = np.random.default_rng(np.random.SeedSequence((seed, 7919))).permutation(n)
+        n_eval = int(round(0.25 * n))
+        X = standardize(table).values
+        assert np.array_equal(seen["train"], X[np.sort(perm[n_eval:])])
+        assert np.array_equal(seen["eval"], X[np.sort(perm[:n_eval])])
+        assert (extra["n_train"], extra["n_eval"], report.n) == (n - n_eval, n_eval, n_eval)
