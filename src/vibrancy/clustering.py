@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence, Union
@@ -95,37 +96,48 @@ def distance(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeMismatchError(f"shape {a.shape} vs {b.shape}")
-    return float(np.sqrt(((a - b) ** 2).sum()))
+    return float(np.sqrt(_sq_dist(a.reshape(1, -1), b.reshape(1, -1))[0, 0]))
 
 
-# Cap on the bytes of one distance block and of one difference block. Every
-# exact distance is the einsum of one (row, column) difference, so its bits do
-# not depend on how the rows and columns are split into blocks. The k-means
-# loop, which keeps several temporaries alive at once, cuts each of them to a
-# sixteenth of it.
+# Memory budget of the distance code. Each temporary of ``_sq_dist`` and each
+# row block of the k-means Gram screen takes at most a sixteenth of it, since
+# a Lloyd pass keeps several alive at once; ``select_k`` runs all k in one loop
+# while a (restarts, n) array fits in it.
 _BLOCK_BYTES = 2 * 2**20
 
 
-def _sq_dist_blocks(X: np.ndarray, C: np.ndarray):
-    """Yield ``(start, stop, block)``: exact squared Euclidean distances from
-    rows ``start:stop`` of X to every row of C, in (rows, len(C)) blocks.
+def _sq_dist(X: np.ndarray, C: np.ndarray, cols=None, rows=None) -> np.ndarray:
+    """Exact squared Euclidean distances from points to rows of C, shaped
+    like ``cols``: entry [..., i] is the distance from point i to
+    ``C[cols[..., i]]``. Point i is ``X[rows[i]]``, or ``X[i]`` without
+    ``rows``.
 
-    Both the output block and the (rows, cols, p) difference block it is
-    filled from stay within ``_BLOCK_BYTES`` (at least one row and one column).
+    Without ``cols`` every point is measured against every row of C, in a
+    (len(C), points) array (the outer form). With them, listed pairs are
+    measured (the gathered form); an (A, n) ``cols`` gives each point's
+    distance to its own centroid in each of A restarts. Every distance is the
+    einsum of one difference row, so its bits depend neither on the form nor
+    on the blocks, and every difference block stays within
+    ``_BLOCK_BYTES // 16``.
     """
-    n, p = X.shape
-    m = C.shape[0]
-    rows = max(1, min(n, _BLOCK_BYTES // (8 * m), _BLOCK_BYTES // (8 * p)))
-    cols = max(1, min(m, _BLOCK_BYTES // (8 * rows * p)))
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        block = np.empty((stop - start, m), dtype=np.float64)
-        for c0 in range(0, m, cols):
-            c1 = min(c0 + cols, m)
-            diff = X[start:stop, None, :] - C[None, c0:c1, :]
-            block[:, c0:c1] = np.einsum("ijk,ijk->ij", diff, diff)
+    n = len(X) if rows is None else len(rows)
+    if cols is not None:
+        lead = cols.reshape(math.prod(cols.shape[:-1]), n)
+    out = np.empty((len(C) if cols is None else len(lead), n), dtype=np.float64)
+    budget = max(1, _BLOCK_BYTES // 16 // (8 * max(X.shape[1], 1)))  # difference rows
+    height = max(1, min(len(out), budget))  # rows of out, then points, per block
+    width = max(1, budget // height)
+    for s in range(0, n, width):
+        x = X[s:s + width] if rows is None else X[rows[s:s + width]]
+        for a in range(0, len(out), height):
+            if cols is None:
+                diff = x - C[a:a + height, None]
+            else:
+                diff = C[lead[a:a + height, s:s + width]]
+                np.subtract(x, diff, out=diff)
+            out[a:a + height, s:s + width] = np.einsum("aip,aip->ai", diff, diff)
             del diff  # so that the next difference block does not meet this one
-        yield start, stop, block
+    return out if cols is None else out.reshape(cols.shape)
 
 
 # Slack of the Gram screen, as a fraction of ‖x‖² + ‖c‖². The Gram form
@@ -134,25 +146,29 @@ def _sq_dist_blocks(X: np.ndarray, C: np.ndarray):
 # absolute floor covers rounding in the subnormal range.
 _SLACK = 1e-10
 _SLACK_FLOOR = np.finfo(np.float64).tiny
-# Above this ‖x‖² + ‖c‖², a Gram entry or an exact distance may overflow, so
-# the screen is not used and every point is rescored.
+# Above this max ‖a‖² + max ‖b‖², a Gram entry may overflow, so ``_gram``
+# gives no screen and every pair is scored by ``_sq_dist``.
 _GRAM_LIMIT = np.finfo(np.float64).max / 4
 
 
+def _gram(A: np.ndarray, aa: np.ndarray, B: np.ndarray, bb: np.ndarray):
+    """``(gram, scale)``, both (len(A), len(B)): the Gram form ‖a‖² + ‖b‖² −
+    2·A·Bᵀ of the rows' squared distances (``aa``, ``bb``: their squared
+    norms) and its scale ‖a‖² + ‖b‖²; None past ``_GRAM_LIMIT``."""
+    if aa.max() + bb.max() > _GRAM_LIMIT:
+        return None
+    gram = A @ B.T
+    gram *= -2.0
+    scale = aa[:, None] + bb
+    gram += scale
+    return gram, scale
+
+
 def _sq_to(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """(len(idx), n): ``((X - X[i]) ** 2).sum(axis=1)`` for each index i in
-    ``idx``, each distinct index computed once, with every (rows, ·, p)
-    temporary within ``_BLOCK_BYTES // 16``."""
-    n, p = X.shape
+    """(len(idx), n) ``_sq_dist`` from each ``X[i]``, i in ``idx``, to every
+    point; restarts often draw the same i, so each is computed once."""
     points, inverse = np.unique(idx, return_inverse=True)
-    C = X[points]
-    out = np.empty((len(C), n), dtype=np.float64)
-    rows = max(1, _BLOCK_BYTES // 16 // (8 * len(C) * p))
-    for start in range(0, n, rows):
-        diff = X[None, start:start + rows] - C[:, None, :]
-        out[:, start:start + rows] = np.square(diff, out=diff).sum(axis=2)
-        del diff  # so that the next difference block does not meet this one
-    return out[inverse]
+    return _sq_dist(X, X[points])[inverse]
 
 
 def _kmeans_pp(X: np.ndarray, ks: np.ndarray, rngs: Sequence[Stream]) -> np.ndarray:
@@ -215,9 +231,10 @@ def _assign(X: np.ndarray, xx: np.ndarray, C: np.ndarray, ks: np.ndarray) -> np.
     when G_j - s_j <= min(G + s), with G = ‖x‖² + ‖c‖² − 2·x·c and slack
     s = ``_SLACK``·(‖x‖² + ‖c‖²) + ``_SLACK_FLOOR``. The slack bounds how far
     G and the exact distance can be apart, so every exact minimum is a
-    candidate. A point with one candidate takes it; the others are rescored
-    with the exact distances of ``_sq_dist_blocks``. The labels therefore
-    equal the argmin of the exact distances, whatever the BLAS rounding.
+    candidate. A point with one candidate takes it; the others, and every
+    point of a block ``_gram`` gives no screen for, are rescored with the
+    exact distances of ``_sq_dist``. The labels therefore equal the argmin of
+    the exact distances, whatever the BLAS rounding.
 
     The screen is laid out (slot, restart, point), so that its minimum,
     candidate count and candidate index reduce over the leading axis along
@@ -228,53 +245,36 @@ def _assign(X: np.ndarray, xx: np.ndarray, C: np.ndarray, ks: np.ndarray) -> np.
     first = np.cumsum(ks) - ks
     owner = np.repeat(np.arange(A), ks)
     slot = (np.arange(len(C)) - first[owner]) * A + owner
-    cc = np.einsum("ij,ij->i", C, C)[:, None]
+    cc = np.einsum("ij,ij->i", C, C)
     # a point's candidate count, and the sum of their indices: the one
     # candidate's index where there is one (the others are rescored)
     small = np.int16 if K <= np.iinfo(np.int16).max else np.int64
     index = np.arange(K, dtype=small)[:, None, None]
     labels = np.empty((A, n), dtype=np.int64)
     rescore = np.ones((A, n), dtype=bool)
-    # past the limit an entry may overflow, so every point is rescored
-    if xx.max() + cc.max() <= _GRAM_LIMIT:
-        rows = min(n, max(1, _BLOCK_BYTES // 16 // (8 * K * A)))
-        screen = np.full((K * A, rows), np.inf)
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            block = screen[:, :stop - start]
-            slack = xx[start:stop] + cc
-            gram = C @ X[start:stop].T
-            gram *= -2.0
-            gram += slack
-            slack *= _SLACK
-            slack += _SLACK_FLOOR
-            block[slot] = gram + slack
-            bound = block.reshape(K, A, -1).min(axis=0)
-            block[slot] = np.subtract(gram, slack, out=slack)
-            near = block.reshape(K, A, -1) <= bound
-            labels[:, start:stop] = np.multiply(near, index, dtype=small).sum(axis=0, dtype=small)
-            rescore[:, start:stop] = near.sum(axis=0, dtype=small) != 1
+    rows = min(n, max(1, _BLOCK_BYTES // 16 // (8 * K * A)))
+    screen = np.full((K * A, rows), np.inf)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        screened = _gram(C, cc, X[start:stop], xx[start:stop])
+        if screened is None:
+            continue
+        gram, slack = screened
+        block = screen[:, :stop - start]
+        slack *= _SLACK
+        slack += _SLACK_FLOOR
+        block[slot] = gram + slack
+        bound = block.reshape(K, A, -1).min(axis=0)
+        block[slot] = np.subtract(gram, slack, out=slack)
+        near = block.reshape(K, A, -1) <= bound
+        labels[:, start:stop] = np.multiply(near, index, dtype=small).sum(axis=0, dtype=small)
+        rescore[:, start:stop] = near.sum(axis=0, dtype=small) != 1
     for a in np.flatnonzero(rescore.any(axis=1)):
         points = np.flatnonzero(rescore[a])
-        for start, stop, block in _sq_dist_blocks(X[points], C[first[a]:first[a] + ks[a]]):
-            labels[a, points[start:stop]] = block.argmin(axis=1)
+        for start in range(0, len(points), rows):
+            chunk = points[start:start + rows]
+            labels[a, chunk] = _sq_dist(X, C[first[a]:first[a] + ks[a]], rows=chunk).argmin(axis=0)
     return labels
-
-
-def _own_sq(X: np.ndarray, C: np.ndarray, labels: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """(A, n) squared distance of every point to its own centroid, per
-    restart a, whose centroids are the rows of C from ``first[a]`` on; each
-    is bitwise the entry ``_sq_dist_blocks`` gives for that point and
-    centroid, since both are the einsum of one difference row."""
-    A, n = labels.shape
-    out = np.empty((A, n), dtype=np.float64)
-    rows = max(1, _BLOCK_BYTES // 16 // (8 * A * C.shape[1]))
-    for start in range(0, n, rows):
-        diff = C[labels[:, start:start + rows] + first[:, None]]
-        np.subtract(X[None, start:start + rows], diff, out=diff)
-        out[:, start:start + rows] = np.einsum("aip,aip->ai", diff, diff)
-        del diff  # so that the next difference block does not meet this one
-    return out
 
 
 def _relocate_empty(X, centers, labels, k):
@@ -289,7 +289,7 @@ def _relocate_empty(X, centers, labels, k):
     if empties.size == 0:
         return labels
     labels = labels.copy()
-    dist = ((X - centers[labels]) ** 2).sum(axis=1)
+    dist = _sq_dist(X, centers, cols=labels)
     moved = np.zeros(X.shape[0], dtype=bool)
     for e in empties:
         counts = np.bincount(labels, minlength=k)
@@ -407,8 +407,10 @@ def _lloyd(X: np.ndarray, ks, seeds: Sequence[int]) -> _Restarts:
         for a in np.flatnonzero(np.minimum.reduceat(counts, first) == 0):
             labels[a] = _relocate_empty(X, C[first[a]:first[a] + ka[a]], labels[a], ka[a])
             counts[first[a]:first[a] + ka[a]] = np.bincount(labels[a], minlength=ka[a])
-        for r, total in zip(active.tolist(), _own_sq(X, C, labels, first).sum(axis=1).tolist()):
+        labels += first[:, None]  # each point's own centroid, as a row of C
+        for r, total in zip(active.tolist(), _sq_dist(X, C, cols=labels).sum(axis=1).tolist()):
             out.traces[r].append(total)
+        labels -= first[:, None]
         if n_iter > 1:
             repeat = (labels == out.labels[active]).all(axis=1)
             out.n_iter[active[repeat]] = n_iter
@@ -480,35 +482,24 @@ def _one_hot(lab_idx: np.ndarray, start: int, T: int, width: int) -> np.ndarray:
 
 
 def _dist_tile(A: np.ndarray, aa: np.ndarray, ra: int, B: np.ndarray, bb: np.ndarray,
-               rb: int, exact: bool) -> np.ndarray:
+               rb: int) -> np.ndarray:
     """(T, T) Euclidean distances between the rows of the tiles A and B,
     with squared norms ``aa`` and ``bb``. Only the first ``ra`` rows of A and
     ``rb`` of B are points; the other entries are finite and not negative.
 
-    Entries come from the Gram form ‖a‖² + ‖b‖² − 2·A·Bᵀ, and each of two
-    points at most ``_RESCORE``·(‖a‖² + ‖b‖²) from the einsum of its
-    difference row. Past ``_GRAM_LIMIT`` (``exact``) all come from
-    ``_sq_dist_blocks``.
+    Entries come from ``_gram``, and each of two points at most
+    ``_RESCORE``·(‖a‖² + ‖b‖²) from ``_sq_dist``; where ``_gram`` gives no
+    screen, all come from ``_sq_dist``.
     """
-    if exact:
+    screened = _gram(A, aa, B, bb)
+    if screened is None:
         d2 = np.zeros((len(A), len(B)), dtype=np.float64)
-        real = A[:ra]
-        for start, stop, block in _sq_dist_blocks(real, real if B is A else B[:rb]):
-            d2[start:stop, :rb] = block
+        d2[:ra, :rb] = _sq_dist(B[:rb], A[:ra])
         return np.sqrt(d2, out=d2)
-    d2 = A @ B.T
-    d2 *= -2.0
-    bound = aa[:, None] + bb
-    d2 += bound
+    d2, bound = screened
     bound *= _RESCORE
     rows, cols = np.nonzero(d2[:ra, :rb] <= bound[:ra, :rb])
-    chunk = max(1, _BLOCK_BYTES // 16 // (8 * A.shape[1]))
-    for s in range(0, len(rows), chunk):
-        r, c = rows[s:s + chunk], cols[s:s + chunk]
-        diff = A[r]
-        diff -= B[c]
-        d2[r, c] = np.einsum("ij,ij->i", diff, diff)
-        del diff  # so that the next difference block does not meet this one
+    d2[rows, cols] = _sq_dist(A, B, cols=cols, rows=rows)
     # no clamp at 0: every other point pair is over its bound, and an entry
     # of a padding row is ‖a‖² or ‖b‖² exactly
     return np.sqrt(d2, out=d2)
@@ -547,7 +538,6 @@ def _silhouettes(X: np.ndarray, labellings: Sequence[Sequence[int]]) -> list[flo
         plans.append((lab_idx, np.bincount(lab_idx), np.zeros((n, uniq.size)), width))
     T = min(_TILE, n)
     xx = np.einsum("ij,ij->i", X, X)
-    exact = xx.max() > _GRAM_LIMIT / 2
     tiles = [(start, T, X[start:start + T], xx[start:start + T])
              for start in range(0, n - T + 1, T)]
     if n % T:
@@ -558,7 +548,7 @@ def _silhouettes(X: np.ndarray, labellings: Sequence[Sequence[int]]) -> list[flo
     for i, (a0, ra, A, aa) in enumerate(tiles):
         own = [_one_hot(lab_idx, a0, T, width) for lab_idx, _, _, width in plans]
         for b0, rb, B, bb in tiles[i:]:
-            dist = _dist_tile(A, aa, ra, B, bb, rb, exact)
+            dist = _dist_tile(A, aa, ra, B, bb, rb)
             for (lab_idx, _, sums, width), hot in zip(plans, own):
                 k = sums.shape[1]
                 cols = hot if b0 == a0 else _one_hot(lab_idx, b0, T, width)
@@ -670,8 +660,7 @@ def assign(model: ClusterModel, matrix: np.ndarray) -> int:
         raise ShapeMismatchError(
             f"matrix shape {matrix.shape} does not match centroids {model.feature_shape}"
         )
-    flat = model.centroids.reshape(model.k, -1)
-    d2 = ((flat - matrix.reshape(-1)[None, :]) ** 2).sum(axis=1)
+    d2 = _sq_dist(matrix.reshape(1, -1), model.centroids.reshape(model.k, -1))
     return int(d2.argmin()) + 1
 
 

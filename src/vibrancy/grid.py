@@ -30,8 +30,10 @@ class GridSpec:
     region_name: str = ""
 
     def __post_init__(self):
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
+        if not (math.isfinite(self.origin_x) and math.isfinite(self.origin_y)):
+            raise ValueError("origin must be finite")
+        if not (math.isfinite(self.cell_size) and self.cell_size > 0):
+            raise ValueError("cell_size must be positive and finite")
         if self.n_cols < 1 or self.n_rows < 1:
             raise ValueError("grid needs at least one column and one row")
 
@@ -174,11 +176,14 @@ def grid_to_dict(grid: GridSpec) -> dict:
 
 
 def grid_from_dict(doc: dict) -> GridSpec:
+    for key in ("n_cols", "n_rows"):
+        if type(doc[key]) is not int:
+            raise ValueError(f"{key} {doc[key]!r} is not an integer")
     return GridSpec(
         origin_x=float(doc["origin_x"]),
         origin_y=float(doc["origin_y"]),
-        n_cols=int(doc["n_cols"]),
-        n_rows=int(doc["n_rows"]),
+        n_cols=doc["n_cols"],
+        n_rows=doc["n_rows"],
         cell_size=float(doc.get("cell_size", 100.0)),
         region_name=str(doc.get("region_name", "")),
     )
@@ -215,7 +220,10 @@ def load_region(path) -> CityRegion:
     declared = doc.get("declared_area_km2")
     if declared is not None and type(declared) not in (int, float):
         raise DataError(f"region file {path}: declared_area_km2 {declared!r} is not a number")
-    return CityRegion(grid, frozenset(cells), None if declared is None else float(declared))
+    try:
+        return CityRegion(grid, frozenset(cells), None if declared is None else float(declared))
+    except OutOfBoundsError as exc:
+        raise OutOfBoundsError(f"region file {path}: {exc}") from exc
 
 
 def _int_entries(doc: dict, key: str, names: tuple[str, ...], path) -> list[list[int]]:

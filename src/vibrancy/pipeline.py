@@ -353,6 +353,7 @@ def _run_scope(scope, day_type, config, place_tax, members, emit, quality, resul
             emit(f"{scope}/{name}", lambda p, t=raw: write_tensor(t, p))
         combined = concat_tensors(raws) if multi else raws[0]
         rr = relative_risk(combined, cap=config.rr_cap)
+        del raws, raw, combined  # written out; clustering needs only rr
         emit(f"{scope}/signatures_rr.sig", lambda p: write_tensor(rr, p))
         quality[scope] = {
             "capped_columns": len(rr.capped_columns),

@@ -269,7 +269,7 @@ def write_framed(path, magic: bytes, header: dict, payload: np.ndarray) -> None:
         fh.write(magic)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(np.ascontiguousarray(payload, dtype=np.float64).tobytes())
+        fh.write(np.ascontiguousarray(payload, dtype=np.float64))
 
 
 def read_framed(
@@ -301,7 +301,7 @@ def read_framed(
         raise DataError(f"{path}: {what} header is not a JSON object")
     if header.get("version") != _FRAME_VERSION:
         raise DataError(f"{path}: unsupported {what} version {header.get('version')!r}")
-    payload = raw[8 + blob_len :]
+    payload = memoryview(raw)[8 + blob_len :]
     try:
         shape = tuple(int(s) for s in shape_of(header))
         expected = 8 * prod(shape)

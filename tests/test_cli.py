@@ -360,6 +360,35 @@ def test_no_traffic_table_survives_ingest(city_dir, tmp_path, monkeypatch, level
     assert len(manifest["results"]) == (2 if level == "local" else 1)
 
 
+@pytest.mark.parametrize("level", ["local", "global"])
+def test_raw_tensors_are_freed_before_clustering(city_dir, tmp_path, monkeypatch, level):
+    """Once a scope's relative risk is computed, the raw tensors it came from,
+    and at the global level their concatenation, are no longer held."""
+    raws = {}
+    build, relative_risk, select_k = (vibrancy.pipeline.build_city_tensor,
+                                      vibrancy.pipeline.relative_risk,
+                                      vibrancy.pipeline.select_k)
+
+    def watched(tensor):
+        raws.setdefault(tensor.day_type, []).append(weakref.ref(tensor.values))
+        return tensor
+
+    def select_k_without_raws(rr, **kwargs):
+        gc.collect()
+        assert [ref() for ref in raws[rr.day_type]] == [None] * len(raws[rr.day_type])
+        return select_k(rr, **kwargs)
+
+    monkeypatch.setattr(vibrancy.pipeline, "build_city_tensor",
+                        lambda *args, **kwargs: watched(build(*args, **kwargs)))
+    monkeypatch.setattr(vibrancy.pipeline, "relative_risk",
+                        lambda tensor, **kwargs: relative_risk(watched(tensor), **kwargs))
+    monkeypatch.setattr(vibrancy.pipeline, "select_k", select_k_without_raws)
+    cfg = city_dir / "pipeline.cfg" if level == "local" else _two_city_global_config(tmp_path)
+    manifest = run_pipeline(parse_config(cfg), tmp_path / "out")
+    assert sum(len(refs) for refs in raws.values()) == (4 if level == "local" else 3)
+    assert len(manifest["results"]) == (2 if level == "local" else 1)
+
+
 def _json_edit(edit):
     """A corruption of a JSON file's bytes by ``edit`` of its parsed document."""
     def apply(data: bytes) -> bytes:
@@ -728,6 +757,19 @@ def _header_only(path: Path) -> None:
     path.write_text(path.read_text().splitlines(keepends=True)[0])
 
 
+def _region_edit(edit):
+    """A corruption that applies ``edit`` to a region file's JSON document."""
+    def corrupt(path: Path) -> None:
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    return corrupt
+
+
+def _grid_value(key: str, value):
+    return _region_edit(lambda doc: doc["grid"].update({key: value}))
+
+
 RUN_FILES = ("manifest.json", KSELECTION, COEFFICIENTS)
 
 # case id -> (file, corruption, line it names or None); report reads the
@@ -740,6 +782,13 @@ UNREADABLE_FILES = {
     "region file empty": ("region.json", _empty, None),
     "region file random bytes": ("region.json", _random_bytes, None),
     "region file truncated": ("region.json", _truncated, None),
+    "region cell size NaN": ("region.json", _grid_value("cell_size", float("nan")), None),
+    "region cell size infinite": ("region.json", _grid_value("cell_size", float("inf")), None),
+    "region origin NaN": ("region.json", _grid_value("origin_x", float("nan")), None),
+    "region column count not an integer": ("region.json", _grid_value("n_cols", 1.5), None),
+    "region row count a string": ("region.json", _grid_value("n_rows", "5"), None),
+    "region active cell outside the grid": (
+        "region.json", _region_edit(lambda doc: doc.update(active_cells=[[-2, 0]])), None),
     "manifest not UTF-8": ("manifest.json", _not_utf8, None),
     "manifest a directory": ("manifest.json", _a_directory, None),
     "coefficients not UTF-8": (COEFFICIENTS, _not_utf8, None),

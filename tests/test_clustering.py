@@ -347,18 +347,18 @@ def assert_same_model(model, ref):
 
 @pytest.fixture
 def rescored(monkeypatch):
-    """Record how many points each exact rescoring of the Gram screen takes
-    (the silhouette pass, which measures the points against themselves, is
-    not counted)."""
+    """Record how many points each exact rescoring of the Gram screen takes:
+    the outer-form ``_sq_dist`` calls on listed points (the seeding and the
+    silhouette pass list none, so they are not counted)."""
     counts = []
-    blocks = vibrancy.clustering._sq_dist_blocks
+    sq_dist = vibrancy.clustering._sq_dist
 
-    def watched(X, C):
-        if X is not C:
-            counts.append(X.shape[0])
-        return blocks(X, C)
+    def watched(X, C, cols=None, rows=None):
+        if cols is None and rows is not None:
+            counts.append(len(rows))
+        return sq_dist(X, C, cols, rows)
 
-    monkeypatch.setattr(vibrancy.clustering, "_sq_dist_blocks", watched)
+    monkeypatch.setattr(vibrancy.clustering, "_sq_dist", watched)
     return counts
 
 
@@ -607,12 +607,11 @@ class TestBatchedParts:
             X = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-3, 4)
             C = rng.normal(size=(restarts, k, p))
             labels = rng.integers(0, k, size=(restarts, n))
-            own = vibrancy.clustering._own_sq(X, C.reshape(-1, p), labels,
-                                              k * np.arange(restarts))
+            own = vibrancy.clustering._sq_dist(X, C.reshape(-1, p),
+                                               cols=labels + k * np.arange(restarts)[:, None])
             for a in range(restarts):
-                exact = np.concatenate(
-                    [block for _, _, block in vibrancy.clustering._sq_dist_blocks(X, C[a])])
-                assert own[a].tobytes() == exact[np.arange(n), labels[a]].tobytes()
+                exact = vibrancy.clustering._sq_dist(X, C[a])
+                assert own[a].tobytes() == exact[labels[a], np.arange(n)].tobytes()
 
     def test_assignment_memory_is_bounded(self, rng):
         def peak_mib(n):
@@ -623,7 +622,8 @@ class TestBatchedParts:
             tracemalloc.start()
             try:
                 labels = vibrancy.clustering._assign(X, xx, C, ks)
-                vibrancy.clustering._own_sq(X, C, labels, 10 * np.arange(10))
+                labels += 10 * np.arange(10)[:, None]
+                vibrancy.clustering._sq_dist(X, C, cols=labels)
                 return tracemalloc.get_traced_memory()[1] / 2**20
             finally:
                 tracemalloc.stop()
@@ -742,10 +742,15 @@ BLOCK_SHAPES = [(37, 3, 1), (40, 12, 2)]
 
 class TestBlockedDistances:
     @pytest.mark.parametrize("shape", BLOCK_SHAPES)
-    def test_silhouette_matches_definition(self, tiny_blocks, rng, shape):
+    def test_silhouette_matches_definition(self, monkeypatch, tiny_blocks, rng, shape):
         n = shape[0]
         points = np.zeros((n, shape[1] * shape[2]))
-        assert len(list(vibrancy.clustering._sq_dist_blocks(points, points))) > 1
+        blocks = []
+        einsum = np.einsum
+        with monkeypatch.context() as m:
+            m.setattr(np, "einsum", lambda *args: blocks.append(args) or einsum(*args))
+            vibrancy.clustering._sq_dist(points, points)
+        assert len(blocks) > 1
         for _ in range(5):
             data = rng.uniform(size=shape)
             labels = rng.integers(1, 5, size=n)
@@ -933,6 +938,30 @@ class TestAssign:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             assign(self.model(), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("stack", ["small integers", "duplicated points", "far from origin"])
+    def test_agrees_with_a_fitted_model(self, rng, stack):
+        # each point goes to the smallest label at its exact minimum distance;
+        # where that minimum is unique, that is the label the model gave it
+        unique = 0
+        for trial in range(6):
+            if stack == "small integers":
+                data = rng.integers(0, 3, size=(int(rng.integers(10, 40)), 3, 1)).astype(float)
+            elif stack == "duplicated points":
+                data = _duplicated_stack(rng, int(rng.integers(5, 8)), int(rng.integers(2, 5)))
+            else:
+                data = 1e7 + rng.uniform(size=(30, 12, 2))
+            model = kmeans(data, int(rng.integers(2, 5)), seed=trial)
+            assert model.converged
+            d2 = _reference_pairwise_sq(data.reshape(len(data), -1),
+                                        model.centroids.reshape(model.k, -1))
+            for i, row in enumerate(d2):
+                nearest = np.flatnonzero(row == row.min()) + 1
+                assert assign(model, data[i]) == nearest[0]
+                if len(nearest) == 1:
+                    unique += 1
+                    assert model.labels[i] == nearest[0]
+        assert unique > 0
 
 
 class TestModelIO:

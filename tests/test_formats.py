@@ -4,6 +4,7 @@ config files and run manifests."""
 
 import json
 import struct
+import tracemalloc
 from dataclasses import MISSING, fields
 
 import pytest
@@ -20,7 +21,14 @@ from vibrancy.config import (
 from vibrancy.errors import DataError
 from vibrancy.grid import CellId, CityRegion, GridSpec, load_region, save_region
 from vibrancy.logit import fit, load_logit, save_logit
-from vibrancy.signatures import TensorSegment, read_tensor, relative_risk, write_tensor
+from vibrancy.signatures import (
+    TensorSegment,
+    read_framed,
+    read_tensor,
+    relative_risk,
+    write_framed,
+    write_tensor,
+)
 
 
 def _split(raw: bytes):
@@ -76,6 +84,28 @@ def test_corrupt_framed_file_is_a_data_error_naming_it(tmp_path, rng, make, corr
 def test_unreadable_framed_file_is_a_data_error(tmp_path):
     with pytest.raises(DataError):
         read_tensor(tmp_path / "absent.sig")
+
+
+def test_framed_payload_is_written_in_place_and_read_with_one_copy(tmp_path, rng):
+    # a 7.32 MiB payload: the writer takes it from the array's own buffer, and
+    # the reader holds the file's bytes and one array copy of the payload
+    values = rng.normal(size=(2000, 12, 40))
+    path = tmp_path / "big.bin"
+    tracemalloc.start()
+    try:
+        write_framed(path, b"TEST", {"shape": list(values.shape)}, values)
+        written = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = read_framed(path, b"TEST", "test", lambda h: h["shape"], lambda h, v: v)
+        read = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    blob = json.dumps({"shape": list(values.shape), "version": 1},
+                      separators=(",", ":")).encode()
+    assert path.read_bytes() == _frame(b"TEST", blob, values.tobytes())
+    assert back.tobytes() == values.tobytes() and back.flags.writeable
+    assert written < 0.01 * values.nbytes
+    assert read < 2.05 * values.nbytes
 
 
 def _edit_json(edit):
