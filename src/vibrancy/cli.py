@@ -14,14 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import parse_config
+from .config import bounds_error, parse_config
 from .clustering import read_labels_csv, select_k
 from .errors import ConfigError, DataError, NumericError, VibrancyError, read_json
 from .features import build_features, load_third_place_taxonomy, rare_labels
 from .features import export_features_csv, load_features_csv
 from .grid import load_region
 from .ingest import load_taxonomy, parse_pois, read_traffic
-from .logit import read_coefficients_csv
+from .logit import coefficient_table, load_logit
 from .pipeline import (
     MANIFEST_NAME,
     build_city_tensor,
@@ -52,6 +52,11 @@ EXIT_NUMERIC = 3
 
 class _UsageError(Exception):
     pass
+
+
+#: the option of each bounded setting (``config.bounds_error``) by field name
+_OPTION_OF = {"seed": "--seed", "restarts": "--restarts", "lam": "--lambda", "rr_cap": "--cap",
+              "holdout": "--holdout", "k_min": "--k-min", "k_max": "--k-max"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,7 +117,7 @@ def _cmd_signatures(args) -> int:
     write_tensor(tensor, args.out_raw)
     print(f"signature tensor: {tensor.n} cells x 12 bins x {len(tensor.categories)} categories")
     if args.out_rr:
-        rr = relative_risk(tensor, cap=args.cap)
+        rr = relative_risk(tensor, cap=args.rr_cap)
         write_tensor(rr, args.out_rr)
         print(f"relative risk written ({len(rr.capped_columns)} capped columns)")
     return EXIT_OK
@@ -131,7 +136,7 @@ def _cmd_cluster(args) -> int:
             if raw.kind != RAW:
                 raise DataError(f"{path} is a relative-risk tensor; pass it with --rr instead")
         combined = concat_tensors(raws) if len(raws) > 1 else raws[0]
-        rr = relative_risk(combined, cap=args.cap)
+        rr = relative_risk(combined, cap=args.rr_cap)
         write_tensor(rr, out / "signatures_rr.sig")
     model, report = select_k(rr, k_min=args.k_min, k_max=args.k_max, seed=args.seed,
                              restarts=args.restarts)
@@ -337,9 +342,9 @@ def _cmd_report(args) -> int:
         if ksel_path.is_file():
             scores = ", ".join(f"k={k}: {v:.4f}" for k, v in _kselection_scores(ksel_path))
             details.append(f"\nsilhouette by k [{scope}]: {scores}")
-        coef_path = run_dir / scope / "coefficients.csv"
-        if coef_path.is_file():
-            header, coef_rows = read_coefficients_csv(coef_path)
+        model_path = run_dir / scope / "model.json"
+        if model_path.is_file():
+            header, coef_rows = coefficient_table(load_logit(model_path))
             details.append(f"coefficients [{scope}]:")
             details.append("  " + header[0].ljust(34) + "".join(p.rjust(11) for p in header[1:]))
             details.extend("  " + name.ljust(34) + "".join(f"{v:>11.4f}" for v in values)
@@ -377,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segment-name", default=None)
     p.add_argument("--mean-per-day", action="store_true")
     p.add_argument("--drop-silent-cells", action="store_true")
-    p.add_argument("--cap", type=float, default=DEFAULT_RR_CAP)
+    p.add_argument("--cap", dest="rr_cap", type=float, default=DEFAULT_RR_CAP)
     p.add_argument("--out-raw", required=True)
     p.add_argument("--out-rr")
     p.set_defaults(func=_cmd_signatures)
@@ -386,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rr", help="relative-risk tensor file")
     p.add_argument("--raw", action="append", default=[],
                    help="raw tensor file(s); concatenated then normalized")
-    p.add_argument("--cap", type=float, default=DEFAULT_RR_CAP)
+    p.add_argument("--cap", dest="rr_cap", type=float, default=DEFAULT_RR_CAP)
     p.add_argument("--k-min", type=int, default=3)
     p.add_argument("--k-max", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
@@ -450,13 +455,11 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "cluster":
-            if bool(args.rr) == bool(args.raw):
-                raise _UsageError("pass exactly one of --rr or --raw")
-            if not 2 <= args.k_min <= args.k_max:
-                raise _UsageError("need 2 <= --k-min <= --k-max")
-            if args.restarts < 1:
-                raise _UsageError("--restarts must be at least 1")
+        if args.command == "cluster" and bool(args.rr) == bool(args.raw):
+            raise _UsageError("pass exactly one of --rr or --raw")
+        # run checks its options with the config they change
+        if args.command != "run" and (message := bounds_error(vars(args), _OPTION_OF.get)):
+            raise _UsageError(message)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from .errors import (
     SingleClusterError,
 )
 from .grid import CellId, GridSpec, cell_polygon
-from .ingest import read_cell_rows
+from .ingest import read_cell_rows, write_csv
 from .signatures import SignatureTensor, read_framed, write_framed
 
 TensorLike = Union[SignatureTensor, np.ndarray]
@@ -710,17 +710,15 @@ def export_labels_csv(
 ) -> None:
     if len(cells) != len(labels):
         raise ShapeMismatchError("cells and labels differ in length")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"col,row,{value_column}\n")
-        for cell, lab in zip(cells, labels):
-            fh.write(f"{cell.col},{cell.row},{int(lab)}\n")
+    write_csv(path, ["col", "row", value_column],
+              (f"{cell.col},{cell.row},{int(lab)}" for cell, lab in zip(cells, labels)))
 
 
 def read_labels_csv(path, value_column: str = "cluster") -> dict[CellId, int]:
     """Read a ``col,row,<value_column>`` CSV into a cell -> label map in file
     order; this reads cluster labels and planted truth (``archetype``)."""
-    _, cells, rows = read_cell_rows(path, "labels", ["col", "row", value_column], int)
-    return {cell: row[0] for cell, row in zip(cells, rows)}
+    cells, values = read_cell_rows(path, "labels", ["col", "row", value_column], np.int64)
+    return dict(zip(cells, values[:, 0].tolist()))
 
 
 def export_labels_geojson(

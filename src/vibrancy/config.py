@@ -41,6 +41,15 @@ from .signatures import DAY_TYPES, DEFAULT_RR_CAP
 
 LEVELS = ("local", "global")
 
+#: bounds the config and the CLI's options share: field -> (test, what a value must be)
+BOUNDS = {
+    "seed": (lambda v: v >= 0, "must be nonnegative"),
+    "restarts": (lambda v: v >= 1, "must be at least 1"),
+    "lam": (lambda v: 0.0 <= v < math.inf, "must be finite and nonnegative"),
+    "rr_cap": (lambda v: 0.0 < v < math.inf, "must be finite and positive"),
+    "holdout": (lambda v: 0.0 <= v < 1.0, "must be in [0, 1)"),
+}
+
 
 @dataclass
 class CityConfig:
@@ -81,21 +90,23 @@ class PipelineConfig:
             raise ConfigError("day_types is empty")
         if len(set(self.day_types)) != len(self.day_types):
             raise ConfigError("day_types lists a day type twice")
-        if not (2 <= self.k_min <= self.k_max):
-            raise ConfigError("need 2 <= k_min <= k_max")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        if self.restarts < 1:
-            raise ConfigError("restarts must be at least 1")
-        if not (0.0 <= self.lam < math.inf):
-            raise ConfigError("lambda must be finite and nonnegative")
-        if not (0.0 < self.rr_cap < math.inf):
-            raise ConfigError("rr_cap must be finite and positive")
-        if not (0.0 <= self.holdout < 1.0):
-            raise ConfigError("holdout must be in [0, 1)")
+        if message := bounds_error(vars(self)):
+            raise ConfigError(message)
         names = [c.name for c in self.cities]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate city names")
+
+
+def bounds_error(settings: dict, spell=None) -> Optional[str]:
+    """What is wrong with the first of ``settings`` (field -> value) out of
+    bounds, ``2 <= k_min <= k_max`` then ``BOUNDS``, or None; other fields are
+    ignored. A field is spelled ``spell(field)``, by default its config key."""
+    spell = spell or (lambda name: _KEY_OF.get(name, name))
+    if "k_min" in settings and not 2 <= settings["k_min"] <= settings["k_max"]:
+        return f"need 2 <= {spell('k_min')} <= {spell('k_max')}"
+    for name, (holds, must) in BOUNDS.items():
+        if name in settings and not holds(settings[name]):
+            return f"{spell(name)} {must}"
 
 
 def _strip_comment(line: str) -> str:

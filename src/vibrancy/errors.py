@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the guarded reads that
-turn a file that cannot be read, decoded or parsed into a ``DataError``.
+"""Exception types shared across the package, the guarded reads that turn a
+file that cannot be read, decoded or parsed into a ``DataError``, and ``write_json``.
 
 The CLI maps these onto exit codes: usage problems exit 1, ``DataError``
 subtypes exit 2, ``NumericError`` subtypes exit 3.
@@ -105,3 +105,8 @@ def read_json(path, what: str):
         return json.loads(read_text(path, what))
     except json.JSONDecodeError as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as UTF-8 JSON with sorted keys, indent 1 and a final newline."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")

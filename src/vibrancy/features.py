@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DataError, TooFewRowsError
 from .grid import CellId, CityRegion, GridSpec
-from .ingest import PoiRecord, read_category_pairs, read_cell_rows
+from .ingest import PoiRecord, read_category_pairs, read_cell_rows, write_csv
 
 THIRD_PLACE_CATEGORIES = (
     "commercial_services",
@@ -35,6 +35,8 @@ FEATURE_COLUMNS = (
     + tuple(f"{c}_count" for c in THIRD_PLACE_CATEGORIES)
     + tuple(f"{c}_diversity" for c in THIRD_PLACE_CATEGORIES)
 )
+
+THIRD_PLACE_HEADER = ["label", "category"]
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,7 @@ class ThirdPlaceTaxonomy:
 def load_third_place_taxonomy(source) -> ThirdPlaceTaxonomy:
     """Load a ``label,category`` CSV. Duplicate labels are an error."""
     return ThirdPlaceTaxonomy(read_category_pairs(
-        source, ["label", "category"], "third-place taxonomy", allowed=THIRD_PLACE_CATEGORIES))
+        source, THIRD_PLACE_HEADER, "third-place taxonomy", allowed=THIRD_PLACE_CATEGORIES))
 
 
 def rare_labels(pois: Sequence[PoiRecord], min_count: int = 10) -> dict[str, int]:
@@ -258,12 +260,12 @@ def standardize(table: FeatureTable) -> FeatureTable:
 
 
 def export_features_csv(table: FeatureTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("col,row," + ",".join(table.columns) + "\n")
-        for cell, row in zip(table.cells, table.values):
-            fh.write(f"{cell.col},{cell.row}," + ",".join(repr(float(v)) for v in row) + "\n")
+    write_csv(path, ["col", "row", *table.columns],
+              (f"{cell.col},{cell.row}," + ",".join(map(repr, row))
+               for cell, row in zip(table.cells, table.values.tolist())))
 
 
 def load_features_csv(path) -> FeatureTable:
-    header, cells, rows = read_cell_rows(path, "feature", None, float)
-    return FeatureTable(cells, header[2:], np.asarray(rows, dtype=np.float64))
+    """Read a ``features.csv`` with the header ``col,row`` + ``FEATURE_COLUMNS``."""
+    cells, values = read_cell_rows(path, "features", ["col", "row", *FEATURE_COLUMNS], np.float64)
+    return FeatureTable(cells, FEATURE_COLUMNS, values)

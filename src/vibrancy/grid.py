@@ -8,13 +8,11 @@ never double-counted.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Iterable, Optional
 
-from .errors import DataError, OutOfBoundsError, read_json
+from .errors import DataError, OutOfBoundsError, read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,7 @@ def cell_polygon(cell: CellId, grid: GridSpec) -> list[tuple[float, float]]:
 
 @dataclass(frozen=True)
 class CityRegion:
-    """A grid plus the subset of cells that belong to the study area."""
+    """A grid, its cells in the study area, and the declared area if known (> 0)."""
 
     grid: GridSpec
     active_cells: frozenset[CellId]
@@ -97,6 +95,9 @@ class CityRegion:
     def __post_init__(self):
         # frozenset so regions are hashable and never mutated after load
         object.__setattr__(self, "active_cells", frozenset(self.active_cells))
+        declared = self.declared_area_km2
+        if declared is not None and not (math.isfinite(declared) and declared > 0):
+            raise DataError(f"declared_area_km2 {declared!r} is not a finite positive number")
         for cell in self.active_cells:
             if not self.grid.contains_cell(cell):
                 raise OutOfBoundsError(
@@ -196,14 +197,14 @@ def save_region(region: CityRegion, path) -> None:
     }
     if region.declared_area_km2 is not None:
         doc["declared_area_km2"] = region.declared_area_km2
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    write_json(path, doc)
 
 
 def load_region(path) -> CityRegion:
     doc = read_json(path, "region file")
     try:
         grid = grid_from_dict(doc["grid"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"region file {path} has a bad grid spec: {exc}") from exc
     cells: set[CellId] = set()
     for col, row in _int_entries(doc, "active_cells", ("col", "row"), path):
@@ -222,8 +223,10 @@ def load_region(path) -> CityRegion:
         raise DataError(f"region file {path}: declared_area_km2 {declared!r} is not a number")
     try:
         return CityRegion(grid, frozenset(cells), None if declared is None else float(declared))
-    except OutOfBoundsError as exc:
-        raise OutOfBoundsError(f"region file {path}: {exc}") from exc
+    except OverflowError:  # a JSON integer too large for a float
+        raise DataError(f"region file {path}: declared_area_km2 is not finite") from None
+    except DataError as exc:
+        raise type(exc)(f"region file {path}: {exc}") from exc
 
 
 def _int_entries(doc: dict, key: str, names: tuple[str, ...], path) -> list[list[int]]:

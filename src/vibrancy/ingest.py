@@ -1,18 +1,16 @@
-"""Parsers for the CSV interchange formats and the service taxonomy.
+"""The one CSV reader and the one CSV writer, and the formats read with them.
 
-Formats (header line mandatory):
+Formats (header line mandatory): traffic ``col,row,timestamp,service,
+direction,volume``, POIs ``x,y,label,source_category``, services
+``service,category``, and for other modules cell rows and taxonomies.
 
-* traffic:  ``col,row,timestamp,service,direction,volume``
-* POIs:     ``x,y,label,source_category``
-* services: ``service,category``
-
-Traffic and POI files share one chunked reader (``_read_csv``). It rejects
-bad rows instead of aborting: each rejected line is counted under a reason
-so that accepted + rejected always equals the number of data lines. Each
+Every CSV input goes through one chunked reader (``_read_csv``). Each
 format only turns a batch of fields into reject reasons and keeps the rows
-it accepts, with numpy, not row by row. Accepted traffic rows are kept as
-typed columns (``TrafficTable``), not as one object per row. A wrong
-header, or a line error in a taxonomy, is a DataError naming the file.
+it accepts, with numpy, not row by row. Traffic and POI files count each
+rejected line under a reason, so accepted + rejected always equals the
+number of data lines; accepted traffic rows are kept as typed columns
+(``TrafficTable``). Other files must have every line right
+(``_read_exact``). A wrong header is a DataError naming the file.
 """
 
 from __future__ import annotations
@@ -25,9 +23,10 @@ from array import array
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime
+from functools import partial
 from itertools import chain, count, islice, repeat
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional, Sequence, TextIO, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -163,15 +162,14 @@ def _source_name(source) -> str:
 
 
 @contextmanager
-def _open_source(source: Union[str, Path, TextIO], binary: bool = False) -> Iterator:
-    """An open text stream as it is, or a file streamed from disk (as UTF-8
-    text without a leading byte order mark, or as bytes if ``binary``); a
+def _open_source(source: Union[str, Path, TextIO]) -> Iterator:
+    """An open stream as it is, or a file streamed from disk as bytes; a
     file that cannot be opened or decoded is a DataError naming it."""
     if hasattr(source, "read"):
         yield source
         return
     try:
-        fh = open(source, "rb") if binary else open(source, encoding="utf-8-sig")
+        fh = open(source, "rb")
     except OSError as exc:
         raise DataError(f"cannot read {source}: {exc}") from exc
     with fh:
@@ -187,36 +185,12 @@ def _check_header(row: list[str] | None, expected: list[str], what: str, source)
                         f"{','.join(expected)!r}")
 
 
-def read_cell_rows(path, what: str, columns: Optional[list[str]], convert):
-    """Read a ``col,row,...`` CSV: its header (exactly ``columns`` if given),
-    its cells in file order, and each row's other fields through ``convert``.
-    A malformed row or a repeated cell is a DataError naming ``file:line``."""
-    cells: list[CellId] = []
-    rows: list[list] = []
-    seen: set[CellId] = set()
-    with _open_source(path) as lines:
-        reader = csv.reader(lines)
-        header = [c.strip() for c in next(reader, [])]
-        if (header != columns) if columns else (header[:2] != ["col", "row"]):
-            expected = ",".join(columns) if columns else "col,row,..."
-            raise DataError(f"{what} file {path} must have header {expected}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                cell = CellId(int(row[0]), int(row[1]))
-                rows.append([convert(v) for v in row[2:]])
-            except ValueError as exc:
-                raise DataError(f"{path}:{line_no}: {exc}") from None
-            if cell in seen:
-                raise DataError(f"{path}:{line_no}: cell ({cell.col}, {cell.row}) is listed twice")
-            seen.add(cell)
-            cells.append(cell)
-    return header, cells, rows
+def write_csv(path, header: Sequence[str], lines: Iterable[str]) -> None:
+    """Write a CSV file as UTF-8 with ``\\n`` line ends: ``header`` joined by
+    commas, then each of ``lines`` (its fields already joined by commas)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 def _parse_timestamp(text: str) -> datetime:
@@ -240,14 +214,17 @@ _PLAIN_BYTES = _FIELD_BYTES + b",\n\r"
 _NOT_INT = -(2**63)  # int64's least value
 
 
-def _int_or_flag(text) -> int:
-    """``int(text)``; ``_NOT_INT`` if that fails, and -1, outside every grid,
-    if the value does not fit in int64."""
+def _int_or_flag(text, too_big: int = -1) -> int:
+    """``int(text)``; ``_NOT_INT`` if that fails, and ``too_big`` (by default
+    -1, outside every grid) if the value does not fit in int64."""
     try:
         value = int(text)
     except ValueError:
         return _NOT_INT
-    return value if _NOT_INT < value < 2**63 else -1
+    return value if _NOT_INT < value < 2**63 else too_big
+
+
+_int64_or_flag = partial(_int_or_flag, too_big=_NOT_INT)  # a value outside int64 fails too
 
 
 def _float_or_nan(text) -> float:
@@ -264,7 +241,12 @@ def _codes(fields: list) -> tuple[np.ndarray, list[str]]:
     at = np.fromiter(map(first.setdefault, fields, count()), np.intp, len(fields))
     index = np.zeros(len(fields), np.intp)
     index[list(first.values())] = np.arange(len(first))
-    return index[at], [f.decode() if isinstance(f, bytes) else f for f in first]
+    return index[at], _texts(first)
+
+
+def _texts(fields) -> list[str]:
+    """Fields as ``str``; a plain chunk's fields are ASCII ``bytes``."""
+    return [f.decode() if isinstance(f, bytes) else f for f in fields]
 
 
 def _parse_all(fields: list, parse, parse_or_flag, dtype) -> np.ndarray:
@@ -367,7 +349,7 @@ def _read_csv(source, header: list[str], what: str, take, reasons: tuple) -> Par
     """
     report = ParseReport()
     line_no = 2  # of the next line; the header is line 1
-    with _open_source(source, binary=True) as fh:
+    with _open_source(source) as fh:
         for n_fields, fields in _batches(fh, header, what, source):
             line_reason = (n_fields != 0).astype(np.intp)  # not blank, not full: malformed
             line_reason[n_fields == len(header)] = take(fields)
@@ -378,6 +360,46 @@ def _read_csv(source, header: list[str], what: str, take, reasons: tuple) -> Par
             line_no += len(n_fields)
     report.accepted = report.total_lines - report.rejected
     return report
+
+
+def _read_exact(source, header: list[str], what: str, take, reasons: tuple, errors=None) -> None:
+    """``_read_csv`` for a file whose every data line must be accepted: the
+    first rejected line is a DataError (``errors[reason]`` if the reason is
+    a key there) naming ``file:line`` and its reason."""
+    report = _read_csv(source, header, what, take, reasons)
+    if report.rejected_lines:
+        line_no, reason = report.rejected_lines[0]
+        raise (errors or {}).get(reason, DataError)(f"{_source_name(source)}:{line_no}: {reason}")
+
+
+def read_cell_rows(source, what: str, header: list[str], dtype) -> tuple[list[CellId], np.ndarray]:
+    """The cells, in file order, and the values, as a (rows, values) array of
+    ``dtype`` (int64 or finite float64), of a ``what`` CSV with exactly
+    ``header``, ``col,row`` then values. A bad line or a cell listed twice is
+    a DataError naming ``file:line``."""
+    cells: list[CellId] = []
+    values = [np.empty((0, len(header) - 2), dtype)]
+    seen: set[CellId] = set()
+    parse, parse_or_flag = (int, _int64_or_flag) if dtype == np.int64 else (float, _float_or_nan)
+
+    def take(fields: list[list]) -> np.ndarray:
+        col, row = (_parse_all(f, int, _int64_or_flag, np.int64) for f in fields[:2])
+        batch = np.column_stack([_parse_all(f, parse, parse_or_flag, dtype) for f in fields[2:]])
+        values.append(batch)
+        reason = np.zeros(len(col), np.intp)  # an index in the reasons below; last mask wins
+        for j, cell in enumerate(map(CellId, col.tolist(), row.tolist())):
+            if cell in seen:
+                reason[j] = 4
+            seen.add(cell)
+            cells.append(cell)
+        reason[((batch == _NOT_INT) if parse is int else ~np.isfinite(batch)).any(axis=1)] = 3
+        reason[(col == _NOT_INT) | (row == _NOT_INT)] = 2
+        return reason
+
+    _read_exact(source, header, what, take, (
+        None, f"expected {len(header)} fields", "col and row must be integers",
+        f"values must be {'integers' if parse is int else 'finite numbers'}", "cell listed twice"))
+    return cells, np.concatenate(values)
 
 
 _DIRECTION_OF = {d: i for i, d in enumerate(DIRECTIONS)}
@@ -493,24 +515,19 @@ def read_category_pairs(source, header: list[str], what: str, duplicate=DataErro
     when ``allowed`` is given, a category outside it is an error naming the
     file and line."""
     mapping: dict[str, str] = {}
-    name = _source_name(source)
-    with _open_source(source) as lines:
-        reader = csv.reader(lines)
-        _check_header(next(reader, None), header, what, source)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{name}:{line_no}: expected 2 fields, got {len(row)}")
-            key, category = (c.strip() for c in row)
-            if not key or not category:
-                raise DataError(f"{name}:{line_no}: empty {header[0]} or category")
-            if key in mapping:
-                raise duplicate(f"{name}:{line_no}: duplicate {header[0]} {key!r}")
-            if allowed is not None and category not in allowed:
-                raise DataError(f"{name}:{line_no}: {header[0]} {key!r} maps to unknown "
-                                f"category {category!r}; expected one of {tuple(allowed)}")
-            mapping[key] = category
+
+    def take(fields: list[list]) -> list[int]:
+        reason = []
+        for key, category in zip(*map(_texts, fields)):
+            reason.append(2 if not (key and category) else 3 if key in mapping
+                          else 4 if allowed is not None and category not in allowed else 0)
+            if reason[-1] == 0:
+                mapping[key] = category
+        return reason
+
+    reasons = (None, "expected 2 fields", f"empty {header[0]} or category",
+               f"duplicate {header[0]}", f"category not one of {tuple(allowed or ())}")
+    _read_exact(source, header, what, take, reasons, {reasons[3]: duplicate})
     return mapping
 
 

@@ -16,10 +16,8 @@ coefficient tables well-defined.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,8 +31,9 @@ from .errors import (
     NotFittedError,
     SingleClassError,
     read_json,
-    read_text,
+    write_json,
 )
+from .ingest import write_csv
 
 ARMIJO_C = 1e-4
 MIN_STEP = 1e-20
@@ -420,33 +419,7 @@ def coefficient_table(model: MultinomialLogit) -> tuple[list[str], list[list]]:
 
 def export_coefficients_csv(model: MultinomialLogit, path) -> None:
     header, rows = coefficient_table(model)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(row[0] + "," + ",".join(repr(v) for v in row[1:]) + "\n")
-
-
-def read_coefficients_csv(path) -> tuple[list[str], list[list]]:
-    """Read a table written by ``export_coefficients_csv`` back as (header,
-    rows) in the shape of ``coefficient_table``. An unreadable file, a row
-    whose field count differs from the header's or a coefficient that is not
-    a number is a DataError naming the file (and the line)."""
-    lines = read_text(path, "coefficients file").splitlines()
-    if not lines:
-        raise DataError(f"coefficients file {path} is empty")
-    header = lines[0].split(",")
-    rows = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != len(header):
-            raise DataError(
-                f"{path}:{line_no}: expected {len(header)} fields, got {len(fields)}"
-            )
-        try:
-            rows.append([fields[0]] + [float(v) for v in fields[1:]])
-        except ValueError as exc:
-            raise DataError(f"{path}:{line_no}: {exc}") from None
-    return header, rows
+    write_csv(path, header, (",".join([row[0], *map(repr, row[1:])]) for row in rows))
 
 
 def save_logit(model: MultinomialLogit, path) -> None:
@@ -464,7 +437,7 @@ def save_logit(model: MultinomialLogit, path) -> None:
         "final_grad_norm": float(model.final_grad_norm),
         "standardization": model.standardization,
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    write_json(path, doc)
 
 
 def load_logit(path) -> MultinomialLogit:

@@ -14,7 +14,6 @@ on the same platform.
 from __future__ import annotations
 
 import hashlib
-import json
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -36,6 +35,7 @@ from .clustering import (
     write_model,
 )
 from .errors import ConfigError, DataError, UnknownServiceError, VibrancyError, read_json
+from .errors import write_json
 from .features import (
     FeatureTable,
     build_features,
@@ -194,10 +194,6 @@ def fit_membership_model(
     return model, report, extra
 
 
-def _write_json(doc: dict, path: Path) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-
-
 def metrics_document(logit_model: MultinomialLogit, metrics, extra: dict) -> dict:
     """Model-stage facts only, so re-running `fit` alone reproduces the file."""
     return {
@@ -221,7 +217,7 @@ def write_cluster_stage(emit, rr: SignatureTensor, model: ClusterModel,
     """Emit the cluster-stage artifacts: the k selection, the model, and the
     labels of each segment as CSV and GeoJSON (suffixed by segment name when
     the tensor holds several cities)."""
-    emit("kselection.json", lambda p: _write_json(_kselection_doc(report), p))
+    emit("kselection.json", lambda p: write_json(p, _kselection_doc(report)))
     emit("clusters.bin", lambda p: write_model(model, p))
     multi = len(rr.segments) > 1
     for seg in rr.segments:
@@ -238,7 +234,7 @@ def write_model_stage(emit, logit_model: MultinomialLogit, metrics, extra: dict)
     emit("model.json", lambda p: save_logit(logit_model, p))
     emit("coefficients.csv", lambda p: export_coefficients_csv(logit_model, p))
     doc = metrics_document(logit_model, metrics, extra)
-    emit("metrics.json", lambda p: _write_json(doc, p))
+    emit("metrics.json", lambda p: write_json(p, doc))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +326,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
         "quality": quality,
         "results": results,
     }
-    _write_json(manifest, out / MANIFEST_NAME)
+    write_json(out / MANIFEST_NAME, manifest)
     return manifest
 
 

@@ -29,7 +29,7 @@ from .errors import (
     TooFewLocationsError,
 )
 from .grid import CellId, CityRegion, GridSpec, grid_from_dict, grid_to_dict
-from .ingest import ServiceTaxonomy, TrafficTable
+from .ingest import ServiceTaxonomy, TrafficTable, write_csv
 
 N_BINS = 12
 WEEKDAY = "weekday"
@@ -177,21 +177,26 @@ def relative_risk(tensor: SignatureTensor, cap: float = DEFAULT_RR_CAP) -> Signa
     For cell i the ratio is ``x_i / (sum_{k != i} x_k / (n - 1))``. When the
     other cells sum to zero the ratio is undefined; a zero cell then gets the
     neutral value 1.0, and a positive cell gets ``cap`` with the column
-    recorded in ``capped_columns``.
+    recorded in ``capped_columns``. The ratios are computed in the output
+    array, beside boolean masks only: the peak is 1.25 times the tensor's bytes.
     """
     values = tensor.values
     n = values.shape[0]
     if n < 2:
         raise TooFewLocationsError("relative risk needs at least 2 locations")
-    totals = values.sum(axis=0)
-    others = totals[None, :, :] - values
-    zero_den = others <= 0.0
-    denom = np.where(zero_den, 1.0, others / (n - 1))
-    out = values / denom
-    out[zero_den & (values == 0.0)] = 1.0
-    capped = zero_den & (values > 0.0)
-    out[capped] = cap
-    capped_cols = sorted({(int(b), int(d)) for _, b, d in np.argwhere(capped)})
+    out = values.sum(axis=0) - values  # the other cells' sum
+    zero_den = out <= 0.0
+    out /= n - 1
+    np.divide(values, out, out=out, where=~zero_den)
+    np.copyto(out, values, where=zero_den)  # x / 1.0
+    mask = values == 0.0
+    mask &= zero_den
+    out[mask] = 1.0
+    mask = np.greater(values, 0.0, out=mask)
+    mask &= zero_den
+    out[mask] = cap
+    capped_cols = [(int(b), int(d)) for b, d in np.argwhere(mask.any(axis=0))]
+    del zero_den, mask  # before the result's finiteness check adds its own mask
     return replace(tensor, cells=list(tensor.cells), values=out,
                    segments=list(tensor.segments), kind=RELATIVE_RISK, capped_columns=capped_cols)
 
@@ -365,16 +370,9 @@ def read_tensor(path) -> SignatureTensor:
 
 def export_tensor_csv(tensor: SignatureTensor, path) -> None:
     """Long-format dump for inspection: segment,col,row,bin,category,value."""
-    seg_of_row = {}
-    for seg in tensor.segments:
-        for i in range(seg.start, seg.stop):
-            seg_of_row[i] = seg.name
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("segment,col,row,bin,category,value\n")
-        for i, cell in enumerate(tensor.cells):
-            seg = seg_of_row.get(i, "")
-            for b in range(N_BINS):
-                for d, cat in enumerate(tensor.categories):
-                    fh.write(
-                        f"{seg},{cell.col},{cell.row},{b},{cat},{tensor.values[i, b, d]!r}\n"
-                    )
+    seg_of_row = {i: seg.name for seg in tensor.segments for i in range(seg.start, seg.stop)}
+    write_csv(path, ["segment", "col", "row", "bin", "category", "value"], (
+        f"{seg_of_row.get(i, '')},{cell.col},{cell.row},{b},{cat},{value!r}"
+        for i, (cell, bins) in enumerate(zip(tensor.cells, tensor.values.tolist()))
+        for b, row in enumerate(bins)
+        for cat, value in zip(tensor.categories, row)))

@@ -24,9 +24,10 @@ import numpy as np
 
 from .clustering import export_labels_csv
 from .errors import InvalidSpecError, LengthMismatchError
-from .features import THIRD_PLACE_CATEGORIES, ThirdPlaceTaxonomy
+from .features import THIRD_PLACE_CATEGORIES, THIRD_PLACE_HEADER, ThirdPlaceTaxonomy
 from .grid import CellId, CityRegion, GridSpec, save_region
-from .ingest import DIRECTIONS, PoiRecord, ServiceTaxonomy, TrafficTable
+from .ingest import DIRECTIONS, POI_HEADER, TAXONOMY_HEADER, TRAFFIC_HEADER, PoiRecord
+from .ingest import ServiceTaxonomy, TrafficTable, write_csv
 from .signatures import DAY_TYPES, N_BINS, WEEKDAY, day_type_of
 
 WINDOW_START = date(2019, 3, 16)
@@ -303,31 +304,22 @@ def write_city(truth: SynthTruth, out_dir) -> dict[str, Path]:
         "third_places": out / "third_places.csv",
     }
     save_region(truth.region, paths["region"])
-    with open(paths["traffic"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("col,row,timestamp,service,direction,volume\n")
-        t = truth.traffic
-        stamps = [ts.strftime("%Y-%m-%dT%H:%M") for ts in t.stamps]
-        fh.writelines(
-            f"{col},{row},{stamps[stamp]},{t.services[service]},{t.directions[d]},{volume!r}\n"
-            for col, row, stamp, service, d, volume in zip(
-                t.col.tolist(), t.row.tolist(), t.stamp.tolist(), t.service.tolist(),
-                t.direction.tolist(), t.volume.tolist())
-        )
-    with open(paths["pois"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,y,label,source_category\n")
-        for p in truth.pois:
-            fh.write(f"{p.x!r},{p.y!r},{p.label},{p.source_category}\n")
+    t = truth.traffic
+    stamps = [ts.strftime("%Y-%m-%dT%H:%M") for ts in t.stamps]
+    write_csv(paths["traffic"], TRAFFIC_HEADER, (
+        f"{col},{row},{stamps[stamp]},{t.services[service]},{t.directions[d]},{volume!r}"
+        for col, row, stamp, service, d, volume in zip(
+            t.col.tolist(), t.row.tolist(), t.stamp.tolist(), t.service.tolist(),
+            t.direction.tolist(), t.volume.tolist())))
+    write_csv(paths["pois"], POI_HEADER, (f"{p.x!r},{p.y!r},{p.label},{p.source_category}"
+                                          for p in truth.pois))
     export_labels_csv(truth.cells, truth.archetype_of, paths["truth"], "archetype")
-    with open(paths["service_taxonomy"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("service,category\n")
-        for cat, pair in zip(truth.spec.categories, _services_for(truth.spec.categories)):
-            for name in pair:
-                fh.write(f"{name},{cat}\n")
-    with open(paths["third_places"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("label,category\n")
-        for cat in THIRD_PLACE_CATEGORIES:
-            for label in SYNTH_POI_LABELS[cat]:
-                fh.write(f"{label},{cat}\n")
+    write_csv(paths["service_taxonomy"], TAXONOMY_HEADER, (
+        f"{name},{cat}"
+        for cat, pair in zip(truth.spec.categories, _services_for(truth.spec.categories))
+        for name in pair))
+    write_csv(paths["third_places"], THIRD_PLACE_HEADER, (
+        f"{label},{cat}" for cat in THIRD_PLACE_CATEGORIES for label in SYNTH_POI_LABELS[cat]))
     return paths
 
 

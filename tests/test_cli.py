@@ -398,12 +398,8 @@ def _json_edit(edit):
     return apply
 
 
-def _text_edit(edit):
-    return lambda data: edit(data.decode()).encode()
-
-
 KSELECTION = "alpha/weekday/kselection.json"
-COEFFICIENTS = "alpha/weekday/coefficients.csv"
+MODEL = "alpha/weekday/model.json"
 
 # case id -> (file under the run directory, corruption of its bytes)
 BAD_RUN_FILES = {
@@ -433,12 +429,10 @@ BAD_RUN_FILES = {
         lambda doc: doc.update(scores=[0.5, 0.6]))),
     "kselection score not a number": (KSELECTION, _json_edit(
         lambda doc: doc["scores"].update({"2": "high"}))),
-    "coefficients row short": (COEFFICIENTS, _text_edit(
-        lambda text: _replace_line(text, 3, text.splitlines()[2].rsplit(",", 1)[0]))),
-    "coefficients row long": (COEFFICIENTS, _text_edit(
-        lambda text: _replace_line(text, 3, text.splitlines()[2] + ",1.0"))),
-    "coefficient not a number": (COEFFICIENTS, _text_edit(
-        lambda text: _replace_line(text, 3, text.splitlines()[2].rsplit(",", 1)[0] + ",abc"))),
+    "model weights row short": (MODEL, _json_edit(lambda doc: doc["weights"][0].pop())),
+    "model weights row long": (MODEL, _json_edit(
+        lambda doc: [row.append(1.0) for row in doc["weights"]])),
+    "model weight a string": (MODEL, _json_edit(lambda doc: doc["weights"][1].__setitem__(2, "abc"))),
 }
 
 
@@ -498,15 +492,13 @@ class TestReport:
     @pytest.mark.parametrize("case", sorted(BAD_RUN_FILES))
     def test_report_on_a_bad_manifest_is_a_data_error(self, run_dir, tmp_path, capsys, case):
         rel, edit = BAD_RUN_FILES[case]
-        for name in ("manifest.json", KSELECTION, COEFFICIENTS):
+        for name in RUN_FILES:
             (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
             (tmp_path / name).write_bytes((run_dir / name).read_bytes())
         path = tmp_path / rel
         path.write_bytes(edit(path.read_bytes()))
         assert main(["report", "--run-dir", str(tmp_path)]) == 2
-        err = _one_line_data_error(capsys, path)
-        if rel == COEFFICIENTS:
-            assert f"{path}:3:" in err
+        _one_line_data_error(capsys, path)
         assert capsys.readouterr().out == ""
 
 
@@ -549,15 +541,35 @@ class TestExitCodes:
         ("run", ["--k-min", "5", "--k-max", "4"]),
         ("run --manifest", ["--seed", "5"]),
         ("run --manifest", ["--restarts", "0"]),
+        ("cluster", ["--seed", "-1"]),
+        ("cluster", ["--cap", "nan"]),
+        ("signatures", ["--cap", "-5"]),
+        ("synth", ["--seed", "-1"]),
+        ("fit", ["--seed", "-1", "--holdout", "0.25"]),
+        ("fit", ["--lambda", "-1"]),
+        ("fit", ["--lambda", "nan"]),
+        ("fit", ["--holdout", "1.5"]),
     ], ids=["no restarts", "negative restarts", "k-min below 2", "k-min above k-max",
             "run no restarts", "run lambda nan", "run holdout 1", "run k-min above k-max",
-            "run manifest with seed", "run manifest with restarts"])
+            "run manifest with seed", "run manifest with restarts", "cluster negative seed",
+            "cluster cap nan", "signatures negative cap", "synth negative seed",
+            "fit negative seed", "fit negative lambda", "fit lambda nan", "fit holdout 1.5"])
     def test_cluster_ranges_are_usage_errors(self, city_dir, run_dir, tmp_path, capsys,
                                              command, bad):
         out = tmp_path / "c"
+        scope = run_dir / "alpha" / "weekday"
         if command == "cluster":
-            rr = run_dir / "alpha" / "weekday" / "signatures_rr.sig"
-            argv = ["cluster", "--rr", str(rr), "--out-dir", str(out)]
+            argv = ["cluster", "--rr", str(scope / "signatures_rr.sig"), "--out-dir", str(out)]
+        elif command == "signatures":
+            argv = ["signatures", "--region", str(city_dir / "region.json"),
+                    "--traffic", str(city_dir / "traffic.csv"),
+                    "--service-taxonomy", str(city_dir / "service_taxonomy.csv"),
+                    "--day-type", "weekday", "--out-raw", str(out / "raw.sig")]
+        elif command == "synth":
+            argv = ["synth", "--out", str(out)]
+        elif command == "fit":
+            argv = ["fit", "--features", str(scope / "features.csv"),
+                    "--labels", str(scope / "labels.csv"), "--out-dir", str(out)]
         elif command == "run":
             argv = ["run", "--config", str(city_dir / "pipeline.cfg"), "--out", str(out)]
         else:
@@ -658,39 +670,66 @@ def _duplicate_line_2(text: str) -> str:
     return _replace_line(text, 3, text.splitlines()[1])
 
 
-# (file to corrupt, corruption of its text, subcommand that reads it)
+def _line_3_values(value: str):
+    """A corruption that sets every value of line 3 (all but its cell) to ``value``."""
+    def corrupt(text: str) -> str:
+        fields = text.splitlines()[2].split(",")
+        return _replace_line(text, 3, ",".join(fields[:2] + [value] * (len(fields) - 2)))
+    return corrupt
+
+
+# (file to corrupt, corruption of its text, subcommand that reads it, exit
+# code); exit 2 must name the line, exit 0 means the values are taken as data
 BAD_CELL_ROWS = {
     "labels row not an integer": ("labels.csv", lambda t: _replace_line(t, 3, "1,x,1"),
-                                  "features"),
-    "labels row short": ("labels.csv", lambda t: _replace_line(t, 3, "1,0"), "fit"),
-    "labels cell repeated (fit)": ("labels.csv", _duplicate_line_2, "fit"),
-    "labels cell repeated (features)": ("labels.csv", _duplicate_line_2, "features"),
+                                  "features", 2),
+    "labels row short": ("labels.csv", lambda t: _replace_line(t, 3, "1,0"), "fit", 2),
+    "labels cell repeated (fit)": ("labels.csv", _duplicate_line_2, "fit", 2),
+    "labels cell repeated (features)": ("labels.csv", _duplicate_line_2, "features", 2),
+    "labels value nan": ("labels.csv", _line_3_values("nan"), "fit", 2),
+    "labels value negative": ("labels.csv", _line_3_values("-1"), "fit", 0),
+    "labels cell negative": ("labels.csv", lambda t: _replace_line(t, 3, "-1,-3,1"),
+                             "features", 0),
     "features value not a number": (
-        "features.csv", lambda t: _replace_line(t, 3, "1,0" + ",abc" * 12), "fit"),
-    "features row short": ("features.csv", lambda t: _replace_line(t, 3, "1,0,1.0"), "fit"),
-    "features cell repeated": ("features.csv", _duplicate_line_2, "fit"),
+        "features.csv", lambda t: _replace_line(t, 3, "1,0" + ",abc" * 12), "fit", 2),
+    "features row short": ("features.csv", lambda t: _replace_line(t, 3, "1,0,1.0"), "fit", 2),
+    "features cell repeated": ("features.csv", _duplicate_line_2, "fit", 2),
+    "features value nan": ("features.csv", _line_3_values("nan"), "fit", 2),
+    "features value infinite": ("features.csv", _line_3_values("-inf"), "fit", 2),
+    "features value negative": ("features.csv", _line_3_values("-2.5"), "fit", 0),
+    "truth labels value nan": ("truth_labels.csv", _line_3_values("nan"), "run", 2),
+    "truth labels value negative": ("truth_labels.csv", _line_3_values("-1"), "run", 0),
+    "truth labels cell negative": ("truth_labels.csv", lambda t: _replace_line(t, 3, "-1,-3,1"),
+                                   "run", 0),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CELL_ROWS))
 def test_bad_cell_csv_row_is_a_data_error_at_its_line(city_dir, run_dir, tmp_path, capsys,
                                                        case):
-    name, corrupt, command = BAD_CELL_ROWS[case]
+    name, corrupt, command, code = BAD_CELL_ROWS[case]
     scope = run_dir / "alpha" / "weekday"
+    city = tmp_path / "city"
+    shutil.copytree(city_dir, city)
     paths = {n: tmp_path / n for n in ("labels.csv", "features.csv")}
     for n, path in paths.items():
         path.write_text((scope / n).read_text())
+    paths["truth_labels.csv"] = city / "truth_labels.csv"
     paths[name].write_text(corrupt(paths[name].read_text()))
     if command == "features":
-        c = str(city_dir)
-        argv = ["features", "--region", f"{c}/region.json", "--pois", f"{c}/pois.csv",
-                "--third-places", f"{c}/third_places.csv",
+        argv = ["features", "--region", f"{city}/region.json", "--pois", f"{city}/pois.csv",
+                "--third-places", f"{city}/third_places.csv",
                 "--cells-from", str(paths["labels.csv"]), "--out", str(tmp_path / "f.csv")]
-    else:
+    elif command == "fit":
         argv = ["fit", "--features", str(paths["features.csv"]),
                 "--labels", str(paths["labels.csv"]), "--out-dir", str(tmp_path / "fit")]
-    assert main(argv) == 2
-    assert f"{paths[name]}:3:" in _one_line_data_error(capsys, paths[name])
+    else:
+        argv = ["run", "--config", str(city / "pipeline.cfg"), "--out", str(tmp_path / "run")]
+    assert main(argv) == code
+    if code:
+        assert f"{paths[name]}:3:" in _one_line_data_error(capsys, paths[name])
+    else:
+        assert capsys.readouterr().err == ""
 
 
 def _not_utf8(path: Path) -> None:
@@ -770,7 +809,7 @@ def _grid_value(key: str, value):
     return _region_edit(lambda doc: doc["grid"].update({key: value}))
 
 
-RUN_FILES = ("manifest.json", KSELECTION, COEFFICIENTS)
+RUN_FILES = ("manifest.json", KSELECTION, MODEL)
 
 # case id -> (file, corruption, line it names or None); report reads the
 # run's files, run reads the city files
@@ -789,9 +828,16 @@ UNREADABLE_FILES = {
     "region row count a string": ("region.json", _grid_value("n_rows", "5"), None),
     "region active cell outside the grid": (
         "region.json", _region_edit(lambda doc: doc.update(active_cells=[[-2, 0]])), None),
+    **{f"region declared area {area}": (
+        "region.json", _region_edit(lambda doc, area=area: doc.update(declared_area_km2=area)), None)
+       for area in (0, -5.0, float("nan"))},
+    "region declared area an integer too large for a float": (
+        "region.json", _region_edit(lambda doc: doc.update(declared_area_km2=10**400)), None),
+    "region origin an integer too large for a float": (
+        "region.json", _grid_value("origin_x", 10**400), None),
     "manifest not UTF-8": ("manifest.json", _not_utf8, None),
     "manifest a directory": ("manifest.json", _a_directory, None),
-    "coefficients not UTF-8": (COEFFICIENTS, _not_utf8, None),
+    "model not UTF-8": (MODEL, _not_utf8, None),
     "traffic header wrong": ("traffic.csv", _bad_header, None),
     "traffic file empty": ("traffic.csv", _empty, None),
     "traffic file without a header": ("traffic.csv", _no_header, None),
@@ -815,7 +861,8 @@ UNREADABLE_FILES = {
                           ("third-place taxonomy", "third_places.csv"),
                           ("truth labels", "truth_labels.csv")]
        for case, corrupt in [("empty", _empty), ("without a header", _no_header),
-                             ("random bytes", _random_bytes), ("truncated", _truncated)]},
+                             ("random bytes", _random_bytes), ("truncated", _truncated),
+                             ("byte flip breaks UTF-8", _middle_byte_flipped)]},
 }
 
 

@@ -132,6 +132,18 @@ class TestRegionConsistency:
         assert report.passed
         assert report.relative_error == 0.0
 
+    @pytest.mark.parametrize("declared", [0.0, -5.0, math.nan, math.inf])
+    def test_declared_area_must_be_finite_and_positive(self, tmp_path, declared):
+        with pytest.raises(DataError, match="declared_area_km2"):
+            region_with(4, 2, declared=declared)
+        path = tmp_path / "region.json"
+        save_region(region_with(4, 2, declared=1.0), path)
+        doc = json.loads(path.read_text())
+        doc["declared_area_km2"] = declared
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"^region file {path}: declared_area_km2"):
+            load_region(path)
+
 
 class TestCityRegion:
     def test_rejects_out_of_bounds_cells(self):

@@ -20,6 +20,8 @@ from vibrancy.errors import (
     EmptyCategoryListError,
     UnknownServiceError,
 )
+from vibrancy.clustering import read_labels_csv
+from vibrancy.features import FEATURE_COLUMNS, load_features_csv, load_third_place_taxonomy
 from vibrancy.grid import CellId, GridSpec, load_region
 from vibrancy.ingest import (
     DIRECTIONS,
@@ -586,3 +588,96 @@ class TestServiceTaxonomy:
         assert messaging == {
             "Apple iMessage", "Facebook Messenger", "Skype", "Telegram", "WhatsApp"
         }
+
+
+def _quoted(text: str) -> str:
+    return "".join(",".join(f'"{f}"' for f in line.split(",")) + "\n"
+                   for line in text.splitlines())
+
+
+def _spaced(text: str) -> str:
+    return "".join(",".join(f" {f} " for f in line.split(",")) + "\n"
+                   for line in text.splitlines())
+
+
+# the files that must have every line right, each as (text, reader)
+EXACT_FILES = {
+    "labels": ("col,row,cluster\n0,0,1\n3,0,2\n1,2,1\n",
+               lambda path: read_labels_csv(path)),
+    "features": ("col,row," + ",".join(FEATURE_COLUMNS) + "\n"
+                 + "".join(f"{c},1," + ",".join(repr(0.25 * c + j) for j in range(12)) + "\n"
+                           for c in range(3)),
+                 lambda path: (lambda t: (t.cells, t.values.tolist()))(load_features_csv(path))),
+    "service taxonomy": ("service,category\nA,X\nB b,Y\nC,X\n",
+                         lambda path: load_taxonomy(path).mapping),
+    "third-place taxonomy": ("label,category\npark,outdoor\nbar,eating_and_drinking\n",
+                             lambda path: load_third_place_taxonomy(path).mapping),
+}
+
+ODD_BYTES = {
+    "byte order mark": lambda data: b"\xef\xbb\xbf" + data,
+    "CRLF line ends": lambda data: data.replace(b"\n", b"\r\n"),
+    "lone CR line ends": lambda data: data.replace(b"\n", b"\r"),
+    "blank lines": lambda data: data.replace(b"\n", b"\n\n"),
+    "quoted fields": lambda data: _quoted(data.decode()).encode(),
+    "spaces around fields": lambda data: _spaced(data.decode()).encode(),
+}
+
+
+class TestExactFiles:
+    """Cell-row and taxonomy files go through the traffic and POI reader."""
+
+    @pytest.mark.parametrize("chunk", [23, vibrancy.ingest.CHUNK_BYTES])
+    @pytest.mark.parametrize("odd", sorted(ODD_BYTES))
+    @pytest.mark.parametrize("kind", sorted(EXACT_FILES))
+    def test_odd_bytes_read_alike(self, tmp_path, monkeypatch, kind, odd, chunk):
+        monkeypatch.setattr(vibrancy.ingest, "CHUNK_BYTES", chunk)
+        text, read = EXACT_FILES[kind]
+        path = tmp_path / "file.csv"
+        path.write_bytes(text.encode())
+        want = read(path)
+        path.write_bytes(ODD_BYTES[odd](text.encode()))
+        assert read(path) == want
+
+    @pytest.mark.parametrize("kind", sorted(EXACT_FILES))
+    def test_first_bad_line_is_named(self, tmp_path, kind):
+        text, read = EXACT_FILES[kind]
+        lines = text.splitlines()
+        path = tmp_path / "file.csv"
+        # line 4 is short, line 5 repeats line 2
+        path.write_text("\n".join(lines[:2] + ["", lines[1].split(",")[0], lines[1]]) + "\n")
+        with pytest.raises(DataError, match=f"^{path}:4: expected {len(lines[0].split(','))} "
+                                            "fields$"):
+            read(path)
+        path.write_text("\n".join(lines[:2] + ["", lines[1]]) + "\n")
+        error = DuplicateServiceError if kind == "service taxonomy" else DataError
+        with pytest.raises(error, match=f"^{path}:4: "):
+            read(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("1,x,1", "col and row must be integers"),
+        ("99999999999999999999,0,1", "col and row must be integers"),
+        ("1,0,nan", "values must be integers"),
+        ("1,0,1.5", "values must be integers"),
+        ("1,0,", "values must be integers"),
+    ])
+    def test_bad_label_values(self, tmp_path, line, message):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"col,row,cluster\n0,0,1\n{line}\n")
+        with pytest.raises(DataError, match=f"^{path}:3: {message}$"):
+            read_labels_csv(path)
+
+    def test_features_header_is_fixed(self, tmp_path):
+        text, read = EXACT_FILES["features"]
+        path = tmp_path / "features.csv"
+        path.write_text(text.replace("total_count", "count", 1))
+        with pytest.raises(DataError, match=f"^{path}: features file must start with header "
+                                            "'col,row,total_count,"):
+            read(path)
+
+    def test_header_only_reads_no_rows(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("col,row,cluster\n")
+        assert read_labels_csv(path) == {}
+        path.write_text(EXACT_FILES["features"][0].splitlines()[0] + "\n")
+        assert load_features_csv(path).values.shape == (0, len(FEATURE_COLUMNS))

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from datetime import datetime
 
 import numpy as np
@@ -278,6 +279,43 @@ class TestRelativeRisk:
         with pytest.raises(TooFewLocationsError):
             relative_risk(tensor_of(np.ones((1, 12, 1))))
 
+    @staticmethod
+    def _formula(values, cap):
+        """The ratio as first written, with full-size temporaries."""
+        n = values.shape[0]
+        others = values.sum(axis=0)[None, :, :] - values
+        zero_den = others <= 0.0
+        out = values / np.where(zero_den, 1.0, others / (n - 1))
+        out[zero_den & (values == 0.0)] = 1.0
+        capped = zero_den & (values > 0.0)
+        out[capped] = cap
+        return out, sorted({(int(b), int(d)) for _, b, d in np.argwhere(capped)})
+
+    def test_bitwise_equal_to_the_formula(self, rng):
+        for trial in range(50):
+            n, depth = int(rng.integers(2, 30)), int(rng.integers(1, 5))
+            values = rng.exponential(size=(n, 12, depth)) * (rng.random((n, 12, depth)) < 0.6)
+            values[:, rng.integers(12), rng.integers(depth)] = 0.0  # an all-zero column
+            values[rng.integers(n), rng.integers(12), :] *= -1.0  # negative entries
+            column = rng.integers(12)
+            values[:, column, 0] = 0.0
+            values[rng.integers(n), column, 0] = 2.0  # a capped column
+            rr = relative_risk(tensor_of(values), cap=1e6)
+            want, capped = self._formula(values, 1e6)
+            assert rr.values.tobytes() == want.tobytes(), trial
+            assert rr.capped_columns == capped, trial
+
+    def test_peak_memory_is_bounded_by_the_tensor(self, rng):
+        tensor = tensor_of(rng.exponential(size=(2000, 12, 30)))
+        tracemalloc.start()
+        try:
+            relative_risk(tensor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output, and one or two boolean masks at a time
+        assert peak < 1.5 * tensor.values.nbytes
+
 
 class TestMinmaxScale:
     def test_simple(self):
@@ -349,6 +387,9 @@ class TestTensorTools:
         lines = path.read_text().splitlines()
         assert lines[0] == "segment,col,row,bin,category,value"
         assert len(lines) == 1 + 2 * 12 * 2
+        values = np.array([float(line.rsplit(",", 1)[1]) for line in lines[1:]])
+        assert values.tobytes() == tensor.values.tobytes()
+        assert lines[1] == f"toytown,0,0,0,c0,{float(tensor.values[0, 0, 0])!r}"
 
 
 def _segment(name, start, stop):
