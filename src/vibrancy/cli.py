@@ -20,12 +20,12 @@ from .errors import ConfigError, DataError, NumericError, VibrancyError, read_js
 from .features import build_features, load_third_place_taxonomy, rare_labels
 from .features import export_features_csv, load_features_csv
 from .grid import load_region
-from .ingest import load_taxonomy, parse_pois, read_traffic
+from .ingest import load_taxonomy, parse_pois
 from .logit import coefficient_table, load_logit
 from .pipeline import (
     MANIFEST_NAME,
-    build_city_tensor,
     fit_membership_model,
+    read_city_tensors,
     read_manifest,
     run_from_manifest,
     run_pipeline,
@@ -101,19 +101,17 @@ def _cmd_synth(args) -> int:
 def _cmd_signatures(args) -> int:
     region = load_region(args.region)
     taxonomy = load_taxonomy(args.service_taxonomy)
-    traffic, report = read_traffic(args.traffic, region.grid)
-    report.require_accepted(args.traffic, "traffic")
-    tensor = build_city_tensor(
+    raw, _, _ = read_city_tensors(
         region,
-        traffic,
+        args.traffic,
         taxonomy,
-        args.day_type,
-        traffic_path=args.traffic,
+        [args.day_type],
         taxonomy_path=args.service_taxonomy,
         mean_per_day=args.mean_per_day,
         drop_silent=args.drop_silent_cells,
         segment_name=args.segment_name,
     )
+    tensor = raw[args.day_type]
     write_tensor(tensor, args.out_raw)
     print(f"signature tensor: {tensor.n} cells x 12 bins x {len(tensor.categories)} categories")
     if args.out_rr:
@@ -161,7 +159,7 @@ def _cmd_features(args) -> int:
         corpus.extend(extra_pois)
     rare = rare_labels(corpus, args.min_count)
     kept = [p for p in pois if p.label not in rare]
-    cells = list(read_labels_csv(args.cells_from)) if args.cells_from else None
+    cells = list(read_labels_csv(args.cells_from, grid=region.grid)) if args.cells_from else None
     table = build_features(kept, taxonomy, region, cells=cells)
     export_features_csv(table, args.out)
     nonzero = int((table.values[:, 0] > 0).sum())
@@ -302,6 +300,14 @@ def _quality_lines(scope: str, quality) -> list[str]:
                              + (f" ({by_reason})" if by_reason else ""))
             if parts:
                 lines.append(f"  {city} {what}: {', '.join(parts)}")
+        left_out = [f"{n} {what}" for key, what in (("other_day_type", "of another day type"),
+                                                   ("outside_region", "outside the region"))
+                    if _is_count(n := _lookup(cities, city, "traffic", key))]
+        if left_out:
+            lines.append(f"  {city} traffic rows left out of the tensor: {', '.join(left_out)}")
+        silent = _lookup(cities, city, "silent_cells_dropped")
+        if _is_count(silent):
+            lines.append(f"  {city} silent cells dropped: {silent}")
     capped = _lookup(quality, "capped_columns")
     if _is_count(capped):
         lines.append(f"  capped relative-risk columns: {capped}")
@@ -317,6 +323,10 @@ def _quality_lines(scope: str, quality) -> list[str]:
         logit.append(f"{n_iter} iterations")
     if logit:
         lines.append(f"  logit: {', '.join(logit)}")
+    without_truth = _lookup(quality, "cells_without_truth")
+    if _is_count(without_truth):
+        lines.append(f"  cells without a planted label: {without_truth}"
+                     + (" (no ARI vs truth)" if without_truth else ""))
     rare = _lookup(quality, "rare_labels")
     if isinstance(rare, dict):
         counts = ", ".join(f"{label} {n}" for label, n in sorted(rare.items()) if _is_count(n))

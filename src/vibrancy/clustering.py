@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -714,10 +714,13 @@ def export_labels_csv(
               (f"{cell.col},{cell.row},{int(lab)}" for cell, lab in zip(cells, labels)))
 
 
-def read_labels_csv(path, value_column: str = "cluster") -> dict[CellId, int]:
+def read_labels_csv(path, value_column: str = "cluster",
+                    grid: Optional[GridSpec] = None) -> dict[CellId, int]:
     """Read a ``col,row,<value_column>`` CSV into a cell -> label map in file
-    order; this reads cluster labels and planted truth (``archetype``)."""
-    cells, values = read_cell_rows(path, "labels", ["col", "row", value_column], np.int64)
+    order; this reads cluster labels and planted truth (``archetype``). With
+    a ``grid``, a cell outside it is an error naming ``file:line``."""
+    cells, values = read_cell_rows(path, "labels", ["col", "row", value_column], np.int64,
+                                   grid)
     return dict(zip(cells, values[:, 0].tolist()))
 
 

@@ -229,8 +229,8 @@ def _build(cls, doc: dict, where: str, base: Optional[Path], **given):
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{where} {key} has a bad value {value!r}") from exc
         elif value is not None:
-            if not isinstance(value, str) or not value:
-                raise ConfigError(f"{where} {key} must be a path string")
+            if not isinstance(value, str) or not value or "\0" in value:
+                raise ConfigError(f"{where} {key} must be a nonempty path string without NUL bytes")
             kwargs[f.name] = Path(value) if base is None else (base / value).resolve()
     return cls(**kwargs)
 

@@ -8,9 +8,12 @@ Every CSV input goes through one chunked reader (``_read_csv``). Each
 format only turns a batch of fields into reject reasons and keeps the rows
 it accepts, with numpy, not row by row. Traffic and POI files count each
 rejected line under a reason, so accepted + rejected always equals the
-number of data lines; accepted traffic rows are kept as typed columns
-(``TrafficTable``). Other files must have every line right
-(``_read_exact``). A wrong header is a DataError naming the file.
+number of data lines. Traffic is streamed: ``stream_traffic`` hands each
+batch of accepted rows, as typed columns, to a consumer and holds nothing
+of it afterwards; ``signatures.DayTypeTensors`` turns the batches into
+tensors, and ``read_traffic`` collects them into one ``TrafficTable``.
+Other files must have every line right (``_read_exact``). A wrong header is
+a DataError naming the file.
 """
 
 from __future__ import annotations
@@ -122,6 +125,11 @@ class TrafficTable:
 
     def __len__(self) -> int:
         return len(self.volume)
+
+    @property
+    def columns(self) -> tuple:
+        """The row columns: col, row, stamp, service, direction, volume."""
+        return self.col, self.row, self.stamp, self.service, self.direction, self.volume
 
 
 @dataclass(frozen=True)
@@ -372,11 +380,12 @@ def _read_exact(source, header: list[str], what: str, take, reasons: tuple, erro
         raise (errors or {}).get(reason, DataError)(f"{_source_name(source)}:{line_no}: {reason}")
 
 
-def read_cell_rows(source, what: str, header: list[str], dtype) -> tuple[list[CellId], np.ndarray]:
+def read_cell_rows(source, what: str, header: list[str], dtype,
+                   grid: Optional[GridSpec] = None) -> tuple[list[CellId], np.ndarray]:
     """The cells, in file order, and the values, as a (rows, values) array of
     ``dtype`` (int64 or finite float64), of a ``what`` CSV with exactly
-    ``header``, ``col,row`` then values. A bad line or a cell listed twice is
-    a DataError naming ``file:line``."""
+    ``header``, ``col,row`` then values. A bad line, a cell listed twice or,
+    with a ``grid``, a cell outside it is a DataError naming ``file:line``."""
     cells: list[CellId] = []
     values = [np.empty((0, len(header) - 2), dtype)]
     seen: set[CellId] = set()
@@ -392,13 +401,16 @@ def read_cell_rows(source, what: str, header: list[str], dtype) -> tuple[list[Ce
                 reason[j] = 4
             seen.add(cell)
             cells.append(cell)
+        if grid is not None:
+            reason[~((0 <= col) & (col < grid.n_cols) & (0 <= row) & (row < grid.n_rows))] = 5
         reason[((batch == _NOT_INT) if parse is int else ~np.isfinite(batch)).any(axis=1)] = 3
         reason[(col == _NOT_INT) | (row == _NOT_INT)] = 2
         return reason
 
     _read_exact(source, header, what, take, (
         None, f"expected {len(header)} fields", "col and row must be integers",
-        f"values must be {'integers' if parse is int else 'finite numbers'}", "cell listed twice"))
+        f"values must be {'integers' if parse is int else 'finite numbers'}", "cell listed twice",
+        "cell outside the region's grid"))
     return cells, np.concatenate(values)
 
 
@@ -406,19 +418,24 @@ _DIRECTION_OF = {d: i for i, d in enumerate(DIRECTIONS)}
 _TRAFFIC_REASONS = (None, REJECT_MALFORMED, REJECT_UNKNOWN_DIRECTION, REJECT_OUT_OF_BOUNDS)
 
 
-def read_traffic(source, grid: GridSpec) -> tuple[TrafficTable, ParseReport]:
-    """Read a traffic CSV once, validating every row against the grid.
+def stream_traffic(source, grid: GridSpec, consume) -> ParseReport:
+    """Read a traffic CSV once, validating every row against the grid, and
+    hand each batch of accepted rows to ``consume(columns, stamps, services)``.
 
-    Returns the accepted rows as a TrafficTable in file order plus a
-    ParseReport counting rejections (malformed row, unknown direction,
-    out-of-bounds cell). Each distinct timestamp text is validated once.
-    The source is read by ``_read_csv``; the columns grow in place, a batch
-    at a time.
+    Returns a ParseReport counting rejections (malformed row, unknown
+    direction, out-of-bounds cell). Each distinct timestamp text is
+    validated once. A batch is the accepted rows of one chunk of
+    ``_read_csv``, in file order, and may be empty; ``columns`` are its
+    TrafficTable columns (``TrafficTable.columns``). ``stamps`` are the
+    valid timestamps met so far and ``services`` those of accepted rows,
+    each in order of first appearance, so a code keeps its meaning from
+    batch to batch and the last batch's names are the file's. Only the
+    current batch is held here.
     """
-    columns = [array(code) for code in "qqiibd"]  # col, row, stamp, service, direction, volume
     stamps: list[datetime] = []
     stamp_of: dict[str, int] = {}  # stripped text -> index in stamps, -1 if malformed
     service_of: dict[str, int] = {}
+    names = [(), ()]  # stamps and services as the tuples the batches share
 
     def stamp_index(text: str) -> int:
         if text not in stamp_of:
@@ -450,22 +467,33 @@ def read_traffic(source, grid: GridSpec) -> tuple[TrafficTable, ParseReport]:
 
         ok = reason == 0
         service_code = service_code[ok]
-        codes, first = np.unique(service_code, return_index=True)
         service_id = np.zeros(len(service_texts), np.int32)
-        for code in codes[np.argsort(first)].tolist():  # first appearance among accepted rows
+        for code in dict.fromkeys(service_code.tolist()):  # first appearance among accepted rows
             service_id[code] = service_of.setdefault(service_texts[code], len(service_of))
-        for column, values in zip(columns, (col[ok], row[ok], stamp[ok], service_id[service_code],
-                                            direction[ok], volume[ok])):
-            column.frombytes(memoryview(values.astype(column.typecode, copy=False)).cast("B"))
+        if (len(names[0]), len(names[1])) != (len(stamps), len(service_of)):
+            names[:] = tuple(stamps), tuple(service_of)
+        consume((col[ok], row[ok], stamp[ok].astype(np.int32), service_id[service_code],
+                 direction[ok].astype(np.int8), volume[ok]), *names)
         return reason
 
-    report = _read_csv(source, TRAFFIC_HEADER, "traffic", take, _TRAFFIC_REASONS)
-    return TrafficTable(
-        *(np.frombuffer(c, dtype=c.typecode) for c in columns),
-        tuple(stamps),
-        tuple(service_of),
-        DIRECTIONS,
-    ), report
+    return _read_csv(source, TRAFFIC_HEADER, "traffic", take, _TRAFFIC_REASONS)
+
+
+def read_traffic(source, grid: GridSpec) -> tuple[TrafficTable, ParseReport]:
+    """Read a traffic CSV with ``stream_traffic``: the accepted rows as one
+    TrafficTable in file order, plus the ParseReport. The columns grow in
+    place, a batch at a time."""
+    columns = [array(code) for code in "qqiibd"]  # col, row, stamp, service, direction, volume
+    names = [(), ()]  # the last batch's stamps and services
+
+    def keep(batch: tuple, stamps: tuple, services: tuple) -> None:
+        for column, values in zip(columns, batch):
+            column.frombytes(memoryview(values).cast("B"))
+        names[:] = stamps, services
+
+    report = stream_traffic(source, grid, keep)
+    return TrafficTable(*(np.frombuffer(c, dtype=c.typecode) for c in columns), *names,
+                        DIRECTIONS), report
 
 
 # The benchmark's replay (perfbench/replay.py) still imports this name; it

@@ -1,14 +1,16 @@
 """Run orchestration: ingestion through model fitting, with a manifest.
 
-A run first reads every city, building each requested day type's raw
-signature tensor from the city's traffic table and dropping the table. Then
-it executes, per requested day type and at the configured spatial level,
-the chain signatures -> relative risk -> k selection -> size-ordered labels
--> third-place features -> membership model -> metrics, exporting every
-artifact into a run directory. The manifest records the resolved config,
-input and artifact hashes, library versions, and headline results; feeding
-it back through ``run_from_manifest`` reproduces all artifacts bit for bit
-on the same platform.
+A run first reads every city. Its traffic file is streamed, one batch of
+accepted rows at a time, into the raw signature tensor of each requested
+day type (``signatures.DayTypeTensors``), so ingest holds 16 bytes per kept
+row while the file is read and then only the tensors; no TrafficTable is
+built. Then it executes, per requested day type and at the configured
+spatial level, the chain signatures -> relative risk -> k selection ->
+size-ordered labels -> third-place features -> membership model -> metrics,
+exporting every artifact into a run directory. The manifest records the
+resolved config, input and artifact hashes, library versions, and headline
+results; feeding it back through ``run_from_manifest`` reproduces all
+artifacts bit for bit on the same platform.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -45,7 +46,7 @@ from .features import (
     standardize,
 )
 from .grid import CellId, CityRegion, load_region
-from .ingest import TrafficTable, load_taxonomy, parse_pois, read_traffic
+from .ingest import ParseReport, load_taxonomy, parse_pois, stream_traffic
 from .logit import (
     MultinomialLogit,
     evaluate,
@@ -55,10 +56,9 @@ from .logit import (
     save_logit,
 )
 from .signatures import (
+    DayTypeTensors,
     SignatureTensor,
-    build_signatures,
     concat_tensors,
-    drop_silent_cells,
     relative_risk,
     write_tensor,
 )
@@ -101,30 +101,30 @@ def load_truth_labels(path) -> dict[CellId, int]:
 # ---------------------------------------------------------------------------
 
 
-def build_city_tensor(
+def read_city_tensors(
     region: CityRegion,
-    traffic: TrafficTable,
-    service_taxonomy,
-    day_type: str,
-    *,
     traffic_path,
+    service_taxonomy,
+    day_types,
+    *,
     taxonomy_path,
     mean_per_day: bool = False,
     drop_silent: bool = False,
     segment_name: Optional[str] = None,
-) -> SignatureTensor:
-    """The city's signature tensor; a traffic service missing from the
-    taxonomy is an error naming both files."""
+) -> tuple[dict[str, SignatureTensor], dict[str, dict], ParseReport]:
+    """Stream a city's traffic file into the raw signature tensor of each day
+    type (``DayTypeTensors``): the tensors and the rows and cells each left
+    out, by day type, and the parse report. A file without an accepted row,
+    and then a traffic service missing from the taxonomy, are errors naming
+    the files."""
+    tensors = DayTypeTensors(service_taxonomy, region, day_types, mean_per_day=mean_per_day)
+    report = stream_traffic(traffic_path, region.grid, tensors.add)
+    report.require_accepted(traffic_path, "traffic")
     try:
-        tensor = build_signatures(traffic, service_taxonomy, region, day_type,
-                                  mean_per_day=mean_per_day)
+        raw = tensors.finish(drop_silent=drop_silent, segment_name=segment_name)
     except UnknownServiceError as exc:
         raise UnknownServiceError(f"{traffic_path}: {exc} {taxonomy_path}") from None
-    if drop_silent:
-        tensor = drop_silent_cells(tensor)
-    if segment_name is not None:
-        tensor.segments = [replace(s, name=segment_name) for s in tensor.segments]
-    return tensor
+    return raw, tensors.dropped, report
 
 
 def fit_membership_model(
@@ -244,31 +244,25 @@ def write_model_stage(emit, logit_model: MultinomialLogit, metrics, extra: dict)
 
 class _CityData:
     """One city after ingest: its region, the raw tensor of each configured
-    day type, its POIs and its parse reports. The traffic table each tensor
-    is built from is gone before the next city is read, so a run holds
-    O(cells x 12 x D) per city and day type, not its traffic rows."""
+    day type with the rows and cells each left out, its POIs and its parse
+    reports. Traffic rows are streamed into the tensors a batch at a time,
+    so a run holds O(cells x 12 x D) per city and day type and 16 bytes per
+    kept row while the city is read, never a table of its traffic rows."""
 
     def __init__(self, cfg: CityConfig, config: PipelineConfig, service_tax):
         self.name = cfg.name
         self.region = load_region(cfg.region)
-        traffic, self.traffic_report = read_traffic(cfg.traffic, self.region.grid)
-        self.traffic_report.require_accepted(cfg.traffic, "traffic")
         # day type -> raw tensor; each serves one scope, which takes it out
-        self.raw = {
-            day_type: build_city_tensor(
-                self.region,
-                traffic,
-                service_tax,
-                day_type,
-                traffic_path=cfg.traffic,
-                taxonomy_path=config.service_taxonomy,
-                mean_per_day=config.mean_per_day,
-                drop_silent=config.drop_silent_cells,
-                segment_name=cfg.name,
-            )
-            for day_type in config.day_types
-        }
-        del traffic  # before the POIs are read
+        self.raw, self.dropped, self.traffic_report = read_city_tensors(
+            self.region,
+            cfg.traffic,
+            service_tax,
+            config.day_types,
+            taxonomy_path=config.service_taxonomy,
+            mean_per_day=config.mean_per_day,
+            drop_silent=config.drop_silent_cells,
+            segment_name=cfg.name,
+        )
         self.pois, self.poi_report = parse_pois(cfg.pois)
         self.poi_report.require_accepted(cfg.pois, "POI")
         self.truth = load_truth_labels(cfg.truth) if cfg.truth else None
@@ -351,11 +345,16 @@ def _run_scope(scope, day_type, config, place_tax, members, emit, quality, resul
         rr = relative_risk(combined, cap=config.rr_cap)
         del raws, raw, combined  # written out; clustering needs only rr
         emit(f"{scope}/signatures_rr.sig", lambda p: write_tensor(rr, p))
-        quality[scope] = {
-            "capped_columns": len(rr.capped_columns),
-            "cities": {city.name: {"traffic": city.traffic_report.counts(),
-                                   "pois": city.poi_report.counts()} for city in members},
-        }
+        quality[scope] = {"capped_columns": len(rr.capped_columns), "cities": {}}
+        for city in members:
+            dropped = city.dropped[day_type]
+            quality[scope]["cities"][city.name] = {
+                "traffic": {**city.traffic_report.counts(),
+                            "other_day_type": dropped["other_day_type"],
+                            "outside_region": dropped["outside_region"]},
+                "pois": city.poi_report.counts(),
+                "silent_cells_dropped": dropped["silent_cells"],
+            }
 
     with _stage("clustering"):
         model, report = select_k(rr, k_min=config.k_min, k_max=config.k_max,
@@ -410,7 +409,10 @@ def _run_scope(scope, day_type, config, place_tax, members, emit, quality, resul
             for city in members
             for i in rows_of(city)
         ]
-        if all(planted is not None for planted, _ in pairs):
+        # the ARI needs a planted label for every cell of the scope
+        missing = sum(planted is None for planted, _ in pairs)
+        quality[scope]["cells_without_truth"] = missing
+        if not missing:
             found = [f for _, f in pairs]
             summary["ari_vs_truth"] = adjusted_rand_index(found, [p for p, _ in pairs])
     results[scope] = summary

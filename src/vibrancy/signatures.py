@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import json
 import struct
+from array import array
 from dataclasses import dataclass, field, replace
+from itertools import count
 from datetime import date, datetime
 from math import prod
 from pathlib import Path
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -109,6 +111,147 @@ class SignatureTensor:
         raise KeyError(f"no segment named {name!r}")
 
 
+class DayTypeTensors:
+    """Raw signature tensors of several day types, built from traffic rows a
+    batch at a time.
+
+    ``add`` takes the columns and names of a batch of rows, as
+    ``ingest.stream_traffic`` hands them on (``build_signatures`` adds a
+    TrafficTable in slices), and keeps, for each day type, one (flat tensor
+    index, volume) pair per row of that day type in an active cell of the
+    region: 16 bytes a row. Both link directions are summed. ``finish`` adds up each
+    tensor in a canonical order, sorted by index and then by volume, so
+    permuting the rows never changes a bit of the result. Rows of no
+    configured day type and rows in cells outside the region's active set
+    are counted in ``dropped``, not kept.
+
+    A service missing from the taxonomy is a hard error from ``finish``, on
+    a row of any day type, so taxonomy gaps surface instead of silently
+    dropping volume; it names the first such service in the order the rows
+    met them.
+    """
+
+    def __init__(self, taxonomy: ServiceTaxonomy, region: CityRegion,
+                 day_types: Sequence[str], *, mean_per_day: bool = False):
+        for day_type in day_types:
+            if day_type not in DAY_TYPES:
+                raise ValueError(f"day_type must be one of {DAY_TYPES}")
+        self.taxonomy, self.region, self.mean_per_day = taxonomy, region, mean_per_day
+        self.day_types = tuple(day_types)
+        # A cell's key is its row-major position in the grid, so the active
+        # cells' keys, in scan order, are sorted and a key's rank is its tensor row.
+        self.cells = region.cells_in_scan_order()
+        self._keys = np.array([c.row * region.grid.n_cols + c.col for c in self.cells], np.int64)
+        self._stamps: tuple = ()
+        self._stamp_bin = np.zeros(0, np.int64)
+        self._stamp_day = np.zeros(0, np.intp)  # index in day_types, -1 for none of them
+        self._stamp_seen = np.zeros(0, bool)  # on an added row
+        self._services: tuple = ()
+        self._category = np.zeros(0, np.int64)  # -1 for a service missing from the taxonomy
+        self._pairs = [(array("q"), array("d")) for _ in self.day_types]
+        self._rows = 0
+        self._on_day = np.zeros(len(self.day_types), np.int64)  # rows of each day type
+        #: day type -> rows of another day type, rows of the day type in cells
+        #: outside the region's active set, and (from ``finish``) silent cells dropped
+        self.dropped: dict[str, dict[str, int]] = {}
+
+    def add(self, columns: tuple, stamps: tuple, services: tuple) -> None:
+        """Keep the (index, volume) pairs of a batch's rows, given as the
+        TrafficTable columns with the stamps and services their codes index."""
+        col, row, stamp, service, _, volume = columns
+        self._learn(stamps, services)
+        self._rows += len(volume)
+        if not len(volume):
+            return
+        self._stamp_seen[stamp] = True
+        day = self._stamp_day[stamp]
+        self._on_day += np.bincount(day + 1, minlength=len(self.day_types) + 1)[1:]
+        key = row * self.region.grid.n_cols + col
+        pos = np.searchsorted(self._keys, key)
+        use = (day >= 0) & (col >= 0) & (col < self.region.grid.n_cols) & (pos < len(self._keys))
+        use[use] = self._keys[pos[use]] == key[use]
+        category = self._category[service]
+        use &= category >= 0
+        day, stamp = day[use], stamp[use]
+        flat = (pos[use] * N_BINS + self._stamp_bin[stamp]) * self.taxonomy.n_categories
+        flat += category[use]
+        volume = volume[use]
+        for t, n_day in enumerate(np.bincount(day, minlength=len(self.day_types)).tolist()):
+            if n_day:  # a batch often holds one day type only
+                mine = slice(None) if n_day == len(day) else day == t
+                index, volumes = self._pairs[t]
+                index.frombytes(memoryview(flat[mine]).cast("B"))
+                volumes.frombytes(memoryview(volume[mine].astype(np.float64, copy=False)).cast("B"))
+
+    def _learn(self, stamps: tuple, services: tuple) -> None:
+        """Bin and day type of each new timestamp, category of each new service."""
+        if len(stamps) > len(self._stamps):
+            new = stamps[len(self._stamps):]
+            self._stamp_bin = np.append(self._stamp_bin, [bin_of(ts) for ts in new])
+            day_index = {day_type: t for t, day_type in enumerate(self.day_types)}
+            self._stamp_day = np.append(self._stamp_day,
+                                        [day_index.get(day_type_of(ts), -1) for ts in new])
+            self._stamp_seen = np.append(self._stamp_seen, np.zeros(len(new), bool))
+        if len(services) > len(self._services):
+            new = services[len(self._services):]
+            category_of = dict(zip(self.taxonomy.categories, count()))
+            self._category = np.append(self._category, [
+                category_of[self.taxonomy.mapping[s]] if s in self.taxonomy.mapping else -1
+                for s in new])
+        self._stamps, self._services = stamps, services
+
+    def finish(self, *, drop_silent: bool = False,
+               segment_name: Optional[str] = None) -> dict[str, SignatureTensor]:
+        """The tensor of each day type, with ``drop_silent_cells`` applied if
+        asked and the segment renamed if a name is given; called once, after
+        the last ``add``. The pairs are freed as each tensor is built.
+
+        With ``mean_per_day`` the totals are divided by the number of distinct
+        dates of the day type among the added rows, giving a per-day average
+        instead of a window total.
+        """
+        if not self._rows:
+            raise EmptyInputError("no traffic rows to aggregate")
+        for service in self._services:
+            self.taxonomy.category_index(service)  # the first one missing raises
+        n, depth = len(self.cells), self.taxonomy.n_categories
+        seen = np.flatnonzero(self._stamp_seen).tolist()
+        if segment_name is None:
+            segment_name = self.region.grid.region_name or "city"
+        segment = TensorSegment(segment_name, self.region.grid, 0, n)
+        tensors = {}
+        for t, day_type in enumerate(self.day_types):
+            index, volumes = (np.frombuffer(a, dtype=a.typecode) for a in self._pairs[t])
+            self._pairs[t] = None  # each sorted copy below frees the pairs it replaces
+            kept = len(index)
+            order = np.lexsort((volumes, index))
+            index = index[order]
+            volumes = volumes[order]
+            del order
+            # bincount adds in input order, as np.add.at does: each sum runs
+            # over its volumes in ascending order
+            flat = np.bincount(index, weights=volumes, minlength=n * N_BINS * depth)
+            del index, volumes
+            values = flat.reshape(n, N_BINS, depth)
+            n_dates = len({self._stamps[i].date() for i in seen if self._stamp_day[i] == t})
+            if self.mean_per_day and n_dates:
+                values = values / n_dates
+            tensor = SignatureTensor(day_type, list(self.cells), self.taxonomy.categories,
+                                     values, [segment])
+            if drop_silent:
+                tensor = drop_silent_cells(tensor)
+            tensors[day_type] = tensor
+            on_day = int(self._on_day[t])
+            self.dropped[day_type] = {"other_day_type": self._rows - on_day,
+                                      "outside_region": on_day - kept,
+                                      "silent_cells": n - tensor.n}
+        return tensors
+
+
+#: rows of a TrafficTable that ``build_signatures`` adds at a time
+_TABLE_BATCH = 1 << 16
+
+
 def build_signatures(
     traffic: TrafficTable,
     taxonomy: ServiceTaxonomy,
@@ -117,58 +260,22 @@ def build_signatures(
     *,
     mean_per_day: bool = False,
 ) -> SignatureTensor:
-    """Aggregate a table of traffic rows into a signature tensor.
+    """Aggregate a table of traffic rows into a signature tensor with
+    ``DayTypeTensors``.
 
-    Both link directions are summed. Rows are the region's active cells in
-    row-major order; cells without traffic stay all-zero. Rows whose day
-    type differs are excluded, and rows in cells outside the region's
-    active set do not contribute. A service missing from the taxonomy is a
-    hard error, on a row of any day type, so taxonomy gaps surface instead
-    of silently dropping volume.
-
-    With ``mean_per_day`` the totals are divided by the number of distinct
-    matching dates present in the input, giving a per-day average instead of
-    a window total. Accumulation is performed in a canonical sort order, so
-    permuting the input rows never changes the result, not even in the
-    last float bit.
+    Rows are the region's active cells in row-major order; cells without
+    traffic stay all-zero. Rows whose day type differs are excluded, and
+    rows in cells outside the region's active set do not contribute. A
+    service missing from the taxonomy is a hard error, on a row of any day
+    type. With ``mean_per_day`` the totals are divided by the number of
+    distinct matching dates present in the input. Permuting the input rows
+    never changes the result, not even in the last float bit.
     """
-    if day_type not in DAY_TYPES:
-        raise ValueError(f"day_type must be one of {DAY_TYPES}")
-    if not len(traffic):
-        raise EmptyInputError("no traffic rows to aggregate")
-    category = np.array([taxonomy.category_index(s) for s in traffic.services], dtype=np.int64)
-    stamp_bin = np.array([bin_of(ts) for ts in traffic.stamps], dtype=np.int64)
-    stamp_on_day = np.array([day_type_of(ts) == day_type for ts in traffic.stamps], dtype=bool)
-
-    on_day = stamp_on_day[traffic.stamp]
-    # the on-day stamps that occur, counted without np.unique (which imports numpy.ma)
-    seen = np.flatnonzero(np.bincount(traffic.stamp[on_day], minlength=len(traffic.stamps)))
-    n_dates = len({traffic.stamps[t].date() for t in seen.tolist()})
-
-    # A cell's key is its row-major position in the grid, so the active
-    # cells' keys, in scan order, are sorted and a key's rank is its tensor row.
-    grid = region.grid
-    cells = region.cells_in_scan_order()
-    n, depth = len(cells), taxonomy.n_categories
-    keys = np.array([c.row * grid.n_cols + c.col for c in cells], dtype=np.int64)
-    key = traffic.row * grid.n_cols + traffic.col
-    pos = np.searchsorted(keys, key)
-    use = on_day & (traffic.col >= 0) & (traffic.col < grid.n_cols) & (pos < n)
-    use[use] = keys[pos[use]] == key[use]
-
-    flat_idx = (pos[use] * N_BINS + stamp_bin[traffic.stamp[use]]) * depth
-    flat_idx += category[traffic.service[use]]
-    volumes = traffic.volume[use]
-    flat = np.zeros(n * N_BINS * depth, dtype=np.float64)
-    if flat_idx.size:
-        order = np.lexsort((volumes, flat_idx))
-        np.add.at(flat, flat_idx[order], volumes[order])
-    values = flat.reshape(n, N_BINS, depth)
-    if mean_per_day and n_dates:
-        values = values / n_dates
-
-    segment = TensorSegment(region.grid.region_name or "city", region.grid, 0, n)
-    return SignatureTensor(day_type, cells, taxonomy.categories, values, [segment])
+    tensors = DayTypeTensors(taxonomy, region, [day_type], mean_per_day=mean_per_day)
+    for start in range(0, len(traffic), _TABLE_BATCH):  # so the row temporaries stay small
+        tensors.add(tuple(c[start : start + _TABLE_BATCH] for c in traffic.columns),
+                    traffic.stamps, traffic.services)
+    return tensors.finish()[day_type]
 
 
 def relative_risk(tensor: SignatureTensor, cap: float = DEFAULT_RR_CAP) -> SignatureTensor:

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 import weakref
 from collections import Counter
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +16,14 @@ import pytest
 
 import vibrancy.ingest
 import vibrancy.pipeline
+import vibrancy.signatures
 from vibrancy.cli import main
 from vibrancy.clustering import read_model
 from vibrancy.config import parse_config
 from vibrancy.errors import ConfigError
 from vibrancy.ingest import parse_pois
 from vibrancy.pipeline import run_pipeline
+from vibrancy.signatures import day_type_of
 from vibrancy.synth import SynthSpec, generate_for_day_types, write_city
 
 from test_ingest import reference_parse_pois
@@ -155,13 +158,13 @@ class TestRun:
 
     def test_each_traffic_file_is_read_once(self, city_dir, tmp_path, monkeypatch):
         calls = []
-        read_traffic = vibrancy.pipeline.read_traffic
+        stream_traffic = vibrancy.pipeline.stream_traffic
 
-        def counting_read_traffic(source, grid):
+        def counting_stream_traffic(source, grid, consume):
             calls.append(source)
-            return read_traffic(source, grid)
+            return stream_traffic(source, grid, consume)
 
-        monkeypatch.setattr(vibrancy.pipeline, "read_traffic", counting_read_traffic)
+        monkeypatch.setattr(vibrancy.pipeline, "stream_traffic", counting_stream_traffic)
         manifest = run_pipeline(parse_config(city_dir / "pipeline.cfg"), tmp_path / "o")
         assert len(manifest["results"]) == 2  # weekday and weekend scopes
         assert calls == [city_dir / "traffic.csv"]
@@ -177,7 +180,10 @@ class TestRun:
             ",".join(first[:5] + ["lots"]),
             ",".join(first[:5]),
         ]
-        (city / "traffic.csv").write_text("\n".join(traffic + bad_traffic) + "\n")
+        off_region = ",".join(["6", "6"] + first[2:])  # in the grid, not an active cell
+        (city / "traffic.csv").write_text("\n".join(traffic + bad_traffic + [off_region]) + "\n")
+        day_of_row = Counter(day_type_of(datetime.fromisoformat(line.split(",")[2]))
+                             for line in traffic[1:] + [off_region])
         pois = (city / "pois.csv").read_text().splitlines()
         bad_pois = ["1.0,2.0,cafe,tourism", "north,2.0,cafe,amenity"]
         (city / "pois.csv").write_text("\n".join(pois + bad_pois) + "\n")
@@ -187,11 +193,15 @@ class TestRun:
         for day in ("weekday", "weekend"):
             quality = manifest["quality"][f"alpha/{day}"]
             assert quality["cities"] == {"alpha": {
-                "traffic": {"accepted": len(traffic) - 1, "rejected": {
-                    "malformed": 2, "unknown_direction": 1, "out_of_bounds": 1}},
+                "traffic": {"accepted": len(traffic), "rejected": {
+                    "malformed": 2, "unknown_direction": 1, "out_of_bounds": 1},
+                    "other_day_type": len(traffic) - day_of_row[day],
+                    "outside_region": int(day_type_of(datetime.fromisoformat(first[2])) == day)},
                 "pois": {"accepted": len(pois) - 1, "rejected": {
                     "malformed": 1, "unknown_source_category": 1}},
+                "silent_cells_dropped": 0,
             }}
+            assert quality["cells_without_truth"] == 0
             model = json.loads((tmp_path / "o" / "alpha" / day / "model.json").read_text())
             assert quality["logit"] == {key: model[key] for key in (
                 "converged", "n_iter", "final_grad_norm")}
@@ -337,26 +347,37 @@ class TestGlobalLevel:
 
 @pytest.mark.parametrize("level", ["local", "global"])
 def test_no_traffic_table_survives_ingest(city_dir, tmp_path, monkeypatch, level):
-    """Once every city is read, a run holds each city's day-type tensors, not
-    the traffic tables they were built from."""
-    tables = []
-    read_traffic, select_k = vibrancy.pipeline.read_traffic, vibrancy.pipeline.select_k
+    """A run streams each traffic file into its city's day-type tensors: it
+    builds no TrafficTable, and once every city is read it holds none of the
+    batches the tensors were built from."""
+    batches, accepted = [], []
+    stream_traffic, select_k = vibrancy.pipeline.stream_traffic, vibrancy.pipeline.select_k
 
-    def read_and_watch(*args, **kwargs):
-        table, report = read_traffic(*args, **kwargs)
-        tables.append(weakref.ref(table))
-        return table, report
+    def stream_and_watch(source, grid, consume):
+        def watched(columns, stamps, services):
+            batches.append(([weakref.ref(c) for c in columns], len(columns[0])))
+            consume(columns, stamps, services)
+        report = stream_traffic(source, grid, watched)
+        accepted.append(report.accepted)
+        return report
 
-    def select_k_without_tables(*args, **kwargs):
+    def select_k_without_batches(*args, **kwargs):
         gc.collect()
-        assert [ref() for ref in tables] == [None] * len(tables)
+        assert all(ref() is None for refs, _ in batches for ref in refs)
         return select_k(*args, **kwargs)
 
-    monkeypatch.setattr(vibrancy.pipeline, "read_traffic", read_and_watch)
-    monkeypatch.setattr(vibrancy.pipeline, "select_k", select_k_without_tables)
+    def no_table(*args, **kwargs):
+        raise AssertionError("a TrafficTable was built")
+
+    for module in (vibrancy.ingest, vibrancy.signatures):
+        monkeypatch.setattr(module, "TrafficTable", no_table)
+    monkeypatch.setattr(vibrancy.pipeline, "stream_traffic", stream_and_watch)
+    monkeypatch.setattr(vibrancy.pipeline, "select_k", select_k_without_batches)
     cfg = city_dir / "pipeline.cfg" if level == "local" else _two_city_global_config(tmp_path)
     manifest = run_pipeline(parse_config(cfg), tmp_path / "out")
-    assert len(tables) == len(manifest["config"]["cities"])
+    assert len(accepted) == len(manifest["config"]["cities"])
+    assert sum(n for _, n in batches) == sum(accepted)
+    assert max(n for _, n in batches) < min(accepted)  # no batch holds a whole file
     assert len(manifest["results"]) == (2 if level == "local" else 1)
 
 
@@ -365,21 +386,26 @@ def test_raw_tensors_are_freed_before_clustering(city_dir, tmp_path, monkeypatch
     """Once a scope's relative risk is computed, the raw tensors it came from,
     and at the global level their concatenation, are no longer held."""
     raws = {}
-    build, relative_risk, select_k = (vibrancy.pipeline.build_city_tensor,
-                                      vibrancy.pipeline.relative_risk,
-                                      vibrancy.pipeline.select_k)
+    read, relative_risk, select_k = (vibrancy.pipeline.read_city_tensors,
+                                     vibrancy.pipeline.relative_risk,
+                                     vibrancy.pipeline.select_k)
 
     def watched(tensor):
         raws.setdefault(tensor.day_type, []).append(weakref.ref(tensor.values))
         return tensor
+
+    def read_and_watch(*args, **kwargs):
+        tensors, dropped, report = read(*args, **kwargs)
+        for tensor in tensors.values():
+            watched(tensor)
+        return tensors, dropped, report
 
     def select_k_without_raws(rr, **kwargs):
         gc.collect()
         assert [ref() for ref in raws[rr.day_type]] == [None] * len(raws[rr.day_type])
         return select_k(rr, **kwargs)
 
-    monkeypatch.setattr(vibrancy.pipeline, "build_city_tensor",
-                        lambda *args, **kwargs: watched(build(*args, **kwargs)))
+    monkeypatch.setattr(vibrancy.pipeline, "read_city_tensors", read_and_watch)
     monkeypatch.setattr(vibrancy.pipeline, "relative_risk",
                         lambda tensor, **kwargs: relative_risk(watched(tensor), **kwargs))
     monkeypatch.setattr(vibrancy.pipeline, "select_k", select_k_without_raws)
@@ -451,12 +477,18 @@ class TestReport:
         for day in ("weekday", "weekend"):
             quality = manifest["quality"][f"alpha/{day}"]
             rows = quality["cities"]["alpha"]
+            assert rows["traffic"]["other_day_type"] > 0
             assert (f"\nquality [alpha/{day}]:\n"
                     f"  alpha traffic rows: {rows['traffic']['accepted']} accepted, 0 rejected\n"
                     f"  alpha POI rows: {rows['pois']['accepted']} accepted, 0 rejected\n"
+                    f"  alpha traffic rows left out of the tensor: "
+                    f"{rows['traffic']['other_day_type']} of another day type, "
+                    "0 outside the region\n"
+                    "  alpha silent cells dropped: 0\n"
                     f"  capped relative-risk columns: {quality['capped_columns']}\n"
                     "  k-means unconverged restarts: 0\n"
                     f"  logit: converged, {quality['logit']['n_iter']} iterations\n"
+                    "  cells without a planted label: 0\n"
                     "  rare POI labels removed: none\n") in out
 
     def test_report_prints_what_quality_it_finds(self, run_dir, tmp_path, capsys):
@@ -465,7 +497,9 @@ class TestReport:
             quality["alpha/weekday"]["cities"]["alpha"]["traffic"] = {
                 "accepted": 90, "rejected": {"out_of_bounds": 1, "malformed": 2}}
             quality["alpha/weekday"]["cities"]["alpha"]["pois"] = "unknown"
+            quality["alpha/weekday"]["cities"]["alpha"]["silent_cells_dropped"] = 2.5
             quality["alpha/weekday"]["rare_labels"] = {"fountain": 1, "kiosk": 3}
+            quality["alpha/weekday"]["cells_without_truth"] = 2
             for key in ("capped_columns", "kmeans"):
                 del quality["alpha/weekday"][key]
             quality["alpha/weekday"]["logit"] = {"n_iter": 4}
@@ -481,6 +515,7 @@ class TestReport:
         assert ("\nquality [alpha/weekday]:\n"
                 "  alpha traffic rows: 90 accepted, 3 rejected (2 malformed, 1 out_of_bounds)\n"
                 "  logit: 4 iterations\n"
+                "  cells without a planted label: 2 (no ARI vs truth)\n"
                 "  rare POI labels removed: fountain 1, kiosk 3\n"
                 "\nsilhouette by k [alpha/weekday]") in out
         assert "quality [alpha/weekend]" not in out
@@ -689,7 +724,7 @@ BAD_CELL_ROWS = {
     "labels value nan": ("labels.csv", _line_3_values("nan"), "fit", 2),
     "labels value negative": ("labels.csv", _line_3_values("-1"), "fit", 0),
     "labels cell negative": ("labels.csv", lambda t: _replace_line(t, 3, "-1,-3,1"),
-                             "features", 0),
+                             "features", 2),
     "features value not a number": (
         "features.csv", lambda t: _replace_line(t, 3, "1,0" + ",abc" * 12), "fit", 2),
     "features row short": ("features.csv", lambda t: _replace_line(t, 3, "1,0,1.0"), "fit", 2),
@@ -730,6 +765,12 @@ def test_bad_cell_csv_row_is_a_data_error_at_its_line(city_dir, run_dir, tmp_pat
         assert f"{paths[name]}:3:" in _one_line_data_error(capsys, paths[name])
     else:
         assert capsys.readouterr().err == ""
+    if command == "run" and not code:
+        # the truth line moved off the grid leaves its cell without a planted label
+        lost = {"truth labels cell negative": 1}.get(case, 0)
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert [q["cells_without_truth"] for q in manifest["quality"].values()] == [lost, lost]
+        assert all(("ari_vs_truth" in r) == (not lost) for r in manifest["results"].values())
 
 
 def _not_utf8(path: Path) -> None:
@@ -888,6 +929,65 @@ def test_unreadable_file_is_a_one_line_data_error(city_dir, run_dir, tmp_path, c
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("name", ["region.json", "pipeline.cfg"])
+def test_byte_flips_exit_0_or_a_one_line_data_error(city_dir, tmp_path, capsys, name):
+    """Single-bit flips over a run's JSON and config files: each run ends
+    with exit 0, or exit 2 and one line naming the flipped file; a flipped
+    path in the config names the input it now points to, which is missing."""
+    data = (city_dir / name).read_bytes()
+    flips = [(pos, (0x01, 0x20, 0x80)[i % 3])
+             for i, pos in enumerate(range(1, len(data), max(1, len(data) // 30)))]
+    if name == "pipeline.cfg":  # a space before a path becomes a NUL byte
+        flips.append((data.index(b"= traffic.csv") + 1, 0x20))
+    codes = Counter()
+    for pos, mask in flips:
+        city = tmp_path / f"city{pos}-{mask}"
+        shutil.copytree(city_dir, city)
+        flipped = bytearray(data)
+        flipped[pos] ^= mask
+        (city / name).write_bytes(bytes(flipped))
+        code = main(["run", "--config", str(city / "pipeline.cfg"), "--out", str(city / "out"),
+                     "--k-max", "3", "--restarts", "1"])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        codes[code] += 1
+        if code == 0:
+            assert captured.err == ""
+            continue
+        assert code == 2, (pos, mask, captured.err)
+        err = captured.err
+        assert err.startswith("data error:") and err.count("\n") == 1, (pos, mask, err)
+        assert str(city / name) in err or (
+            name == "pipeline.cfg" and " does not exist" in err), (pos, mask, err)
+        shutil.rmtree(city)
+    assert codes[2] > codes[0] > 0
+
+
+# traffic volumes that a run counts as a malformed row and runs on without
+MALFORMED_VOLUMES = ["nan", "NaN", "inf", "-inf", "-1", "-2.5e-3", "1e400"]
+
+
+@pytest.mark.parametrize("volume", MALFORMED_VOLUMES)
+def test_a_non_finite_or_negative_volume_is_a_malformed_row(city_dir, run_dir, tmp_path,
+                                                            capsys, volume):
+    city = tmp_path / "city"
+    shutil.copytree(city_dir, city)
+    traffic = city / "traffic.csv"
+    first = traffic.read_text().splitlines()[1].split(",")
+    with open(traffic, "a", encoding="utf-8") as fh:
+        fh.write(",".join(first[:5] + [volume]) + "\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(city / "pipeline.cfg"), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    manifest = json.loads((out / "manifest.json").read_text())
+    clean = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["artifacts"] == clean["artifacts"]
+    for scope, quality in manifest["quality"].items():
+        rows = quality["cities"]["alpha"]["traffic"]
+        assert rows["rejected"] == {"malformed": 1}
+        assert rows["accepted"] == clean["quality"][scope]["cities"]["alpha"]["traffic"]["accepted"]
+
+
 def _cut_mid_line(text: str) -> str:
     middle = len(text) // 2
     return text[:text.index(",", middle) + 2]
@@ -948,6 +1048,52 @@ def test_service_missing_from_the_taxonomy_names_both_files(city_dir, tmp_path, 
     assert f"{traffic}: service 'svc-cat00-a' not in taxonomy {taxonomy}" in err
     if command == "run":  # the tensors are built as the city is read
         assert err.startswith("data error: stage 'ingest': ")
+
+
+def _traffic_row(service, day="2019-03-18", direction="uplink"):
+    return f"0,0,{day}T08:00,{service},{direction},1.0".encode()
+
+
+# case id -> (traffic lines before the file's rows, lines after them, what the
+# one-line error says): the unknown service is raised after the whole file is
+# read, for the first one met among accepted rows, of any day type
+UNKNOWN_SERVICES = {
+    "first accepted one named": (
+        [_traffic_row("mystery", direction="sideways"), _traffic_row("enigma")],
+        [_traffic_row("mystery")], "service 'enigma' not in taxonomy"),
+    "met in a late batch": ([], [_traffic_row("late"), _traffic_row("later")],
+                            "service 'late' not in taxonomy"),
+    "on another day type": ([], [_traffic_row("mystery", day="2019-03-23")],
+                            "service 'mystery' not in taxonomy"),
+    "a later undecodable line wins": (
+        [_traffic_row("mystery")], [b"0,0,2019-03-18T08:00,\xff,uplink,1"],
+        "'utf-8' codec can't decode byte 0xff"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "signatures"])
+@pytest.mark.parametrize("case", sorted(UNKNOWN_SERVICES))
+def test_unknown_service_error_keeps_its_message_and_precedence(city_dir, tmp_path, capsys,
+                                                                case, command):
+    before, after, message = UNKNOWN_SERVICES[case]
+    city = tmp_path / "city"
+    shutil.copytree(city_dir, city)
+    traffic, taxonomy = city / "traffic.csv", city / "service_taxonomy.csv"
+    header, *rows = traffic.read_bytes().splitlines()
+    traffic.write_bytes(b"\n".join([header] + before + rows + after) + b"\n")
+    if command == "run":
+        argv = ["run", "--config", str(city / "pipeline.cfg"), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["signatures", "--region", str(city / "region.json"), "--traffic", str(traffic),
+                "--service-taxonomy", str(taxonomy), "--day-type", "weekday",
+                "--out-raw", str(tmp_path / "raw.sig")]
+    assert main(argv) == 2
+    err = _one_line_data_error(capsys, traffic)
+    stage = "stage 'ingest': " if command == "run" else ""
+    if "codec" in message:
+        assert err.startswith(f"data error: {stage}cannot read {traffic}: ") and message in err
+    else:
+        assert err == f"data error: {stage}{traffic}: {message} {taxonomy}\n"
 
 
 def test_a_run_does_not_import_numpy_ma(city_dir, tmp_path):

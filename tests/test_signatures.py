@@ -7,16 +7,33 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import Row, column_tensor, rows_of, table_of, tensor_of
+from test_ingest import (
+    TRAFFIC,
+    _good_traffic,
+    assert_same_report,
+    fuzz_csv,
+    reference_read_traffic,
+)
+import vibrancy.ingest
 from vibrancy.errors import (
+    DataError,
     EmptyInputError,
     TooFewLocationsError,
     UnknownServiceError,
 )
 from vibrancy.grid import CellId, CityRegion, GridSpec
 from vibrancy.synth import SynthSpec, generate_for_day_types, write_city
-from vibrancy.ingest import ServiceTaxonomy, read_traffic
+from vibrancy.ingest import (
+    REJECT_MALFORMED,
+    TRAFFIC_HEADER,
+    ServiceTaxonomy,
+    read_traffic,
+    stream_traffic,
+)
 from vibrancy.signatures import (
+    DAY_TYPES,
     N_BINS,
+    DayTypeTensors,
     bin_of,
     build_signatures,
     concat_tensors,
@@ -236,6 +253,132 @@ class TestColumnarIngest:
         ), GRID)
         with pytest.raises(UnknownServiceError, match="mystery"):
             build_signatures(table, TAX, REGION, "weekday")
+
+
+# A 10 x 10 grid, the fuzzed traffic files' own, with a third of its cells
+# outside the region
+FUZZ_GRID = GridSpec(0, 0, 10, 10, 100.0, "fuzztown")
+FUZZ_REGION = CityRegion(FUZZ_GRID, frozenset(
+    CellId(c, r) for c in range(10) for r in range(10) if (c + 2 * r) % 3))
+
+
+def _taxonomy_of(services):
+    """Every service of a table, alternating between two categories."""
+    return ServiceTaxonomy({s: "AB"[i % 2] for i, s in enumerate(services)}, ("A", "B"))
+
+
+def _streamed(path, taxonomy, region, **kwargs):
+    tensors = DayTypeTensors(taxonomy, region, DAY_TYPES, mean_per_day=kwargs.pop(
+        "mean_per_day", False))
+    report = stream_traffic(path, region.grid, tensors.add)
+    return tensors.finish(**kwargs), tensors.dropped, report
+
+
+class TestDayTypeTensors:
+    """The streamed accumulator against the row-at-a-time reader and the
+    ``np.add.at`` aggregation it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("chunk", [64, vibrancy.ingest.CHUNK_BYTES])
+    @pytest.mark.parametrize("plain", [True, False], ids=["plain", "mixed"])
+    def test_fuzzed_files_give_the_reference_tensors_and_counts(self, tmp_path, monkeypatch,
+                                                                 chunk, plain):
+        monkeypatch.setattr(vibrancy.ingest, "CHUNK_BYTES", chunk)
+        rng = np.random.default_rng(30 + plain)
+        path = tmp_path / "traffic.csv"
+        n = FUZZ_REGION.n_cells
+        checked = 0
+        for _ in range(25):
+            path.write_bytes(fuzz_csv(rng, plain, TRAFFIC).encode("utf-8"))
+            try:
+                table, report = reference_read_traffic(path, FUZZ_GRID)
+            except DataError:  # a cut header
+                continue
+            if not report.accepted:
+                continue
+            rows, taxonomy = rows_of(table), _taxonomy_of(table.services)
+            for mean_per_day in (False, True):
+                for drop_silent in (False, True):
+                    got, dropped, got_report = _streamed(
+                        path, taxonomy, FUZZ_REGION, mean_per_day=mean_per_day,
+                        drop_silent=drop_silent, segment_name="seg")
+                    assert_same_report(got_report, report)
+                    for day_type in DAY_TYPES:
+                        want = reference_signatures(rows, taxonomy, FUZZ_REGION, day_type,
+                                                    mean_per_day)
+                        keep = want.reshape(n, -1).any(axis=1) if drop_silent else np.ones(n, bool)
+                        tensor = got[day_type]
+                        assert tensor.values.tobytes() == want[keep].tobytes()
+                        assert tensor.cells == [c for c, k in zip(
+                            FUZZ_REGION.cells_in_scan_order(), keep) if k]
+                        assert [(s.name, s.start, s.stop) for s in tensor.segments] == [
+                            ("seg", 0, int(keep.sum()))]
+                        on_day = [r for r in rows if day_type_of(r.timestamp) == day_type]
+                        assert dropped[day_type] == {
+                            "other_day_type": len(rows) - len(on_day),
+                            "outside_region": sum(r.cell not in FUZZ_REGION.active_cells
+                                                  for r in on_day),
+                            "silent_cells": n - int(keep.sum())}
+                        whole = build_signatures(table, taxonomy, FUZZ_REGION, day_type,
+                                                 mean_per_day=mean_per_day)
+                        assert whole.values.tobytes() == want.tobytes()
+            checked += 1
+        assert checked >= 10
+
+    def test_permuted_lines_give_bitwise_equal_tensors(self, tmp_path, monkeypatch, rng):
+        monkeypatch.setattr(vibrancy.ingest, "CHUNK_BYTES", 256)
+        lines = [_good_traffic(rng) for _ in range(2000)]
+        lines += [f"{rng.integers(0, 10)},{rng.integers(0, 10)},2019-03-18T09:00,App,uplink,"
+                  f"{rng.choice(['nan', 'inf', '-1', '1e3'])}" for _ in range(50)]
+        taxonomy = _taxonomy_of(sorted({line.split(",")[3] for line in lines}))
+        path = tmp_path / "traffic.csv"
+        runs = []
+        for _ in range(3):
+            rng.shuffle(lines)
+            path.write_text("\n".join([",".join(TRAFFIC_HEADER)] + lines) + "\n")
+            runs.append(_streamed(path, taxonomy, FUZZ_REGION, mean_per_day=True))
+        (first, dropped, report), *others = runs
+        assert report.rejects[REJECT_MALFORMED] > 0
+        assert all(d["outside_region"] > 0 and d["other_day_type"] > 0 for d in dropped.values())
+        for tensors, again_dropped, _ in others:
+            assert again_dropped == dropped
+            for day_type in DAY_TYPES:
+                assert tensors[day_type].values.tobytes() == first[day_type].values.tobytes()
+
+    def test_the_sum_order_is_np_add_at_over_sorted_pairs(self, rng):
+        # volumes over many magnitudes, so that another order would round otherwise
+        ts = datetime(2019, 3, 18, 8, 0)
+        records = [rec(int(rng.integers(2)), 0, ts, volume=float(10.0 ** rng.uniform(-8, 8)))
+                   for _ in range(3000)]
+        tensor = build_signatures(table_of(records), TAX, REGION, "weekday")
+        want = reference_signatures(records, TAX, REGION, "weekday")
+        assert tensor.values.tobytes() == want.tobytes()
+        in_file_order = sum(r.volume for r in records if r.cell == CellId(0, 0))
+        assert in_file_order != tensor.values[0, 4, 0]  # the order shows in the bits
+
+    def test_a_streamed_read_peaks_below_a_traffic_table(self, tmp_path, rng):
+        # rows over weekday and weekend dates, a third of them outside the
+        # region: the pairs are 16 B a kept row, and sorting one day type's
+        # pairs adds 16 B a row of it
+        n_rows = 60_000
+        col, row = rng.integers(0, 10, n_rows), rng.integers(0, 10, n_rows)
+        day, hour = rng.integers(16, 24, n_rows), rng.integers(0, 24, n_rows)
+        service = rng.integers(0, 4, n_rows)
+        path = tmp_path / "traffic.csv"
+        path.write_text("\n".join([",".join(TRAFFIC_HEADER)] + [
+            f"{c},{r},2019-03-{d}T{h:02d}:15,svc{s},uplink,{v:.6g}" for c, r, d, h, s, v in zip(
+                col.tolist(), row.tolist(), day.tolist(), hour.tolist(), service.tolist(),
+                (rng.random(n_rows) * 100).tolist())]) + "\n")
+        taxonomy = _taxonomy_of([f"svc{i}" for i in range(4)])
+        tracemalloc.start()
+        try:
+            tensors, _, report = _streamed(path, taxonomy, FUZZ_REGION)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.accepted == n_rows
+        held = sum(t.values.nbytes for t in tensors.values())
+        # 18.7 B a row when written; read_traffic's table alone is 33 B a row
+        assert (peak - held) / n_rows < 24
 
 
 class TestRelativeRisk:
