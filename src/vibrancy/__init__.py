@@ -23,7 +23,7 @@ from .grid import (
 from .ingest import (
     ParseReport,
     PoiRecord,
-    ServiceTaxonomy,
+    Taxonomy,
     TrafficTable,
     load_taxonomy,
     parse_pois,
@@ -57,7 +57,6 @@ from .features import (
     FEATURE_COLUMNS,
     THIRD_PLACE_CATEGORIES,
     FeatureTable,
-    ThirdPlaceTaxonomy,
     build_features,
     filter_rare_labels,
     load_third_place_taxonomy,

@@ -1,11 +1,12 @@
 """Third-place covariates: counts and label diversity per grid cell.
 
 POI labels (restaurant, park, bank, ...) map onto five third-place
-categories; anything unmapped is not a third place and is ignored. Each
-cell gets 12 covariates: total count, total diversity, then a count and a
-diversity for every category. Diversity is Shannon entropy in bits over
-the distinct labels present, so a cell with one restaurant and one bar is
-more diverse than a cell with two restaurants.
+categories through an ``ingest.Taxonomy`` whose categories are
+``THIRD_PLACE_CATEGORIES``; anything unmapped is not a third place and is
+ignored. Each cell gets 12 covariates: total count, total diversity, then a
+count and a diversity for every category. Diversity is Shannon entropy in
+bits over the distinct labels present, so a cell with one restaurant and
+one bar is more diverse than a cell with two restaurants.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import DataError, TooFewRowsError
 from .grid import CellId, CityRegion, GridSpec
-from .ingest import PoiRecord, read_category_pairs, read_cell_rows, write_csv
+from .ingest import PoiRecord, Taxonomy, read_category_pairs, read_cell_rows, write_csv
 
 THIRD_PLACE_CATEGORIES = (
     "commercial_services",
@@ -39,28 +40,12 @@ FEATURE_COLUMNS = (
 THIRD_PLACE_HEADER = ["label", "category"]
 
 
-@dataclass(frozen=True)
-class ThirdPlaceTaxonomy:
-    """Mapping from POI labels to the five third-place categories."""
-
-    mapping: dict[str, str]
-
-    def __post_init__(self):
-        for label, category in self.mapping.items():
-            if category not in THIRD_PLACE_CATEGORIES:
-                raise DataError(
-                    f"label {label!r} maps to unknown category {category!r}; "
-                    f"expected one of {THIRD_PLACE_CATEGORIES}"
-                )
-
-    def category_of(self, label: str) -> Optional[str]:
-        return self.mapping.get(label)
-
-
-def load_third_place_taxonomy(source) -> ThirdPlaceTaxonomy:
-    """Load a ``label,category`` CSV. Duplicate labels are an error."""
-    return ThirdPlaceTaxonomy(read_category_pairs(
-        source, THIRD_PLACE_HEADER, "third-place taxonomy", allowed=THIRD_PLACE_CATEGORIES))
+def load_third_place_taxonomy(source) -> Taxonomy:
+    """Load a ``label,category`` CSV over ``THIRD_PLACE_CATEGORIES``.
+    Duplicate labels are an error."""
+    return Taxonomy(read_category_pairs(
+        source, THIRD_PLACE_HEADER, "third-place taxonomy", allowed=THIRD_PLACE_CATEGORIES),
+        THIRD_PLACE_CATEGORIES)
 
 
 def rare_labels(pois: Sequence[PoiRecord], min_count: int = 10) -> dict[str, int]:
@@ -124,7 +109,7 @@ class FeatureTable:
 
 def build_features(
     pois: Sequence[PoiRecord],
-    taxonomy: ThirdPlaceTaxonomy,
+    taxonomy: Taxonomy,
     region: CityRegion,
     cells: Optional[Sequence[CellId]] = None,
 ) -> FeatureTable:
@@ -139,8 +124,12 @@ def build_features(
     The POIs are counted as arrays, in O(POIs + n) memory: one sort counts
     each distinct (row, label) pair, and every diversity equals
     ``shannon_diversity`` of its row's (or row and category's) label counts,
-    bit for bit.
+    bit for bit. A taxonomy over other categories than
+    ``THIRD_PLACE_CATEGORIES``, in that order, is a DataError.
     """
+    if taxonomy.categories != THIRD_PLACE_CATEGORIES:
+        raise DataError(f"third-place taxonomy categories {taxonomy.categories} are not "
+                        f"{THIRD_PLACE_CATEGORIES}")
     row_cells = list(cells) if cells is not None else region.cells_in_scan_order()
     n, n_cat = len(row_cells), len(THIRD_PLACE_CATEGORIES)
     rows, categories, counts = _label_counts(pois, taxonomy, region.grid, row_cells)
@@ -165,9 +154,8 @@ def _label_counts(pois, taxonomy, grid: GridSpec, row_cells):
     """
     labels = [poi.label for poi in pois]
     codes = {label: i for i, label in enumerate(
-        sorted(label for label in set(labels) if taxonomy.category_of(label) is not None))}
-    category_of = np.array([THIRD_PLACE_CATEGORIES.index(taxonomy.category_of(label))
-                            for label in codes], dtype=np.intp)
+        sorted(label for label in set(labels) if label in taxonomy.mapping))}
+    code_category = np.array(list(map(taxonomy.category_index, codes)), dtype=np.intp)
     code = np.fromiter(map(codes.get, labels, repeat(-1)), np.intp, len(labels))
     third = np.flatnonzero(code >= 0)
     xs = np.fromiter((poi.x for poi in pois), np.float64, len(labels))
@@ -192,7 +180,7 @@ def _label_counts(pois, taxonomy, grid: GridSpec, row_cells):
     pairs.sort(kind="stable")
     starts = np.flatnonzero(_firsts(pairs))
     rows, pair_codes = np.divmod(pairs[starts], n_codes)
-    return rows, category_of[pair_codes], np.diff(np.r_[starts, pairs.size])
+    return rows, code_category[pair_codes], np.diff(np.r_[starts, pairs.size])
 
 
 def _cell_keys(row_cells, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -209,11 +209,14 @@ def load_region(path) -> CityRegion:
     cells: set[CellId] = set()
     for col, row in _int_entries(doc, "active_cells", ("col", "row"), path):
         cells.add(CellId(col, row))
-    for row, col_start, length in _int_entries(doc, "active_runs", ("row", "col", "length"),
-                                               path):
+    for entry in _int_entries(doc, "active_runs", ("row", "col", "length"), path):
+        row, col_start, length = entry
         if length < 0:
-            raise DataError(f"region file {path}: active_runs entry {[row, col_start, length]} "
-                            "has a negative length")
+            raise DataError(f"region file {path}: active_runs entry {entry} has a negative length")
+        # checked before the run is expanded, which takes time and memory per cell
+        if not (0 <= row < grid.n_rows and col_start >= 0 and col_start + length <= grid.n_cols):
+            raise OutOfBoundsError(f"region file {path}: active_runs entry {entry} runs outside "
+                                   f"the {grid.n_cols} x {grid.n_rows} grid")
         for col in range(col_start, col_start + length):
             cells.add(CellId(col, row))
     if not cells:

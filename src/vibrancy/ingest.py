@@ -14,6 +14,10 @@ of it afterwards; ``signatures.DayTypeTensors`` turns the batches into
 tensors, and ``read_traffic`` collects them into one ``TrafficTable``.
 Other files must have every line right (``_read_exact``). A wrong header is
 a DataError naming the file.
+
+Both key-to-category tables, services to app categories and POI labels to
+third-place categories (``features.load_third_place_taxonomy``), are one
+``Taxonomy``, whose ``categories`` fix the category axis.
 """
 
 from __future__ import annotations
@@ -133,11 +137,13 @@ class TrafficTable:
 
 
 @dataclass(frozen=True)
-class ServiceTaxonomy:
-    """Total mapping from service names to app categories.
+class Taxonomy:
+    """Mapping from keys (service names, POI labels) to categories.
 
-    ``categories`` keeps the file order of first appearance, which fixes the
-    category axis of every signature tensor built from it.
+    ``categories`` fixes the category axis: a service taxonomy keeps the
+    file order of first appearance, which orders every signature tensor
+    built from it, and a third-place taxonomy has ``THIRD_PLACE_CATEGORIES``.
+    Every key maps to one of them.
     """
 
     mapping: dict[str, str]
@@ -147,21 +153,22 @@ class ServiceTaxonomy:
         object.__setattr__(self, "categories", tuple(self.categories))
         index = {c: i for i, c in enumerate(self.categories)}
         object.__setattr__(self, "_index", index)
-        for service, category in self.mapping.items():
+        for key, category in self.mapping.items():
             if category not in index:
-                raise DataError(
-                    f"service {service!r} maps to unlisted category {category!r}"
-                )
+                raise DataError(f"{key!r} maps to unlisted category {category!r}; "
+                                f"expected one of {self.categories}")
 
     @property
     def n_categories(self) -> int:
         return len(self.categories)
 
-    def category_index(self, service: str) -> int:
+    def category_index(self, key: str) -> int:
+        """The position of ``key``'s category in ``categories``; a key
+        missing from the mapping is an UnknownServiceError."""
         try:
-            return self._index[self.mapping[service]]
+            return self._index[self.mapping[key]]
         except KeyError:
-            raise UnknownServiceError(f"service {service!r} not in taxonomy") from None
+            raise UnknownServiceError(f"service {key!r} not in taxonomy") from None
 
 
 def _source_name(source) -> str:
@@ -559,7 +566,7 @@ def read_category_pairs(source, header: list[str], what: str, duplicate=DataErro
     return mapping
 
 
-def load_taxonomy(source) -> ServiceTaxonomy:
+def load_taxonomy(source) -> Taxonomy:
     """Load a ``service,category`` CSV; category order is file order of first
     appearance."""
     mapping = read_category_pairs(source, TAXONOMY_HEADER, "taxonomy", DuplicateServiceError)
@@ -567,4 +574,4 @@ def load_taxonomy(source) -> ServiceTaxonomy:
     if not categories:
         raise EmptyCategoryListError(
             f"{_source_name(source)}: taxonomy file defines no categories")
-    return ServiceTaxonomy(mapping, categories)
+    return Taxonomy(mapping, categories)

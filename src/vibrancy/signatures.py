@@ -14,7 +14,6 @@ import json
 import struct
 from array import array
 from dataclasses import dataclass, field, replace
-from itertools import count
 from datetime import date, datetime
 from math import prod
 from pathlib import Path
@@ -31,7 +30,7 @@ from .errors import (
     TooFewLocationsError,
 )
 from .grid import CellId, CityRegion, GridSpec, grid_from_dict, grid_to_dict
-from .ingest import ServiceTaxonomy, TrafficTable, write_csv
+from .ingest import Taxonomy, TrafficTable, write_csv
 
 N_BINS = 12
 WEEKDAY = "weekday"
@@ -131,7 +130,7 @@ class DayTypeTensors:
     met them.
     """
 
-    def __init__(self, taxonomy: ServiceTaxonomy, region: CityRegion,
+    def __init__(self, taxonomy: Taxonomy, region: CityRegion,
                  day_types: Sequence[str], *, mean_per_day: bool = False):
         for day_type in day_types:
             if day_type not in DAY_TYPES:
@@ -194,9 +193,8 @@ class DayTypeTensors:
             self._stamp_seen = np.append(self._stamp_seen, np.zeros(len(new), bool))
         if len(services) > len(self._services):
             new = services[len(self._services):]
-            category_of = dict(zip(self.taxonomy.categories, count()))
             self._category = np.append(self._category, [
-                category_of[self.taxonomy.mapping[s]] if s in self.taxonomy.mapping else -1
+                self.taxonomy.category_index(s) if s in self.taxonomy.mapping else -1
                 for s in new])
         self._stamps, self._services = stamps, services
 
@@ -254,7 +252,7 @@ _TABLE_BATCH = 1 << 16
 
 def build_signatures(
     traffic: TrafficTable,
-    taxonomy: ServiceTaxonomy,
+    taxonomy: Taxonomy,
     region: CityRegion,
     day_type: str,
     *,

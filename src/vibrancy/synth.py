@@ -24,10 +24,10 @@ import numpy as np
 
 from .clustering import export_labels_csv
 from .errors import InvalidSpecError, LengthMismatchError
-from .features import THIRD_PLACE_CATEGORIES, THIRD_PLACE_HEADER, ThirdPlaceTaxonomy
+from .features import THIRD_PLACE_CATEGORIES, THIRD_PLACE_HEADER
 from .grid import CellId, CityRegion, GridSpec, save_region
 from .ingest import DIRECTIONS, POI_HEADER, TAXONOMY_HEADER, TRAFFIC_HEADER, PoiRecord
-from .ingest import ServiceTaxonomy, TrafficTable, write_csv
+from .ingest import Taxonomy, TrafficTable, write_csv
 from .signatures import DAY_TYPES, N_BINS, WEEKDAY, day_type_of
 
 WINDOW_START = date(2019, 3, 16)
@@ -119,6 +119,8 @@ class SynthSpec:
         self.categories = tuple(self.categories)
         if not self.categories:
             raise InvalidSpecError("need at least one category")
+        if len(set(self.categories)) < len(self.categories):
+            raise InvalidSpecError(f"category repeated in {list(self.categories)}")
         if self.archetypes is None:
             self.archetypes = default_archetypes(self.k_true, len(self.categories))
         self.archetypes = np.asarray(self.archetypes, dtype=np.float64)
@@ -159,13 +161,9 @@ class SynthTruth:
     archetype_of: np.ndarray  # (n,), planted labels 1..k_true
     traffic: TrafficTable
     pois: list[PoiRecord]
-    service_taxonomy: ServiceTaxonomy
-    place_taxonomy: ThirdPlaceTaxonomy
+    service_taxonomy: Taxonomy
+    place_taxonomy: Taxonomy
     targets: np.ndarray = field(repr=False, default=None)  # (n, 12, D) noisy curves
-
-
-def _services_for(categories: Sequence[str]) -> list[tuple[str, str]]:
-    return [(f"svc-{c}-a", f"svc-{c}-b") for c in categories]
 
 
 def _plant(spec: SynthSpec):
@@ -233,18 +231,19 @@ def generate_for_day_types(spec: SynthSpec, day_types: Sequence[str]) -> SynthTr
                     y = float(grid.origin_y + (cell.row + w) * grid.cell_size)
                     pois.append(PoiRecord(x, y, label, SYNTH_POI_SOURCES[label]))
 
-    services = _services_for(spec.categories)
-    svc_mapping = {name: cat for cat, pair in zip(spec.categories, services) for name in pair}
-    service_taxonomy = ServiceTaxonomy(svc_mapping, tuple(spec.categories))
-    place_taxonomy = ThirdPlaceTaxonomy(
-        {label: cat for cat in THIRD_PLACE_CATEGORIES for label in SYNTH_POI_LABELS[cat]}
+    # two services per category, which the traffic rows alternate
+    service_taxonomy = Taxonomy({f"svc-{cat}-{x}": cat for cat in spec.categories for x in "ab"},
+                                spec.categories)
+    place_taxonomy = Taxonomy(
+        {label: cat for cat in THIRD_PLACE_CATEGORIES for label in SYNTH_POI_LABELS[cat]},
+        THIRD_PLACE_CATEGORIES,
     )
     return SynthTruth(
         spec=spec,
         region=region,
         cells=cells,
         archetype_of=archetype_of,
-        traffic=_traffic(spec, targets, n_cols, day_types),
+        traffic=_traffic(spec, targets, n_cols, day_types, tuple(service_taxonomy.mapping)),
         pois=pois,
         service_taxonomy=service_taxonomy,
         place_taxonomy=place_taxonomy,
@@ -253,13 +252,14 @@ def generate_for_day_types(spec: SynthSpec, day_types: Sequence[str]) -> SynthTr
 
 
 def _traffic(spec: SynthSpec, targets: np.ndarray, n_cols: int,
-             day_types: Sequence[str]) -> TrafficTable:
+             day_types: Sequence[str], services: tuple[str, ...]) -> TrafficTable:
     """The traffic rows that carry ``targets`` on each day type's dates.
 
     Each nonzero target of a cell, bin and category is split evenly over
     the bin's ``slots_per_bin`` equal slots, alternating the category's two
-    services, and over both directions. Rows are ordered by day type, cell,
-    date, bin, category, slot, then downlink before uplink.
+    services (``services[2 * category]`` and the next), and over both
+    directions. Rows are ordered by day type, cell, date, bin, category,
+    slot, then downlink before uplink.
     """
     slots, n_days = spec.slots_per_bin, spec.n_days
     per_target = 2 * slots  # rows per nonzero target and date
@@ -285,7 +285,7 @@ def _traffic(spec: SynthSpec, targets: np.ndarray, n_cols: int,
         direction=np.tile(np.arange(2, dtype=np.int8), len(i) * slots),
         volume=(targets.reshape(n, -1)[i, bd] / per_target).repeat(per_target),
         stamps=stamps,
-        services=tuple(name for pair in _services_for(spec.categories) for name in pair),
+        services=services,
         directions=DIRECTIONS,
     )
 
@@ -314,12 +314,10 @@ def write_city(truth: SynthTruth, out_dir) -> dict[str, Path]:
     write_csv(paths["pois"], POI_HEADER, (f"{p.x!r},{p.y!r},{p.label},{p.source_category}"
                                           for p in truth.pois))
     export_labels_csv(truth.cells, truth.archetype_of, paths["truth"], "archetype")
-    write_csv(paths["service_taxonomy"], TAXONOMY_HEADER, (
-        f"{name},{cat}"
-        for cat, pair in zip(truth.spec.categories, _services_for(truth.spec.categories))
-        for name in pair))
-    write_csv(paths["third_places"], THIRD_PLACE_HEADER, (
-        f"{label},{cat}" for cat in THIRD_PLACE_CATEGORIES for label in SYNTH_POI_LABELS[cat]))
+    write_csv(paths["service_taxonomy"], TAXONOMY_HEADER,
+              map(",".join, truth.service_taxonomy.mapping.items()))
+    write_csv(paths["third_places"], THIRD_PLACE_HEADER,
+              map(",".join, truth.place_taxonomy.mapping.items()))
     return paths
 
 

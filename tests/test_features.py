@@ -14,7 +14,6 @@ from vibrancy.features import (
     FEATURE_COLUMNS,
     THIRD_PLACE_CATEGORIES,
     FeatureTable,
-    ThirdPlaceTaxonomy,
     build_features,
     export_features_csv,
     filter_rare_labels,
@@ -25,16 +24,16 @@ from vibrancy.features import (
     standardize,
 )
 from vibrancy.grid import CellId, CityRegion, GridSpec, point_to_cell
-from vibrancy.ingest import PoiRecord, parse_pois
+from vibrancy.ingest import PoiRecord, Taxonomy, parse_pois
 from vibrancy.synth import SynthSpec, generate, write_city
 
-TAX = ThirdPlaceTaxonomy({
+TAX = Taxonomy({
     "restaurant": "eating_and_drinking",
     "bar": "eating_and_drinking",
     "cafe": "eating_and_drinking",
     "park": "outdoor",
     "bank": "commercial_services",
-})
+}, THIRD_PLACE_CATEGORIES)
 GRID = GridSpec(0, 0, 3, 3, 100.0, "toytown")
 REGION = CityRegion(GRID, frozenset(CellId(c, r) for c in range(3) for r in range(3)))
 
@@ -144,6 +143,11 @@ class TestBuildFeatures:
         table = build_features([poi("restaurant", x=-5.0)], TAX, REGION)
         assert np.all(table.values == 0.0)
 
+    def test_a_taxonomy_over_other_categories_is_refused(self):
+        reordered = Taxonomy(TAX.mapping, THIRD_PLACE_CATEGORIES[::-1])
+        with pytest.raises(DataError, match="third-place taxonomy categories"):
+            build_features([poi("restaurant")], reordered, REGION)
+
     def test_total_equals_category_sum(self, rng):
         labels = list(TAX.mapping)
         pois = [
@@ -173,7 +177,7 @@ def reference_build_features(pois, taxonomy, region, cells=None) -> FeatureTable
     label_counts = [Counter() for _ in row_cells]
     by_category = [{c: Counter() for c in THIRD_PLACE_CATEGORIES} for _ in row_cells]
     for p in pois:
-        category = taxonomy.category_of(p.label)
+        category = taxonomy.mapping.get(p.label)
         if category is None:
             continue
         try:
@@ -241,8 +245,8 @@ class TestBuildFeaturesMatchesReference:
     def test_random_poi_sets(self, seed):
         rng = np.random.default_rng(seed)
         labels = [f"label{i}" for i in range(int(rng.integers(1, 30)))]
-        taxonomy = ThirdPlaceTaxonomy({label: THIRD_PLACE_CATEGORIES[int(rng.integers(5))]
-                                       for label in labels if rng.random() < 0.8})
+        taxonomy = Taxonomy({label: THIRD_PLACE_CATEGORIES[int(rng.integers(5))]
+                             for label in labels if rng.random() < 0.8}, THIRD_PLACE_CATEGORIES)
         n_cols, n_rows = (int(v) for v in rng.integers(1, 15, size=2))
         size = float(rng.choice([0.3, 7.0, 100.0]))
         grid = GridSpec(float(rng.uniform(-50, 50)), float(rng.uniform(-50, 50)),
@@ -315,8 +319,8 @@ class TestBuildFeaturesMatchesReference:
         region = CityRegion(GridSpec(0.0, 0.0, 200, 100, 100.0),
                             frozenset(CellId(c, r) for r in range(100) for c in range(200)))
         labels = [f"label{i}" for i in range(200)]
-        taxonomy = ThirdPlaceTaxonomy({label: THIRD_PLACE_CATEGORIES[i % 5]
-                                       for i, label in enumerate(labels)})
+        taxonomy = Taxonomy({label: THIRD_PLACE_CATEGORIES[i % 5]
+                             for i, label in enumerate(labels)}, THIRD_PLACE_CATEGORIES)
         pois = [PoiRecord(float(x), float(y), labels[k], "amenity") for x, y, k in zip(
             rng.uniform(0, 20_000, m), rng.uniform(0, 10_000, m), rng.integers(0, 200, m))]
         cells = region.cells_in_scan_order()
@@ -371,8 +375,13 @@ class TestTaxonomyFile:
         tax = load_third_place_taxonomy(io.StringIO(
             "label,category\nrestaurant,eating_and_drinking\npark,outdoor\n"
         ))
-        assert tax.category_of("restaurant") == "eating_and_drinking"
-        assert tax.category_of("unknown") is None
+        assert tax.mapping.get("restaurant") == "eating_and_drinking"
+        assert tax.mapping.get("unknown") is None
+
+    def test_categories_are_the_third_place_ones_in_order(self):
+        tax = load_third_place_taxonomy(io.StringIO("label,category\npark,outdoor\n"))
+        assert tax.categories == THIRD_PLACE_CATEGORIES
+        assert tax.category_index("park") == THIRD_PLACE_CATEGORIES.index("outdoor")
 
     def test_unknown_category_rejected(self):
         with pytest.raises(DataError):

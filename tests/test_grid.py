@@ -1,8 +1,10 @@
 import json
 import math
+import re
 
 import pytest
 
+from vibrancy import grid as grid_module
 from vibrancy.errors import DataError, OutOfBoundsError
 from vibrancy.grid import (
     CellId,
@@ -187,6 +189,29 @@ class TestRegionFiles:
         assert region.active_cells == frozenset(
             {CellId(0, 0), CellId(1, 2), CellId(1, 4), CellId(2, 4), CellId(3, 4)}
         )
+
+    @pytest.mark.parametrize("entry", [[0, 0, 2_000_000], [0, 9, 2], [0, -1, 1], [10, 0, 1],
+                                       [-1, 0, 1]])
+    def test_a_run_off_the_grid_is_refused_before_it_is_expanded(self, tmp_path, monkeypatch,
+                                                                  entry):
+        path = tmp_path / "region.json"
+        path.write_text(json.dumps({
+            "grid": {"region_name": "x", "origin_x": 0, "origin_y": 0,
+                     "cell_size": 100, "n_cols": 10, "n_rows": 10},
+            "active_runs": [[0, 0, 10], entry],
+        }))
+        built = []
+
+        def counted(col, row):
+            built.append((col, row))
+            return CellId(col, row)
+
+        monkeypatch.setattr(grid_module, "CellId", counted)
+        with pytest.raises(OutOfBoundsError,
+                           match=f"^region file {re.escape(str(path))}: active_runs entry "
+                                 f"{re.escape(str(entry))} "):
+            load_region(path)
+        assert len(built) == 10  # the first run's cells only
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):

@@ -35,7 +35,7 @@ from vibrancy.ingest import (
     TRAFFIC_HEADER,
     ParseReport,
     PoiRecord,
-    ServiceTaxonomy,
+    Taxonomy,
     TrafficTable,
     _parse_timestamp,
     load_taxonomy,
@@ -571,13 +571,13 @@ class TestServiceTaxonomy:
             load_taxonomy(io.StringIO("service,category\n"))
 
     def test_unknown_service_lookup(self):
-        tax = ServiceTaxonomy({"A": "X"}, ("X",))
+        tax = Taxonomy({"A": "X"}, ("X",))
         with pytest.raises(UnknownServiceError):
             tax.category_index("B")
 
     def test_mapping_to_unlisted_category_rejected(self):
         with pytest.raises(DataError):
-            ServiceTaxonomy({"A": "X"}, ("Y",))
+            Taxonomy({"A": "X"}, ("Y",))
 
     def test_shipped_example_has_68_services_30_categories(self):
         path = files("vibrancy").joinpath("data/service_categories_example.csv")

@@ -26,7 +26,7 @@ from vibrancy.synth import SynthSpec, generate_for_day_types, write_city
 from vibrancy.ingest import (
     REJECT_MALFORMED,
     TRAFFIC_HEADER,
-    ServiceTaxonomy,
+    Taxonomy,
     read_traffic,
     stream_traffic,
 )
@@ -46,7 +46,7 @@ from vibrancy.signatures import (
     write_tensor,
 )
 
-TAX = ServiceTaxonomy({"msg": "Messaging", "vid": "Video"}, ("Messaging", "Video"))
+TAX = Taxonomy({"msg": "Messaging", "vid": "Video"}, ("Messaging", "Video"))
 GRID = GridSpec(0, 0, 4, 4, 100.0, "toytown")
 REGION = CityRegion(GRID, frozenset(CellId(c, r) for c in range(4) for r in range(4)))
 
@@ -264,7 +264,7 @@ FUZZ_REGION = CityRegion(FUZZ_GRID, frozenset(
 
 def _taxonomy_of(services):
     """Every service of a table, alternating between two categories."""
-    return ServiceTaxonomy({s: "AB"[i % 2] for i, s in enumerate(services)}, ("A", "B"))
+    return Taxonomy({s: "AB"[i % 2] for i, s in enumerate(services)}, ("A", "B"))
 
 
 def _streamed(path, taxonomy, region, **kwargs):

@@ -8,9 +8,9 @@ from numpy.testing import assert_allclose
 from conftest import rows_of
 from vibrancy.clustering import kmeans
 from vibrancy.errors import InvalidSpecError, LengthMismatchError
-from vibrancy.features import THIRD_PLACE_CATEGORIES
+from vibrancy.features import THIRD_PLACE_CATEGORIES, load_third_place_taxonomy
 from vibrancy.grid import CellId
-from vibrancy.ingest import read_traffic
+from vibrancy.ingest import load_taxonomy, read_traffic
 from vibrancy.signatures import build_signatures, day_type_of, relative_risk
 from vibrancy.synth import (
     SynthSpec,
@@ -47,6 +47,7 @@ class TestSpecValidation:
         dict(n_days=0),
         dict(day_type="someday"),
         dict(categories=()),
+        dict(categories=("a", "b", "a")),
     ])
     def test_invalid_specs_rejected(self, bad):
         with pytest.raises(InvalidSpecError):
@@ -129,6 +130,15 @@ class TestGenerate:
         _, report = read_traffic(paths["traffic"], truth.region.grid)
         assert report.rejected == 0
         assert report.accepted == len(truth.traffic)
+
+    def test_written_taxonomies_read_back_as_the_truth(self, tmp_path):
+        truth = generate(small_spec(categories=("video", "chat", "maps")))
+        paths = write_city(truth, tmp_path)
+        for loaded, planted in [(load_taxonomy(paths["service_taxonomy"]), truth.service_taxonomy),
+                                (load_third_place_taxonomy(paths["third_places"]),
+                                 truth.place_taxonomy)]:
+            assert loaded == planted
+            assert list(loaded.mapping.items()) == list(planted.mapping.items())
 
     def test_planted_stack_matches_generate(self):
         spec = small_spec(noise_sigma=0.8)
