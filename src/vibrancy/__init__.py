@@ -44,6 +44,7 @@ from .signatures import (
 from .clustering import (
     ClusterModel,
     KSelectionReport,
+    adjusted_rand_index,
     assign,
     distance,
     kmeans,
@@ -73,12 +74,16 @@ from .logit import (
     predict,
     predict_proba,
 )
-from .synth import (
-    SynthSpec,
-    SynthTruth,
-    adjusted_rand_index,
-    generate,
-    write_city,
-)
 from .config import CityConfig, PipelineConfig, parse_config
 from .pipeline import run_from_manifest, run_pipeline
+
+_SYNTH_NAMES = ("SynthSpec", "SynthTruth", "generate", "write_city")
+
+
+def __getattr__(name):
+    # synth is imported on first use, so that a run does not compile it
+    if name in _SYNTH_NAMES:
+        from . import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

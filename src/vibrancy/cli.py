@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import bounds_error, parse_config
+from .config import bounds_error, city_name_error, parse_config
 from .clustering import read_labels_csv, select_k
 from .errors import ConfigError, DataError, NumericError, VibrancyError, read_json
 from .features import build_features, load_third_place_taxonomy, rare_labels
@@ -42,7 +42,6 @@ from .signatures import (
     relative_risk,
     write_tensor,
 )
-from .synth import SynthSpec, generate_for_day_types, write_city
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,6 +64,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_synth(args) -> int:
+    if message := city_name_error(args.name):
+        raise _UsageError(f"--name: {message}")
+    from .synth import SynthSpec, generate_for_day_types, write_city  # not loaded by `run`
+
     spec = SynthSpec(
         seed=args.seed,
         n_cells=args.cells,

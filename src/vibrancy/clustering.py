@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -21,6 +22,7 @@ import numpy as np
 from ._stream import Stream, generate_state
 from .errors import (
     KTooLargeError,
+    LengthMismatchError,
     NonFiniteError,
     ShapeMismatchError,
     SingleClusterError,
@@ -589,6 +591,35 @@ def silhouette(data: TensorLike, labels: Sequence[int]) -> float:
     ``NonFiniteError``.
     """
     return _silhouettes(_as_points(data), [labels])[0]
+
+
+
+def adjusted_rand_index(labels_a: Sequence[int], labels_b: Sequence[int]) -> float:
+    """Chance-corrected agreement between two partitions (pair counting).
+
+    1.0 means identical partitions up to label permutation; 0.0 is the
+    expected value for independent labelings. Two trivial partitions that
+    coincide (for example both all-one-cluster) score 1.0 by convention.
+    """
+    a = [int(v) for v in labels_a]
+    b = [int(v) for v in labels_b]
+    if len(a) != len(b):
+        raise LengthMismatchError("label vectors differ in length")
+    n = len(a)
+
+    def comb2(x: int) -> int:
+        return x * (x - 1) // 2
+
+    pair_counts = Counter(zip(a, b))
+    sum_ij = sum(comb2(v) for v in pair_counts.values())
+    sum_a = sum(comb2(v) for v in Counter(a).values())
+    sum_b = sum(comb2(v) for v in Counter(b).values())
+    total = comb2(n)
+    expected = sum_a * sum_b / total if total else 0.0
+    max_index = (sum_a + sum_b) / 2.0
+    if max_index == expected:
+        return 1.0
+    return (sum_ij - expected) / (max_index - expected)
 
 
 @functools.lru_cache(maxsize=4096)

@@ -93,8 +93,23 @@ class PipelineConfig:
         if message := bounds_error(vars(self)):
             raise ConfigError(message)
         names = [c.name for c in self.cities]
+        for name in names:
+            if message := city_name_error(name):
+                raise ConfigError(message)
         if len(set(names)) != len(names):
             raise ConfigError("duplicate city names")
+
+
+def city_name_error(name: str) -> Optional[str]:
+    """Why ``name`` cannot name a city, or None. A city's name is one plain
+    path component of the run directory and a config section name: not
+    empty, ``.`` or ``..``, no leading or trailing whitespace, and no ``/``,
+    ``\\``, ``#`` or control character (U+0000-U+001F, U+007F-U+009F)."""
+    if (not name or name in (".", "..") or name != name.strip()
+            or any(ch in "/\\#" or ch < " " or "\x7f" <= ch <= "\x9f" for ch in name)):
+        return (f"city name {name!r} is not one plain path component (it must not be empty, "
+                "'.' or '..', start or end with whitespace, or hold '/', '\\', '#' or a "
+                "control character)")
 
 
 def bounds_error(settings: dict, spell=None) -> Optional[str]:

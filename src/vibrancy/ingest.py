@@ -200,12 +200,20 @@ def _check_header(row: list[str] | None, expected: list[str], what: str, source)
                         f"{','.join(expected)!r}")
 
 
+#: lines ``write_csv`` joins into one ``write``
+_WRITE_BATCH = 1 << 14
+
+
 def write_csv(path, header: Sequence[str], lines: Iterable[str]) -> None:
     """Write a CSV file as UTF-8 with ``\\n`` line ends: ``header`` joined by
-    commas, then each of ``lines`` (its fields already joined by commas)."""
+    commas, then each of ``lines`` (its fields already joined by commas),
+    ``_WRITE_BATCH`` lines per ``write``."""
+    lines = iter(lines)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(f"{line}\n" for line in lines)
+        while batch := list(islice(lines, _WRITE_BATCH)):
+            batch.append("")  # the last line's "\n"
+            fh.write("\n".join(batch))
 
 
 def _parse_timestamp(text: str) -> datetime:

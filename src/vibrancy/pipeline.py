@@ -29,6 +29,7 @@ from .config import CityConfig, PipelineConfig, config_from_dict, config_to_dict
 from .clustering import (
     ClusterModel,
     KSelectionReport,
+    adjusted_rand_index,
     export_labels_csv,
     export_labels_geojson,
     read_labels_csv,
@@ -62,7 +63,6 @@ from .signatures import (
     relative_risk,
     write_tensor,
 )
-from .synth import adjusted_rand_index
 
 MANIFEST_NAME = "manifest.json"
 

@@ -9,25 +9,30 @@ association between cluster membership and third-place covariates.
 Everything derives from one seed through three named substreams
 (assignment, noise, POIs), so regenerating from the same spec yields
 byte-identical files.
+
+``write_city`` writes the traffic CSV one batch of ``_WRITE_BATCH`` rows at
+a time. It formats each distinct (timestamp, service, direction) once, and
+within a batch each distinct cell and volume once, then joins each line
+from those three texts, so its memory does not grow with the table.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta
+from itertools import chain
 from math import ceil, sqrt
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .clustering import export_labels_csv
-from .errors import InvalidSpecError, LengthMismatchError
+from .clustering import adjusted_rand_index, export_labels_csv
+from .errors import InvalidSpecError
 from .features import THIRD_PLACE_CATEGORIES, THIRD_PLACE_HEADER
 from .grid import CellId, CityRegion, GridSpec, save_region
 from .ingest import DIRECTIONS, POI_HEADER, TAXONOMY_HEADER, TRAFFIC_HEADER, PoiRecord
-from .ingest import Taxonomy, TrafficTable, write_csv
+from .ingest import _WRITE_BATCH, Taxonomy, TrafficTable, write_csv
 from .signatures import DAY_TYPES, N_BINS, WEEKDAY, day_type_of
 
 WINDOW_START = date(2019, 3, 16)
@@ -290,6 +295,52 @@ def _traffic(spec: SynthSpec, targets: np.ndarray, n_cols: int,
     )
 
 
+def _texts(keys: np.ndarray, texts_of) -> np.ndarray:
+    """The text of each of ``keys``, as an object array: ``texts_of`` maps
+    the sorted distinct keys to their texts, so each is formatted once."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return np.array(texts_of(distinct), dtype=object)[inverse]
+
+
+def _traffic_lines(t: TrafficTable):
+    """The data lines of ``t``'s traffic CSV, ``_WRITE_BATCH`` rows at a time.
+
+    The ``timestamp,service,direction,`` text of each distinct triple is
+    formatted once; within a batch, so is the ``col,row,`` text of each
+    distinct cell and the ``repr`` of each distinct volume bit pattern (so
+    ``-0.0`` keeps its sign). Each line joins its three texts.
+    """
+    stamps = [ts.strftime("%Y-%m-%dT%H:%M") for ts in t.stamps]
+    n_services, n_directions = len(t.services), len(t.directions)
+    # each triple's text, kept across batches: there are at most
+    # len(stamps) * n_services * n_directions, however long the table
+    triples: dict[int, str] = {}
+
+    def triple_texts(keys):
+        out = []
+        for key in keys.tolist():
+            if key not in triples:
+                rest, d = divmod(key, n_directions)
+                stamp, service = divmod(rest, n_services)
+                triples[key] = f"{stamps[stamp]},{t.services[service]},{t.directions[d]},"
+            out.append(triples[key])
+        return out
+
+    for lo in range(0, len(t), _WRITE_BATCH):
+        rows = slice(lo, lo + _WRITE_BATCH)
+        # a cell's key: the ranks of its col and of its row among the batch's
+        cols, col_of = np.unique(t.col[rows], return_inverse=True)
+        cell_rows, row_of = np.unique(t.row[rows], return_inverse=True)
+        cols, cell_rows, n = cols.tolist(), cell_rows.tolist(), len(cell_rows)
+        cell = _texts(col_of * n + row_of,
+                      lambda keys: [f"{cols[k // n]},{cell_rows[k % n]}," for k in keys.tolist()])
+        triple = _texts((t.stamp[rows].astype(np.int64) * n_services + t.service[rows])
+                        * n_directions + t.direction[rows], triple_texts)
+        volume = _texts(t.volume[rows].view(np.int64),
+                        lambda bits: list(map(repr, bits.view(np.float64).tolist())))
+        yield map("".join, zip(cell.tolist(), triple.tolist(), volume.tolist()))
+
+
 def write_city(truth: SynthTruth, out_dir) -> dict[str, Path]:
     """Write the CSV and JSON files the ingest layer consumes, plus the planted
     truth labels. Deterministic bytes for a given spec."""
@@ -304,13 +355,7 @@ def write_city(truth: SynthTruth, out_dir) -> dict[str, Path]:
         "third_places": out / "third_places.csv",
     }
     save_region(truth.region, paths["region"])
-    t = truth.traffic
-    stamps = [ts.strftime("%Y-%m-%dT%H:%M") for ts in t.stamps]
-    write_csv(paths["traffic"], TRAFFIC_HEADER, (
-        f"{col},{row},{stamps[stamp]},{t.services[service]},{t.directions[d]},{volume!r}"
-        for col, row, stamp, service, d, volume in zip(
-            t.col.tolist(), t.row.tolist(), t.stamp.tolist(), t.service.tolist(),
-            t.direction.tolist(), t.volume.tolist())))
+    write_csv(paths["traffic"], TRAFFIC_HEADER, chain.from_iterable(_traffic_lines(truth.traffic)))
     write_csv(paths["pois"], POI_HEADER, (f"{p.x!r},{p.y!r},{p.label},{p.source_category}"
                                           for p in truth.pois))
     export_labels_csv(truth.cells, truth.archetype_of, paths["truth"], "archetype")
@@ -319,31 +364,3 @@ def write_city(truth: SynthTruth, out_dir) -> dict[str, Path]:
     write_csv(paths["third_places"], THIRD_PLACE_HEADER,
               map(",".join, truth.place_taxonomy.mapping.items()))
     return paths
-
-
-def adjusted_rand_index(labels_a: Sequence[int], labels_b: Sequence[int]) -> float:
-    """Chance-corrected agreement between two partitions (pair counting).
-
-    1.0 means identical partitions up to label permutation; 0.0 is the
-    expected value for independent labelings. Two trivial partitions that
-    coincide (for example both all-one-cluster) score 1.0 by convention.
-    """
-    a = [int(v) for v in labels_a]
-    b = [int(v) for v in labels_b]
-    if len(a) != len(b):
-        raise LengthMismatchError("label vectors differ in length")
-    n = len(a)
-
-    def comb2(x: int) -> int:
-        return x * (x - 1) // 2
-
-    pair_counts = Counter(zip(a, b))
-    sum_ij = sum(comb2(v) for v in pair_counts.values())
-    sum_a = sum(comb2(v) for v in Counter(a).values())
-    sum_b = sum(comb2(v) for v in Counter(b).values())
-    total = comb2(n)
-    expected = sum_a * sum_b / total if total else 0.0
-    max_index = (sum_a + sum_b) / 2.0
-    if max_index == expected:
-        return 1.0
-    return (sum_ij - expected) / (max_index - expected)

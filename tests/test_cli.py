@@ -19,7 +19,7 @@ import vibrancy.pipeline
 import vibrancy.signatures
 from vibrancy.cli import main
 from vibrancy.clustering import read_model
-from vibrancy.config import parse_config
+from vibrancy.config import city_name_error, parse_config
 from vibrancy.errors import ConfigError
 from vibrancy.ingest import parse_pois
 from vibrancy.pipeline import run_pipeline
@@ -666,6 +666,66 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1, err
         assert not out.exists()
+
+
+class TestCityNames:
+    """A city's name is one plain path component of the run directory."""
+
+    BAD = ["../../x", "..", ".", "a/b", "a\\b", "a\x01b", "a\x7fb"]
+
+    @pytest.mark.parametrize("name", ["alpha", "Saint-Étienne 2", "a.b", "...", "[x]"])
+    def test_plain_names_pass(self, name):
+        assert city_name_error(name) is None
+
+    @pytest.mark.parametrize("name", BAD + ["", " a", "a ", "a\n", "a#b"])
+    def test_other_names_are_refused(self, name):
+        assert repr(name) in city_name_error(name)
+
+    @pytest.mark.parametrize("how", ["config", "override", "manifest"])
+    @pytest.mark.parametrize("name", BAD)
+    def test_run_exits_2_and_writes_nothing(self, city_dir, run_dir, tmp_path, capsys, name,
+                                           how):
+        work = tmp_path / "deep" / "er"
+        work.mkdir(parents=True)
+        if how == "manifest":
+            doc = json.loads((run_dir / "manifest.json").read_text())
+            doc["config"]["cities"][0]["name"] = name
+            source = work / "manifest.json"
+            source.write_text(json.dumps(doc))
+            argv = ["run", "--manifest", str(source)]
+        else:
+            source = work / "bad.cfg"
+            source.write_text(
+                f"service_taxonomy = {city_dir / 'service_taxonomy.csv'}\n"
+                f"third_place_taxonomy = {city_dir / 'third_places.csv'}\n\n"
+                f"[city.{name}]\nregion = {city_dir / 'region.json'}\n"
+                f"traffic = {city_dir / 'traffic.csv'}\npois = {city_dir / 'pois.csv'}\n")
+            argv = ["run", "--config", str(source)] + (["--seed", "3"] if how == "override" else [])
+        out = work / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = _one_line_data_error(capsys, source)
+        assert "is not one plain path component" in err
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [source]
+
+    @pytest.mark.parametrize("name", BAD + ["", "a#b", " a", "a\n"])
+    def test_synth_name_is_a_usage_error(self, tmp_path, capsys, name):
+        out = tmp_path / "s"
+        assert main(["synth", "--out", str(out), "--cells", "30", "--name", name]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --name: city name") and err.count("\n") == 1, err
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_importing_the_cli_leaves_synth_out():
+    # a run needs no synth code; `vibrancy synth` imports it when it runs
+    code = "import sys, vibrancy.cli\nprint('vibrancy.synth' in sys.modules)\n"
+    src = str(Path(vibrancy.pipeline.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def _one_line_data_error(capsys, path) -> str:

@@ -37,10 +37,12 @@ from vibrancy.ingest import (
     PoiRecord,
     Taxonomy,
     TrafficTable,
+    _WRITE_BATCH,
     _parse_timestamp,
     load_taxonomy,
     parse_pois,
     read_traffic,
+    write_csv,
 )
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -681,3 +683,13 @@ class TestExactFiles:
         assert read_labels_csv(path) == {}
         path.write_text(EXACT_FILES["features"][0].splitlines()[0] + "\n")
         assert load_features_csv(path).values.shape == (0, len(FEATURE_COLUMNS))
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("n", [0, 1, _WRITE_BATCH, _WRITE_BATCH + 1, 2 * _WRITE_BATCH + 5])
+    @pytest.mark.parametrize("as_generator", [False, True], ids=["list", "generator"])
+    def test_header_then_each_line_and_a_newline(self, tmp_path, n, as_generator):
+        lines = [f"{i},é{i % 7},{i / 3!r}" for i in range(n)]
+        path = tmp_path / "out.csv"
+        write_csv(path, ["a", "b", "c"], (line for line in lines) if as_generator else lines)
+        assert path.read_bytes() == "".join(f"{line}\n" for line in ["a,b,c", *lines]).encode()

@@ -1,3 +1,5 @@
+import tracemalloc
+from dataclasses import replace
 from datetime import date, datetime
 from math import ceil, sqrt
 
@@ -10,7 +12,7 @@ from vibrancy.clustering import kmeans
 from vibrancy.errors import InvalidSpecError, LengthMismatchError
 from vibrancy.features import THIRD_PLACE_CATEGORIES, load_third_place_taxonomy
 from vibrancy.grid import CellId
-from vibrancy.ingest import load_taxonomy, read_traffic
+from vibrancy.ingest import _WRITE_BATCH, DIRECTIONS, TrafficTable, load_taxonomy, read_traffic
 from vibrancy.signatures import build_signatures, day_type_of, relative_risk
 from vibrancy.synth import (
     SynthSpec,
@@ -234,6 +236,56 @@ class TestTrafficBytes:
         assert (truth.targets == 0).any() and (truth.targets > 0).any()
         paths = write_city(truth, tmp_path)
         assert paths["traffic"].read_bytes() == reference_traffic_csv(spec, day_types)
+
+
+def row_at_a_time_traffic_csv(table: TrafficTable) -> bytes:
+    """traffic.csv as the former writer wrote it: one f-string per row."""
+    stamps = [ts.strftime("%Y-%m-%dT%H:%M") for ts in table.stamps]
+    lines = ["col,row,timestamp,service,direction,volume\n"]
+    for col, row, stamp, service, d, volume in zip(*(c.tolist() for c in table.columns)):
+        lines.append(f"{col},{row},{stamps[stamp]},{table.services[service]},"
+                     f"{table.directions[d]},{volume!r}\n")
+    return "".join(lines).encode("utf-8")
+
+
+class TestTrafficWriter:
+    def test_hand_built_rows_keep_the_row_at_a_time_text(self, tmp_path, rng):
+        n = 2 * _WRITE_BATCH + 3
+        volume = rng.choice(rng.lognormal(size=n // 4), size=n)  # most repeat
+        special = [0.0, -0.0, 5e-324, 1e16, -1e16, 0.1 + 0.2]
+        volume[:len(special)] = special
+        volume[_WRITE_BATCH - 2:_WRITE_BATCH + 2] = -0.0  # across a batch edge
+        volume[-3:] = volume[2]  # one bit pattern, far from its first use
+        stamps = tuple(datetime(2019, 3, 18 + d, h, m) for d in range(3) for h in (0, 13, 23)
+                       for m in (0, 45))
+        services = ("svc-a", "svc-b", "svc-c")
+        table = TrafficTable(
+            col=rng.integers(-5, 40, n), row=rng.integers(-(2**40), 2**40, n),
+            stamp=rng.integers(0, len(stamps), n).astype(np.int32),
+            service=rng.integers(0, len(services), n).astype(np.int32),
+            direction=rng.integers(0, 2, n).astype(np.int8), volume=volume,
+            stamps=stamps, services=services, directions=DIRECTIONS)
+        truth = replace(generate(small_spec()), traffic=table)
+        paths = write_city(truth, tmp_path)
+        assert paths["traffic"].read_bytes() == row_at_a_time_traffic_csv(table)
+        text = paths["traffic"].read_text()
+        assert ",0.0\n" in text and ",-0.0\n" in text and ",5e-324\n" in text
+
+    def test_traced_memory_stays_at_one_batch(self, tmp_path):
+        spec = SynthSpec(seed=5, n_cells=100, k_true=3,
+                         categories=tuple(f"cat{i:02d}" for i in range(8)), n_days=4)
+        truth = generate_for_day_types(spec, ["weekday", "weekend"])
+        assert len(truth.traffic) == 305_728
+        tracemalloc.start()
+        try:
+            write_city(truth, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one f-string per row over six full-length column lists peaked at
+        # 21.04 MiB here (48.22 MiB at twice the rows); one batch of rows at
+        # a time, 5.27 MiB (the same at twice the rows)
+        assert peak < 8 * 2**20
 
 
 class TestEndToEndRecovery:

@@ -5,10 +5,11 @@ Usage: python tools/compare_runs.py [--base REV]   (REV defaults to HEAD)
 The base's ``src/`` is extracted with ``git archive`` into a temporary
 directory. Each side (the base, then the working tree's ``src/``) builds the
 same inputs with its own synth: every ``perfbench`` workload at dataset
-seeds 1-3 (``workloads.build_inputs``) and the city of ``vibrancy synth
---seed 7 --cells 200 --k-true 3 --day-types weekday weekend``. It then runs
-``python -m vibrancy.cli run`` on each config, with one BLAS thread and no
-bytecode written. Both sides work in the same temporary directory, one after
+seeds 1-3 (``workloads.build_inputs``) and the cities of ``vibrancy synth
+--seed 7 --cells 200 --k-true 3 --day-types weekday weekend`` and of the same
+options with ``--days 2 --categories 7`` (several dates a day type, an odd
+category count). It then runs ``python -m vibrancy.cli run`` on each config,
+with one BLAS thread and no bytecode written. Both sides work in the same temporary directory, one after
 the other, because a manifest records the input paths.
 
 Every input file, every run-directory file and each run's exit code and
@@ -33,6 +34,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
 SYNTH_CITY = ["--seed", "7", "--cells", "200", "--k-true", "3",
               "--day-types", "weekday", "weekend"]
+SYNTH_CITIES = {"synth-7": SYNTH_CITY,
+                "synth-7-days2-cat7": SYNTH_CITY + ["--days", "2", "--categories", "7"]}
 
 # Builds every workload's datasets into argv[1], one directory per workload
 # and seed, and prints each config path.
@@ -66,9 +69,10 @@ def _hashes(src: Path, work: Path) -> tuple[dict[str, str], list[str]]:
                PYTHONPATH=os.pathsep.join([str(src), str(ROOT / "perfbench")]))
     configs = [Path(p) for p in _run([sys.executable, "-c", _BUILD, str(work / "inputs"),
                                       *map(str, SEEDS)], env).split()]
-    city = work / "inputs" / "synth-7"
-    _run([sys.executable, "-m", "vibrancy.cli", "synth", *SYNTH_CITY, "--out", str(city)], env)
-    configs.append(city / "pipeline.cfg")
+    for name, options in SYNTH_CITIES.items():
+        city = work / "inputs" / name
+        _run([sys.executable, "-m", "vibrancy.cli", "synth", *options, "--out", str(city)], env)
+        configs.append(city / "pipeline.cfg")
     for config in configs:
         out = work / "runs" / config.parent.name
         out.parent.mkdir(parents=True, exist_ok=True)
