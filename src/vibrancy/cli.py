@@ -16,7 +16,8 @@ import numpy as np
 
 from .config import bounds_error, city_name_error, parse_config
 from .clustering import read_labels_csv, select_k
-from .errors import ConfigError, DataError, NumericError, VibrancyError, read_json
+from .errors import ConfigError, DataError, MissingInputError, NumericError, VibrancyError
+from .errors import read_json
 from .features import build_features, load_third_place_taxonomy, rare_labels
 from .features import export_features_csv, load_features_csv
 from .grid import load_region
@@ -223,7 +224,10 @@ def _cmd_run(args) -> int:
             config.validate()
         except ConfigError as exc:
             raise _UsageError(f"{options}: {exc}") from None
-        manifest = run_pipeline(config, out)
+        try:
+            manifest = run_pipeline(config, out)
+        except MissingInputError as exc:  # the config holds the path to mend
+            raise MissingInputError(f"{exc} (named in config {args.config})") from None
     print(f"run complete: {len(manifest['artifacts'])} artifacts in {out}")
     for scope in sorted(manifest["results"]):
         r = manifest["results"][scope]

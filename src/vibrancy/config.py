@@ -139,6 +139,17 @@ def _strip_comment(line: str) -> str:
     return "".join(out).strip()
 
 
+def _section_name(raw: str) -> Optional[str]:
+    """The name in a ``[name]`` section header line, or None if ``raw`` is
+    not one. The header ends at the first ``]`` followed by nothing but a
+    comment, so a ``#`` inside the brackets stays in the name."""
+    text = raw.strip()
+    end = text.find("]") if text.startswith("[") else -1
+    while end != -1 and _strip_comment(text[end + 1 :]):
+        end = text.find("]", end + 1)
+    return None if end == -1 else text[1:end].strip()
+
+
 def _scalar(text: str):
     text = text.strip()
     if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
@@ -173,11 +184,8 @@ def _read_sections(path: Path) -> tuple[dict, dict[str, dict]]:
     sections: dict[str, dict] = {}
     current = top
     for line_no, raw in enumerate(read_text(path, "config file").splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
+        name = _section_name(raw)
+        if name is not None:
             if not name.startswith("city."):
                 raise ConfigError(f"{path}:{line_no}: unknown section [{name}]")
             city = name[len("city.") :].strip()
@@ -187,6 +195,9 @@ def _read_sections(path: Path) -> tuple[dict, dict[str, dict]]:
                 raise ConfigError(f"{path}:{line_no}: duplicate section [city.{city}]")
             sections[city] = {}
             current = sections[city]
+            continue
+        line = _strip_comment(raw)
+        if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{line_no}: expected key = value")

@@ -41,6 +41,10 @@ class EmptyInputError(DataError):
     """An operation that needs at least one record received none."""
 
 
+class MissingInputError(DataError):
+    """An input file that a run's config names does not exist."""
+
+
 class InvalidSpecError(DataError):
     """A synthetic-city spec violates its own constraints."""
 

@@ -36,8 +36,8 @@ from .clustering import (
     select_k,
     write_model,
 )
-from .errors import ConfigError, DataError, UnknownServiceError, VibrancyError, read_json
-from .errors import write_json
+from .errors import ConfigError, DataError, MissingInputError, UnknownServiceError, VibrancyError
+from .errors import read_json, write_json
 from .features import (
     FeatureTable,
     build_features,
@@ -280,7 +280,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
             q for c in config.cities for q in (c.region, c.traffic, c.pois, c.truth) if q
         ]:
             if not Path(p).is_file():
-                raise DataError(f"input file {p} does not exist")
+                raise MissingInputError(f"input file {p} does not exist")
             inputs[str(p)] = file_sha256(p)
         service_tax = load_taxonomy(config.service_taxonomy)
         place_tax = load_third_place_taxonomy(config.third_place_taxonomy)

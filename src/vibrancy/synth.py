@@ -3,9 +3,11 @@
 The generator assigns each cell one of k archetype signature matrices,
 perturbs it with seeded Gaussian noise, and decomposes the noisy totals
 into 15-minute traffic rows (a TrafficTable) so the whole ingest and
-aggregation path is exercised end to end. POIs are drawn per cell from
-Poisson intensities tied to the archetype, which plants a known
-association between cluster membership and third-place covariates.
+aggregation path is exercised end to end. POIs are drawn from Poisson
+intensities tied to each cell's archetype, which plants a known
+association between cluster membership and third-place covariates: one
+``poisson`` call draws the count of every (cell, POI label) pair, and one
+``random`` call then places all the POIs uniformly in their cells.
 Everything derives from one seed through three named substreams
 (assignment, noise, POIs), so regenerating from the same spec yields
 byte-identical files.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta
+from functools import partial
 from itertools import chain
 from math import ceil, sqrt
 from pathlib import Path
@@ -57,6 +60,9 @@ SYNTH_POI_SOURCES = {
     "theatre": "amenity", "cinema": "amenity",
 }
 
+#: every synth POI label, category by category in ``THIRD_PLACE_CATEGORIES`` order
+_POI_LABELS = tuple(label for cat in THIRD_PLACE_CATEGORIES for label in SYNTH_POI_LABELS[cat])
+
 _VALID_SLOTS = (1, 2, 4, 8)  # keep 15-minute alignment when splitting a 2h bin
 
 
@@ -91,6 +97,14 @@ def default_poi_intensity(k: int, low: float = 0.2, high: float = 8.0) -> np.nda
     for a in range(k):
         out[a, :] = low + (high - low) * (a / (k - 1) if k > 1 else 1.0)
     return out
+
+
+def _label_intensity(poi_intensity: np.ndarray) -> np.ndarray:
+    """Expected POIs per label, one column per ``_POI_LABELS`` entry: each
+    category's intensity (a column of ``poi_intensity``) over its label count."""
+    sizes = np.array([len(SYNTH_POI_LABELS[cat]) for cat in THIRD_PLACE_CATEGORIES])
+    category = np.repeat(np.arange(len(sizes)), sizes)
+    return poi_intensity[:, category] / sizes[category]
 
 
 @dataclass
@@ -142,8 +156,12 @@ class SynthSpec:
             raise InvalidSpecError(
                 f"poi_intensity must be ({self.k_true}, {len(THIRD_PLACE_CATEGORIES)})"
             )
-        if (self.poi_intensity < 0).any():
-            raise InvalidSpecError("poi_intensity must be nonnegative")
+        if not np.isfinite(self.poi_intensity).all() or (self.poi_intensity < 0).any():
+            raise InvalidSpecError("poi_intensity must be finite and nonnegative")
+        try:  # numpy refuses a mean near 2**63 or above
+            np.random.default_rng(0).poisson(_label_intensity(self.poi_intensity))
+        except ValueError as exc:
+            raise InvalidSpecError(f"poi_intensity is too large to draw from: {exc}") from None
 
     def separation(self) -> float:
         """Smallest pairwise distance between archetype matrices."""
@@ -222,19 +240,7 @@ def generate_for_day_types(spec: SynthSpec, day_types: Sequence[str]) -> SynthTr
     region = CityRegion(grid, frozenset(cells))
 
     archetype_of, targets, rng_poi = _plant(spec)
-    pois: list[PoiRecord] = []
-    for i, cell in enumerate(cells):
-        a = archetype_of[i] - 1
-        for ci, cat in enumerate(THIRD_PLACE_CATEGORIES):
-            labels = SYNTH_POI_LABELS[cat]
-            lam = spec.poi_intensity[a, ci] / len(labels)
-            for label in labels:
-                count = int(rng_poi.poisson(lam)) if lam > 0 else 0
-                for _ in range(count):
-                    u, w = rng_poi.random(2)
-                    x = float(grid.origin_x + (cell.col + u) * grid.cell_size)
-                    y = float(grid.origin_y + (cell.row + w) * grid.cell_size)
-                    pois.append(PoiRecord(x, y, label, SYNTH_POI_SOURCES[label]))
+    pois = _draw_pois(spec, grid, archetype_of, rng_poi)
 
     # two services per category, which the traffic rows alternate
     service_taxonomy = Taxonomy({f"svc-{cat}-{x}": cat for cat in spec.categories for x in "ab"},
@@ -254,6 +260,27 @@ def generate_for_day_types(spec: SynthSpec, day_types: Sequence[str]) -> SynthTr
         place_taxonomy=place_taxonomy,
         targets=targets,
     )
+
+
+def _draw_pois(spec: SynthSpec, grid: GridSpec, archetype_of: np.ndarray,
+               rng: np.random.Generator) -> list[PoiRecord]:
+    """The city's POIs, from two draws on the POI stream.
+
+    One ``poisson`` call draws every (cell, label) count from the matrix of
+    ``_label_intensity`` rows picked by each cell's archetype; one
+    ``random((total, 2))`` call then places each POI uniformly in its cell.
+    POIs run by cell (scan order), then label in ``SYNTH_POI_LABELS`` order,
+    then draw.
+    """
+    counts = rng.poisson(_label_intensity(spec.poi_intensity)[archetype_of - 1]).ravel()
+    cell, label = np.divmod(np.repeat(np.arange(len(counts)), counts), len(_POI_LABELS))
+    offset = rng.random((len(cell), 2))
+    x = grid.origin_x + (cell % grid.n_cols + offset[:, 0]) * grid.cell_size
+    y = grid.origin_y + (cell // grid.n_cols + offset[:, 1]) * grid.cell_size
+    names = np.array(_POI_LABELS, dtype=object)[label].tolist()
+    fields = zip(x.tolist(), y.tolist(), names, map(SYNTH_POI_SOURCES.__getitem__, names))
+    # tuple.__new__ makes each record without PoiRecord.__new__'s Python frame
+    return list(map(partial(tuple.__new__, PoiRecord), fields))
 
 
 def _traffic(spec: SynthSpec, targets: np.ndarray, n_cols: int,

@@ -107,6 +107,29 @@ class TestConfigParser:
         with pytest.raises(ConfigError):
             parse_config(path)
 
+    @pytest.mark.parametrize("header, city", [
+        ("[city.x]  # note", "x"),
+        ("[city.x] # note ] with a bracket", "x"),
+        ("  [ city.y ]", "y"),
+    ])
+    def test_comment_after_a_section_header(self, tmp_path, header, city):
+        path = tmp_path / "c.cfg"
+        path.write_text("service_taxonomy = s.csv\nthird_place_taxonomy = t.csv\n"
+                        f"{header}\nregion = r.json\ntraffic = t.csv\npois = p.csv\n")
+        assert [c.name for c in parse_config(path).cities] == [city]
+
+    def test_hash_inside_a_section_header_is_in_the_city_name(self, city_dir, tmp_path,
+                                                               capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text((city_dir / "pipeline.cfg").read_text()
+                       .replace("[city.alpha]", "[city.a#b]  # a comment"))
+        with pytest.raises(ConfigError, match="city name 'a#b' is not one plain path"):
+            parse_config(cfg)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "'a#b'" in _one_line_data_error(capsys, cfg)
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("setting", [
     "seed = -1", "lambda = nan", "lambda = inf", "lambda = -0.5", "rr_cap = nan",
@@ -125,6 +148,19 @@ def test_bad_config_value_is_a_one_line_data_error_naming_the_file(city_dir, tmp
     err = _one_line_data_error(capsys, cfg)
     assert err.startswith(f"data error: {cfg}: ") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_missing_input_names_the_config_that_names_it(city_dir, tmp_path, capsys):
+    city = tmp_path / "city"
+    shutil.copytree(city_dir, city)
+    cfg = city / "pipeline.cfg"
+    cfg.write_text(cfg.read_text().replace("= traffic.csv", "= traffiC.csv"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = _one_line_data_error(capsys, cfg)
+    missing = (city / "traffiC.csv").resolve()
+    assert f"input file {missing} does not exist (named in config {cfg})" in err
+    assert not (out / "manifest.json").exists()
 
 
 class TestRun:
@@ -993,8 +1029,8 @@ def test_unreadable_file_is_a_one_line_data_error(city_dir, run_dir, tmp_path, c
 def test_byte_flips_exit_0_or_a_one_line_data_error(city_dir, tmp_path, capsys, name):
     """Single-bit flips over a run's JSON, config and row files: each run
     ends with exit 0, or exit 2 and one line naming the flipped file; a
-    flipped path in the config names the input it now points to, which is
-    missing."""
+    flipped path in the config names the missing input it now points to
+    and the config."""
     data = (city_dir / name).read_bytes()
     flips = [(pos, (0x01, 0x20, 0x80)[i % 3])
              for i, pos in enumerate(range(1, len(data), max(1, len(data) // 30)))]
@@ -1018,8 +1054,7 @@ def test_byte_flips_exit_0_or_a_one_line_data_error(city_dir, tmp_path, capsys, 
         assert code == 2, (pos, mask, captured.err)
         err = captured.err
         assert err.startswith("data error:") and err.count("\n") == 1, (pos, mask, err)
-        assert str(city / name) in err or (
-            name == "pipeline.cfg" and " does not exist" in err), (pos, mask, err)
+        assert str(city / name) in err, (pos, mask, err)
         shutil.rmtree(city)
     if name.endswith(".csv"):  # a flip that keeps a row file UTF-8 often only rejects a row
         assert codes[0] > 0 and codes[2] > 0

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from datetime import date, datetime
 from math import ceil, sqrt
@@ -12,9 +13,12 @@ from vibrancy.clustering import kmeans
 from vibrancy.errors import InvalidSpecError, LengthMismatchError
 from vibrancy.features import THIRD_PLACE_CATEGORIES, load_third_place_taxonomy
 from vibrancy.grid import CellId
-from vibrancy.ingest import _WRITE_BATCH, DIRECTIONS, TrafficTable, load_taxonomy, read_traffic
+from vibrancy.ingest import _WRITE_BATCH, DIRECTIONS, PoiRecord, TrafficTable, load_taxonomy
+from vibrancy.ingest import read_traffic
 from vibrancy.signatures import build_signatures, day_type_of, relative_risk
 from vibrancy.synth import (
+    SYNTH_POI_LABELS,
+    SYNTH_POI_SOURCES,
     SynthSpec,
     adjusted_rand_index,
     generate,
@@ -54,6 +58,13 @@ class TestSpecValidation:
     def test_invalid_specs_rejected(self, bad):
         with pytest.raises(InvalidSpecError):
             small_spec(**bad)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e30])
+    def test_poi_intensity_numpy_cannot_draw_is_rejected(self, value):
+        intensity = np.ones((2, 5))
+        intensity[1, 3] = value
+        with pytest.raises(InvalidSpecError, match="poi_intensity"):
+            small_spec(poi_intensity=intensity)
 
     def test_archetype_shape_checked(self):
         with pytest.raises(InvalidSpecError):
@@ -184,6 +195,81 @@ class TestGenerate:
                 lam = intensity[a - 1, ci]
                 mean = counts[(a, cat)] / n_per_arch
                 assert abs(mean - lam) <= 3 * np.sqrt(max(lam, 1e-9) / n_per_arch) + 1e-9
+
+
+def reference_pois(spec) -> list[PoiRecord]:
+    """The POIs of ``spec``'s city, from one ``poisson`` call over the
+    (cell, label) intensities and one ``random((total, 2))`` call on the
+    POI stream, placed with one float expression per POI."""
+    _, archetype_of = planted_stack(spec)
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(3)[2])
+    labels = [(ci, len(SYNTH_POI_LABELS[cat]), label)
+              for ci, cat in enumerate(THIRD_PLACE_CATEGORIES) for label in SYNTH_POI_LABELS[cat]]
+    lam = np.array([[spec.poi_intensity[a - 1, ci] / n_labels for ci, n_labels, _ in labels]
+                    for a in archetype_of])
+    counts = rng.poisson(lam)
+    offsets = iter(rng.random((int(counts.sum()), 2)))
+    n_cols = ceil(sqrt(spec.n_cells))
+    size = spec.cell_size
+    out = []
+    for i in range(spec.n_cells):
+        col, row = i % n_cols, i // n_cols
+        for j, (_, _, label) in enumerate(labels):
+            for _ in range(counts[i, j]):
+                u, w = next(offsets)
+                out.append(PoiRecord(float(0.0 + (col + u) * size), float(0.0 + (row + w) * size),
+                                     label, SYNTH_POI_SOURCES[label]))
+    assert next(offsets, None) is None
+    return out
+
+
+class TestPoiDraw:
+    SPECS = [
+        dict(seed=5, n_cells=37, k_true=3),
+        dict(seed=11, n_cells=50, k_true=2, cell_size=37.5, noise_sigma=2.0,
+             poi_intensity=[[0.0, 3.0, 0.4, 9.0, 0.0], [2.5, 0.0, 0.0, 1.0, 6.0]]),
+        dict(seed=2, n_cells=4, k_true=4, poi_intensity=np.zeros((4, 5))),
+    ]
+
+    @pytest.mark.parametrize("kw", SPECS)
+    def test_pois_equal_a_two_call_reference_draw(self, kw):
+        spec = SynthSpec(**kw)
+        pois = generate(spec).pois
+        assert isinstance(pois, list)
+        assert pois == reference_pois(spec)
+        for p in pois:
+            assert type(p) is PoiRecord and type(p.x) is float and type(p.y) is float
+
+    @pytest.mark.parametrize("kw", SPECS)
+    def test_each_poi_lies_in_its_own_half_open_cell(self, kw):
+        truth = generate(SynthSpec(**kw))
+        size, order = truth.spec.cell_size, {label: j for j, label in enumerate(
+            label for cat in THIRD_PLACE_CATEGORIES for label in SYNTH_POI_LABELS[cat])}
+        n_cols, cells = truth.region.grid.n_cols, set(truth.cells)
+        keys = []
+        for p in truth.pois:
+            cell = CellId(int(p.x // size), int(p.y // size))
+            assert cell in cells
+            assert cell.col * size <= p.x < (cell.col + 1) * size
+            assert cell.row * size <= p.y < (cell.row + 1) * size
+            keys.append((cell.row * n_cols + cell.col, order[p.label]))
+        assert keys == sorted(keys)  # by cell in scan order, then label
+
+    def test_zero_intensity_category_gets_no_poi(self):
+        intensity = np.full((3, 5), 6.0)
+        intensity[:, 2] = 0.0  # eating_and_drinking nowhere
+        intensity[1, 4] = 0.0  # organised_activities not in archetype 2
+        truth = generate(SynthSpec(seed=4, n_cells=90, k_true=3, poi_intensity=intensity))
+        category = truth.place_taxonomy.mapping
+        arch = {cell: int(a) for cell, a in zip(truth.cells, truth.archetype_of)}
+        size = truth.spec.cell_size
+        seen = Counter()
+        for p in truth.pois:
+            a = arch[CellId(int(p.x // size), int(p.y // size))]
+            seen[a, category[p.label]] += 1
+        assert not any(cat == "eating_and_drinking" for _, cat in seen)
+        assert seen[2, "organised_activities"] == 0
+        assert seen[1, "organised_activities"] > 0 and seen[3, "organised_activities"] > 0
 
 
 def reference_traffic_csv(spec, day_types) -> bytes:
