@@ -17,7 +17,7 @@ import numpy as np
 from .config import bounds_error, city_name_error, parse_config
 from .clustering import read_labels_csv, select_k
 from .errors import ConfigError, DataError, MissingInputError, NumericError, VibrancyError
-from .errors import read_json
+from .errors import is_json, json_field, read_json
 from .features import build_features, load_third_place_taxonomy, rare_labels
 from .features import export_features_csv, load_features_csv
 from .grid import load_region
@@ -240,23 +240,17 @@ def _cmd_run(args) -> int:
 
 
 def _manifest_field(manifest: dict, path, keys: tuple, kind):
-    """``manifest[keys[0]][keys[1]]...``, checked to be a ``kind`` (never a
-    bool); a missing key or another type is a ``DataError`` naming the file."""
-    value = manifest
-    for depth, key in enumerate(keys):
-        if not isinstance(value, dict):
-            raise DataError(f"manifest {path}: {'.'.join(keys[:depth])} is not an object")
-        if key not in value:
-            raise DataError(f"manifest {path} has no {'.'.join(keys[:depth + 1])}")
-        value = value[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise DataError(f"manifest {path}: {'.'.join(keys)} has a bad value {value!r}")
+    """``_lookup(manifest, *keys)`` if it is a JSON ``kind``; a missing key or
+    another type is a ``DataError`` naming the file and the keys."""
+    value = _lookup(manifest, *keys)
+    if not is_json(value, kind):
+        raise DataError(f"manifest {path}: {'.'.join(keys)} is missing or not of type "
+                        f"{kind.__name__}")
     return value
 
 
-_NUMBER = (int, float)
-_REPORT_COLUMNS = {"chosen_k": int, "silhouette": _NUMBER, "accuracy": _NUMBER,
-                   "macro_f1": _NUMBER, "weighted_f1": _NUMBER}
+_REPORT_COLUMNS = {"chosen_k": int, "silhouette": float, "accuracy": float,
+                   "macro_f1": float, "weighted_f1": float}
 
 
 def _kselection_scores(path) -> list[tuple[int, float]]:
@@ -264,29 +258,21 @@ def _kselection_scores(path) -> list[tuple[int, float]]:
     unreadable file or one without a ``scores`` object of numbers keyed by
     integer k is a ``DataError`` naming the file."""
     doc = read_json(path, "k-selection file")
-    scores = doc.get("scores") if isinstance(doc, dict) else None
-    if not isinstance(scores, dict):
+    scores = _lookup(doc, "scores")
+    if not is_json(scores, dict):
         raise DataError(f"{path} has no scores object")
     try:
-        by_k = sorted(((int(k), v) for k, v in scores.items()), key=lambda kv: kv[0])
-    except ValueError:
-        raise DataError(f"{path}: scores has a key that is not an integer k") from None
-    for k, v in by_k:
-        if not isinstance(v, _NUMBER) or isinstance(v, bool):
-            raise DataError(f"{path}: the score of k={k} has a bad value {v!r}")
-    return by_k
+        return sorted((int(k), json_field(scores, k, float)) for k in scores)
+    except (TypeError, ValueError) as exc:  # a key that is not an integer k, a bad score
+        raise DataError(f"{path}: scores has a bad entry ({exc})") from None
 
 
 def _lookup(doc, *keys):
     """``doc[keys[0]][keys[1]]...``, or None where a key is missing or a level
     is not an object."""
     for key in keys:
-        doc = doc.get(key) if isinstance(doc, dict) else None
+        doc = doc.get(key) if is_json(doc, dict) else None
     return doc
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _quality_lines(scope: str, quality) -> list[str]:
@@ -295,13 +281,13 @@ def _quality_lines(scope: str, quality) -> list[str]:
     otherwise, so an older or edited manifest still shows the rest."""
     lines = []
     cities = _lookup(quality, "cities")
-    for city in sorted(cities) if isinstance(cities, dict) else ():
+    for city in sorted(cities) if is_json(cities, dict) else ():
         for kind, what in (("traffic", "traffic rows"), ("pois", "POI rows")):
             accepted = _lookup(cities, city, kind, "accepted")
             rejected = _lookup(cities, city, kind, "rejected")
-            parts = [f"{accepted} accepted"] if _is_count(accepted) else []
-            if isinstance(rejected, dict):
-                reasons = sorted((r, n) for r, n in rejected.items() if _is_count(n))
+            parts = [f"{accepted} accepted"] if is_json(accepted, int) else []
+            if is_json(rejected, dict):
+                reasons = sorted((r, n) for r, n in rejected.items() if is_json(n, int))
                 by_reason = ", ".join(f"{n} {r}" for r, n in reasons)
                 parts.append(f"{sum(n for _, n in reasons)} rejected"
                              + (f" ({by_reason})" if by_reason else ""))
@@ -309,34 +295,34 @@ def _quality_lines(scope: str, quality) -> list[str]:
                 lines.append(f"  {city} {what}: {', '.join(parts)}")
         left_out = [f"{n} {what}" for key, what in (("other_day_type", "of another day type"),
                                                    ("outside_region", "outside the region"))
-                    if _is_count(n := _lookup(cities, city, "traffic", key))]
+                    if is_json(n := _lookup(cities, city, "traffic", key), int)]
         if left_out:
             lines.append(f"  {city} traffic rows left out of the tensor: {', '.join(left_out)}")
         silent = _lookup(cities, city, "silent_cells_dropped")
-        if _is_count(silent):
+        if is_json(silent, int):
             lines.append(f"  {city} silent cells dropped: {silent}")
     capped = _lookup(quality, "capped_columns")
-    if _is_count(capped):
+    if is_json(capped, int):
         lines.append(f"  capped relative-risk columns: {capped}")
     unconverged = _lookup(quality, "kmeans", "unconverged_restarts")
-    if _is_count(unconverged):
+    if is_json(unconverged, int):
         lines.append(f"  k-means unconverged restarts: {unconverged}")
     logit = []
     converged = _lookup(quality, "logit", "converged")
-    if isinstance(converged, bool):
+    if is_json(converged, bool):
         logit.append("converged" if converged else "not converged")
     n_iter = _lookup(quality, "logit", "n_iter")
-    if _is_count(n_iter):
+    if is_json(n_iter, int):
         logit.append(f"{n_iter} iterations")
     if logit:
         lines.append(f"  logit: {', '.join(logit)}")
     without_truth = _lookup(quality, "cells_without_truth")
-    if _is_count(without_truth):
+    if is_json(without_truth, int):
         lines.append(f"  cells without a planted label: {without_truth}"
                      + (" (no ARI vs truth)" if without_truth else ""))
     rare = _lookup(quality, "rare_labels")
-    if isinstance(rare, dict):
-        counts = ", ".join(f"{label} {n}" for label, n in sorted(rare.items()) if _is_count(n))
+    if is_json(rare, dict):
+        counts = ", ".join(f"{label} {n}" for label, n in sorted(rare.items()) if is_json(n, int))
         lines.append(f"  rare POI labels removed: {counts or 'none'}")
     return [f"\nquality [{scope}]:"] + lines if lines else []
 

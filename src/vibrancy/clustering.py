@@ -27,6 +27,7 @@ from .errors import (
     ShapeMismatchError,
     SingleClusterError,
 )
+from .errors import json_field
 from .grid import CellId, GridSpec, cell_polygon
 from .ingest import read_cell_rows, write_csv
 from .signatures import SignatureTensor, read_framed, write_framed
@@ -720,13 +721,13 @@ def write_model(model: ClusterModel, path) -> None:
 
 def _model_from(header: dict, centroids: np.ndarray) -> ClusterModel:
     return ClusterModel(
-        k=int(header["k"]),
+        k=json_field(header, "k", int),
         centroids=centroids,
         labels=np.asarray(header["labels"], dtype=np.int64),
-        inertia=float(header["inertia"]),
-        seed=int(header["seed"]),
-        n_iter=int(header["n_iter"]),
-        converged=bool(header["converged"]),
+        inertia=json_field(header, "inertia", float),
+        seed=json_field(header, "seed", int),
+        n_iter=json_field(header, "n_iter", int),
+        converged=json_field(header, "converged", bool),
         categories=tuple(header["categories"]),
     )
 

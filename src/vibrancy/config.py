@@ -1,26 +1,31 @@
 """Pipeline configuration files.
 
 A minimal TOML-like format: ``key = value`` lines, ``[city.<name>]``
-sections, ``#`` comments. Values are strings (optionally quoted), integers,
-floats, booleans (``true``/``false``), or comma-separated lists. Paths are
-resolved relative to the config file's directory.
+sections, ``#`` comments. Each value is read once, by its key's type below,
+after one pair of quotes around it is dropped: an int by ``int(text)`` (no
+fraction, no exponent), a float by ``float(text)``, a bool is ``true`` or
+``false`` in any letter case, a list is split at commas, and a str or a path
+is the text as written. Any other form is a ``ConfigError`` naming the file
+and the key. A manifest's ``config`` holds the same keys as JSON values of
+these types (a float also takes an integer). Paths are resolved relative to
+the config file's directory.
 
-Top-level keys::
+Top-level keys and their types::
 
-    seed = 42
-    level = local              # local | global
-    day_types = weekday, weekend
-    k_min = 3
-    k_max = 10
-    restarts = 10
-    lambda = 1.0
-    rr_cap = 1e6
-    min_label_count = 10
-    drop_silent_cells = false
-    mean_per_day = false
-    holdout = 0.0
-    service_taxonomy = services.csv
-    third_place_taxonomy = third_places.csv
+    seed = 42                  # int
+    level = local              # str: local | global
+    day_types = weekday, weekend   # list of day types
+    k_min = 3                  # int
+    k_max = 10                 # int
+    restarts = 10              # int
+    lambda = 1.0               # float
+    rr_cap = 1e6               # float
+    min_label_count = 10       # int
+    drop_silent_cells = false  # bool
+    mean_per_day = false       # bool
+    holdout = 0.0              # float
+    service_taxonomy = services.csv       # path
+    third_place_taxonomy = third_places.csv   # path
 
     [city.nancy]
     region = nancy/region.json
@@ -36,7 +41,7 @@ from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
-from .errors import ConfigError, read_text
+from .errors import ConfigError, json_field, read_text
 from .signatures import DAY_TYPES, DEFAULT_RR_CAP
 
 LEVELS = ("local", "global")
@@ -150,33 +155,10 @@ def _section_name(raw: str) -> Optional[str]:
     return None if end == -1 else text[1:end].strip()
 
 
-def _scalar(text: str):
+def _unquote(text: str) -> str:
+    """``text`` without surrounding blanks and one pair of matching quotes."""
     text = text.strip()
-    if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
-        return text[1:-1]
-    low = text.lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
-def _value(text: str):
-    stripped = text.strip()
-    if len(stripped) >= 2 and stripped[0] == stripped[-1] and stripped[0] in "'\"":
-        return stripped[1:-1]  # quoted values are never split
-    if "," in stripped:
-        return [_scalar(p) for p in stripped.split(",") if p.strip()]
-    return _scalar(stripped)
+    return text[1:-1] if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"" else text
 
 
 def _read_sections(path: Path) -> tuple[dict, dict[str, dict]]:
@@ -207,25 +189,24 @@ def _read_sections(path: Path) -> tuple[dict, dict[str, dict]]:
             raise ConfigError(f"{path}:{line_no}: empty key")
         if key in current:
             raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
-        current[key] = _value(val)
+        current[key] = val.strip()
     return top, sections
-
-
-def _as_list(value) -> list:
-    return value if isinstance(value, list) else [value]
 
 
 #: the config file and the manifest spell ``lam`` as "lambda"
 _KEY_OF = {"lam": "lambda"}
 
-#: converters keyed by field annotation (a string: annotations are postponed)
-_CONVERT = {
-    "str": str,
-    "int": int,
-    "float": float,
-    "bool": bool,
-    "list[str]": lambda v: [str(x) for x in _as_list(v)],
-}
+#: each field's type by its annotation (a string: annotations are postponed)
+_TYPE_OF = {"str": str, "int": int, "float": float, "bool": bool, "list[str]": list}
+
+
+def _from_text(text: str, kind: type):
+    """A config file's value ``text`` read as a ``kind`` field; quotes around
+    it, or around a list item, are dropped."""
+    if kind is list:
+        return [_unquote(item) for item in text.split(",") if item.strip()]
+    text = _unquote(text)
+    return {"true": True, "false": False}[text.lower()] if kind is bool else kind(text)
 
 
 def _key(f: Field) -> str:
@@ -248,16 +229,18 @@ def _build(cls, doc: dict, where: str, base: Optional[Path], **given):
             if base is None or (f.default is MISSING and f.default_factory is MISSING):
                 raise ConfigError(f"{where} is missing {key!r}")
             continue
-        value = doc[key]
-        if "Path" not in f.type:
-            try:
-                kwargs[f.name] = _CONVERT[f.type](value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{where} {key} has a bad value {value!r}") from exc
-        elif value is not None:
-            if not isinstance(value, str) or not value or "\0" in value:
+        if doc[key] is None and f.type.startswith("Optional"):
+            continue
+        kind = _TYPE_OF.get(f.type, str)  # a path is a string
+        try:
+            value = json_field(doc, key, kind) if base is None else _from_text(doc[key], kind)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{where} {key} {doc[key]!r} is not of type {kind.__name__}") from exc
+        if "Path" in f.type:
+            if not value or "\0" in value:
                 raise ConfigError(f"{where} {key} must be a nonempty path string without NUL bytes")
-            kwargs[f.name] = Path(value) if base is None else (base / value).resolve()
+            value = Path(value) if base is None else (base / value).resolve()
+        kwargs[f.name] = value
     return cls(**kwargs)
 
 
@@ -294,7 +277,8 @@ def config_to_dict(config: PipelineConfig) -> dict:
 
 def config_from_dict(doc: dict) -> PipelineConfig:
     try:
-        cities = [_build(CityConfig, c, "manifest city", None) for c in doc["cities"]]
+        cities = [_build(CityConfig, c, "manifest city", None)
+                  for c in json_field(doc, "cities", list)]
         config = _build(PipelineConfig, doc, "manifest config", None, cities=cities)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"manifest config is malformed: {exc}") from exc

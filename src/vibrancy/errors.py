@@ -1,5 +1,7 @@
 """Exception types shared across the package, the guarded reads that turn a
-file that cannot be read, decoded or parsed into a ``DataError``, and ``write_json``.
+file that cannot be read, decoded or parsed into a ``DataError``, the one
+check of a JSON value's type (``is_json``) behind every typed read of a
+config, manifest or header, and ``write_json``.
 
 The CLI maps these onto exit codes: usage problems exit 1, ``DataError``
 subtypes exit 2, ``NumericError`` subtypes exit 3.
@@ -109,6 +111,37 @@ def read_json(path, what: str):
         return json.loads(read_text(path, what))
     except json.JSONDecodeError as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def is_json(value, kind: type) -> bool:
+    """Whether ``value``, as ``json`` reads it, has the type ``kind`` (int,
+    float, str, bool, list or dict). An integer is also a float; a bool is
+    neither an integer nor a float."""
+    return type(value) is kind or (kind is float and type(value) is int)
+
+
+def json_field(doc, key, kind: type):
+    """``doc[key]`` if ``is_json(doc[key], kind)``, as a float for a float
+    field; a value of another type is a TypeError naming ``key``, and an
+    integer too large for a float a ValueError."""
+    value = doc[key]
+    if not is_json(value, kind):
+        raise TypeError(f"{key} {value!r} is not of type {kind.__name__}")
+    try:
+        return float(value) if kind is float else value
+    except OverflowError:
+        raise ValueError(f"{key} {value} is too large for a float") from None
+
+
+def json_rows(doc: dict, key: str, names: tuple[str, ...]) -> list[list[int]]:
+    """``doc[key]``, or ``[]`` without one, if it lists entries that are each a
+    list of ``len(names)`` integers named ``names``; else a TypeError naming ``key``."""
+    entries = json_field(doc, key, list) if key in doc else []
+    for entry in entries:
+        if not (is_json(entry, list) and len(entry) == len(names)
+                and all(is_json(v, int) for v in entry)):
+            raise TypeError(f"{key} entry {entry!r} is not [{', '.join(names)}] integers")
+    return entries
 
 
 def write_json(path, doc) -> None:

@@ -12,7 +12,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional
 
-from .errors import DataError, OutOfBoundsError, read_json, write_json
+from .errors import DataError, OutOfBoundsError, json_field, json_rows, read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -177,16 +177,13 @@ def grid_to_dict(grid: GridSpec) -> dict:
 
 
 def grid_from_dict(doc: dict) -> GridSpec:
-    for key in ("n_cols", "n_rows"):
-        if type(doc[key]) is not int:
-            raise ValueError(f"{key} {doc[key]!r} is not an integer")
     return GridSpec(
-        origin_x=float(doc["origin_x"]),
-        origin_y=float(doc["origin_y"]),
-        n_cols=doc["n_cols"],
-        n_rows=doc["n_rows"],
-        cell_size=float(doc.get("cell_size", 100.0)),
-        region_name=str(doc.get("region_name", "")),
+        origin_x=json_field(doc, "origin_x", float),
+        origin_y=json_field(doc, "origin_y", float),
+        n_cols=json_field(doc, "n_cols", int),
+        n_rows=json_field(doc, "n_rows", int),
+        cell_size=json_field(doc, "cell_size", float) if "cell_size" in doc else 100.0,
+        region_name=json_field(doc, "region_name", str) if "region_name" in doc else "",
     )
 
 
@@ -204,12 +201,17 @@ def load_region(path) -> CityRegion:
     doc = read_json(path, "region file")
     try:
         grid = grid_from_dict(doc["grid"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"region file {path} has a bad grid spec: {exc}") from exc
-    cells: set[CellId] = set()
-    for col, row in _int_entries(doc, "active_cells", ("col", "row"), path):
-        cells.add(CellId(col, row))
-    for entry in _int_entries(doc, "active_runs", ("row", "col", "length"), path):
+    try:
+        cells = {CellId(col, row) for col, row in json_rows(doc, "active_cells", ("col", "row"))}
+        runs = json_rows(doc, "active_runs", ("row", "col", "length"))
+        declared = doc.get("declared_area_km2")
+        if declared is not None:
+            declared = json_field(doc, "declared_area_km2", float)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"region file {path}: {exc}") from exc
+    for entry in runs:
         row, col_start, length = entry
         if length < 0:
             raise DataError(f"region file {path}: active_runs entry {entry} has a negative length")
@@ -221,26 +223,7 @@ def load_region(path) -> CityRegion:
             cells.add(CellId(col, row))
     if not cells:
         raise DataError(f"region file {path} lists no active cells")
-    declared = doc.get("declared_area_km2")
-    if declared is not None and type(declared) not in (int, float):
-        raise DataError(f"region file {path}: declared_area_km2 {declared!r} is not a number")
     try:
-        return CityRegion(grid, frozenset(cells), None if declared is None else float(declared))
-    except OverflowError:  # a JSON integer too large for a float
-        raise DataError(f"region file {path}: declared_area_km2 is not finite") from None
+        return CityRegion(grid, frozenset(cells), declared)
     except DataError as exc:
         raise type(exc)(f"region file {path}: {exc}") from exc
-
-
-def _int_entries(doc: dict, key: str, names: tuple[str, ...], path) -> list[list[int]]:
-    """The entries of a region file's ``key`` list, each a list of integers
-    named ``names``; anything else is a ``DataError`` naming the file."""
-    entries = doc.get(key, [])
-    if not isinstance(entries, list):
-        raise DataError(f"region file {path}: {key} is not a list")
-    for entry in entries:
-        if not (isinstance(entry, list) and len(entry) == len(names)
-                and all(type(v) is int for v in entry)):
-            raise DataError(f"region file {path}: {key} entry {entry!r} is not "
-                            f"[{', '.join(names)}] integers")
-    return entries

@@ -33,6 +33,7 @@ from .errors import (
     read_json,
     write_json,
 )
+from .errors import is_json, json_field
 from .ingest import write_csv
 
 ARMIJO_C = 1e-4
@@ -54,7 +55,7 @@ class MultinomialLogit:
     standardization: Optional[dict] = None  # {"means": [...], "sds": [...]}
 
     def __post_init__(self):
-        self.classes = tuple(int(c) for c in self.classes)
+        self.classes = tuple(self.classes)
         self.covariates = tuple(self.covariates)
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -444,19 +445,22 @@ def load_logit(path) -> MultinomialLogit:
     """Read a model written by ``save_logit``; an unreadable file, a missing
     key or a bad value is a DataError naming the file."""
     doc = read_json(path, "model file")
-    if not isinstance(doc, dict):
+    if not is_json(doc, dict):
         raise DataError(f"model file {path} is not a JSON object")
     try:
+        classes = json_field(doc, "classes", list)
+        if not all(is_json(c, int) for c in classes):
+            raise TypeError(f"classes {classes!r} are not integers")
         model = MultinomialLogit(
-            classes=tuple(doc["classes"]),
+            classes=tuple(classes),
             weights=np.asarray(doc["weights"], dtype=np.float64),
             intercepts=np.asarray(doc["intercepts"], dtype=np.float64),
-            lam=float(doc["lambda"]),
+            lam=json_field(doc, "lambda", float),
             covariates=tuple(doc["covariates"]),
-            converged=bool(doc["converged"]),
-            n_iter=int(doc["n_iter"]),
-            final_loss=float(doc["final_loss"]),
-            final_grad_norm=float(doc["final_grad_norm"]),
+            converged=json_field(doc, "converged", bool),
+            n_iter=json_field(doc, "n_iter", int),
+            final_loss=json_field(doc, "final_loss", float),
+            final_grad_norm=json_field(doc, "final_grad_norm", float),
             standardization=doc.get("standardization"),
         )
     except KeyError as exc:

@@ -37,7 +37,7 @@ from .clustering import (
     write_model,
 )
 from .errors import ConfigError, DataError, MissingInputError, UnknownServiceError, VibrancyError
-from .errors import read_json, write_json
+from .errors import is_json, read_json, write_json
 from .features import (
     FeatureTable,
     build_features,
@@ -420,12 +420,14 @@ def _run_scope(scope, day_type, config, place_tax, members, emit, quality, resul
 
 def read_manifest(path) -> dict:
     doc = read_json(path, "manifest")
-    if not isinstance(doc, dict):
+    if not is_json(doc, dict):
         raise DataError(f"manifest {path} is not a JSON object")
     if doc.get("format") != "vibrancy-run-manifest":
         raise DataError(f"{path} is not a run manifest")
-    if not isinstance(doc.get("config"), dict):
+    if not is_json(doc.get("config"), dict):
         raise DataError(f"manifest {path} has no config object")
+    if not is_json(doc.get("inputs", {}), dict):
+        raise DataError(f"manifest {path}: inputs is not an object")
     return doc
 
 
@@ -438,8 +440,9 @@ def run_from_manifest(manifest_path, out_dir, verify_inputs: bool = True) -> dic
         raise ConfigError(f"manifest {manifest_path}: {exc}") from None
     if verify_inputs:
         for path, digest in doc.get("inputs", {}).items():
-            if not Path(path).is_file():
-                raise DataError(f"manifest input {path} is missing")
-            if file_sha256(path) != digest:
-                raise DataError(f"manifest input {path} changed since the recorded run")
+            missing = not Path(path).is_file()
+            if missing or file_sha256(path) != digest:
+                what = "is missing" if missing else "changed since the recorded run"
+                raise DataError(f"manifest input {path} {what} "
+                                f"(listed in manifest {manifest_path})")
     return run_pipeline(config, out_dir)

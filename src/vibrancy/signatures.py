@@ -29,6 +29,7 @@ from .errors import (
     ShapeMismatchError,
     TooFewLocationsError,
 )
+from .errors import is_json, json_field, json_rows
 from .grid import CellId, CityRegion, GridSpec, grid_from_dict, grid_to_dict
 from .ingest import Taxonomy, TrafficTable, write_csv
 
@@ -407,13 +408,15 @@ def read_framed(
         header = json.loads(raw[8 : 8 + blob_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: {what} header is not JSON ({exc})") from exc
-    if not isinstance(header, dict):
+    if not is_json(header, dict):
         raise DataError(f"{path}: {what} header is not a JSON object")
     if header.get("version") != _FRAME_VERSION:
         raise DataError(f"{path}: unsupported {what} version {header.get('version')!r}")
     payload = memoryview(raw)[8 + blob_len :]
     try:
-        shape = tuple(int(s) for s in shape_of(header))
+        shape = tuple(shape_of(header))
+        if not all(is_json(s, int) for s in shape):
+            raise TypeError(f"shape {list(shape)} is not integers")
         expected = 8 * prod(shape)
         if len(payload) != expected:
             raise DataError(
@@ -451,15 +454,16 @@ def write_tensor(tensor: SignatureTensor, path) -> None:
 def _tensor_from(header: dict, values: np.ndarray) -> SignatureTensor:
     return SignatureTensor(
         header["day_type"],
-        [CellId(int(c), int(r)) for c, r in header["cells"]],
+        [CellId(c, r) for c, r in json_rows(header, "cells", ("col", "row"))],
         tuple(header["categories"]),
         values,
         [
-            TensorSegment(s["name"], grid_from_dict(s["grid"]), int(s["start"]), int(s["stop"]))
+            TensorSegment(s["name"], grid_from_dict(s["grid"]), json_field(s, "start", int),
+                          json_field(s, "stop", int))
             for s in header["segments"]
         ],
         header["kind"],
-        [(int(b), int(d)) for b, d in header.get("capped_columns", [])],
+        [(b, d) for b, d in json_rows(header, "capped_columns", ("bin", "category"))],
     )
 
 

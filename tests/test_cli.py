@@ -89,6 +89,22 @@ class TestConfigParser:
         assert config.drop_silent_cells is True
         assert config.service_taxonomy.name == "svc.csv"
 
+    @pytest.mark.parametrize("setting, field, value", [
+        ("day_types = weekday", "day_types", ["weekday"]),
+        ('restarts = "4"', "restarts", 4),
+        ("lambda = 1", "lam", 1.0),
+        ("rr_cap = 1e6", "rr_cap", 1e6),
+        ("drop_silent_cells = TRUE", "drop_silent_cells", True),
+        ("mean_per_day = False", "mean_per_day", False),
+        ("day_types = 'weekend', weekday", "day_types", ["weekend", "weekday"]),
+    ])
+    def test_each_value_is_read_by_its_key_type(self, tmp_path, setting, field, value):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"{setting}\nservice_taxonomy = s.csv\nthird_place_taxonomy = t.csv\n"
+                        "[city.x]\nregion = r.json\ntraffic = t.csv\npois = p.csv\n")
+        read = getattr(parse_config(path), field)
+        assert read == value and type(read) is type(value)
+
     @pytest.mark.parametrize("body", [
         "seed = 1\n",  # no taxonomies
         "service_taxonomy = a\nthird_place_taxonomy = b\n[city.x]\nregion = r\n",
@@ -134,7 +150,8 @@ class TestConfigParser:
 @pytest.mark.parametrize("setting", [
     "seed = -1", "lambda = nan", "lambda = inf", "lambda = -0.5", "rr_cap = nan",
     "rr_cap = inf", "rr_cap = -1", "rr_cap = 0", "restarts = 0", "k_min = three",
-    "day_types = weekday, weekend, weekday",
+    "day_types = weekday, weekend, weekday", "drop_silent_cells = no", "mean_per_day = off",
+    "k_min = 3.7", "restarts = 2.9", "seed = true", "lambda = true", "k_max = 1e1",
 ])
 def test_bad_config_value_is_a_one_line_data_error_naming_the_file(city_dir, tmp_path, capsys,
                                                                      setting):
@@ -147,6 +164,7 @@ def test_bad_config_value_is_a_one_line_data_error_naming_the_file(city_dir, tmp
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     err = _one_line_data_error(capsys, cfg)
     assert err.startswith(f"data error: {cfg}: ") and "Traceback" not in err
+    assert key in err
     assert not out.exists()
 
 
@@ -161,6 +179,57 @@ def test_missing_input_names_the_config_that_names_it(city_dir, tmp_path, capsys
     missing = (city / "traffiC.csv").resolve()
     assert f"input file {missing} does not exist (named in config {cfg})" in err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda pois: pois.rename(pois.with_name("moved.csv")), "is missing"),
+    (lambda pois: pois.write_text(pois.read_text() + "1.0,2.0,cafe,amenity\n"),
+     "changed since the recorded run"),
+], ids=["missing", "changed"])
+def test_manifest_input_error_names_the_manifest(city_dir, tmp_path, capsys, edit, message):
+    city = tmp_path / "city"
+    shutil.copytree(city_dir, city)
+    assert main(["run", "--config", str(city / "pipeline.cfg"), "--out", str(tmp_path / "a")]) == 0
+    capsys.readouterr()
+    manifest = tmp_path / "a" / "manifest.json"
+    pois = (city / "pois.csv").resolve()
+    edit(pois)
+    out = tmp_path / "b"
+    assert main(["run", "--manifest", str(manifest), "--out", str(out)]) == 2
+    err = _one_line_data_error(capsys, manifest)
+    assert f"manifest input {pois} {message} (listed in manifest {manifest})" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda doc: doc["config"].update(k_min=3.7), "k_min"),
+    (lambda doc: doc["config"].update(drop_silent_cells="no"), "drop_silent_cells"),
+    (lambda doc: doc.update(inputs=[1]), "inputs"),
+], ids=["k_min a fraction", "drop_silent_cells a string", "inputs a list"])
+def test_manifest_value_of_another_type_is_a_one_line_data_error(run_dir, tmp_path, capsys,
+                                                                 edit, key):
+    doc = json.loads((run_dir / "manifest.json").read_text())
+    edit(doc)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert key in _one_line_data_error(capsys, manifest)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, key, value", [
+    ("--level=global", "level", "global"),
+    ("--drop-silent-cells", "drop_silent_cells", True),
+    ("--mean-per-day", "mean_per_day", True),
+])
+def test_run_override_lands_in_the_manifest_config(city_dir, tmp_path, option, key, value):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(city_dir / "pipeline.cfg"), "--out", str(out),
+                 option]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config[key] == value
+    assert getattr(parse_config(city_dir / "pipeline.cfg"), key) != value  # not the config's
 
 
 class TestRun:
@@ -333,6 +402,43 @@ class TestChainingEqualsRun:
             assert sha(chain / name) == sha(run_scope / name), name
 
 
+    def test_pool_pois_reproduces_a_global_scope_features(self, tmp_path):
+        # at the global level the rare-label count pools every city's POIs;
+        # features --pool-pois takes the other cities' POI files into that count
+        for name, seed in (("alpha", 7), ("beta", 8)):
+            spec = SynthSpec(seed=seed, n_cells=200, k_true=3, region_name=name)
+            write_city(generate_for_day_types(spec, ["weekday"]), tmp_path / name)
+        cfg = tmp_path / "global.cfg"
+        cfg.write_text(
+            "level = global\nday_types = weekday\nk_min = 2\nk_max = 4\nrestarts = 2\n"
+            "min_label_count = 400\nservice_taxonomy = alpha/service_taxonomy.csv\n"
+            "third_place_taxonomy = alpha/third_places.csv\n"
+            + "".join(f"[city.{n}]\nregion = {n}/region.json\ntraffic = {n}/traffic.csv\n"
+                      f"pois = {n}/pois.csv\n" for n in ("alpha", "beta")))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        scope = tmp_path / "run" / "global" / "weekday"
+        alpha = tmp_path / "alpha"
+        argv = ["features", "--region", str(alpha / "region.json"),
+                "--pois", str(alpha / "pois.csv"),
+                "--third-places", str(alpha / "third_places.csv"), "--min-count", "400",
+                "--cells-from", str(scope / "labels_alpha.csv")]
+        pooled, alone = tmp_path / "pooled.csv", tmp_path / "alone.csv"
+        assert main([*argv, "--pool-pois", str(tmp_path / "beta" / "pois.csv"),
+                     "--out", str(pooled)]) == 0
+        assert main([*argv, "--out", str(alone)]) == 0
+        assert sha(pooled) == sha(scope / "features_alpha.csv")
+        assert sha(alone) != sha(pooled)
+
+    def test_fit_no_standardize_records_raw_covariates(self, run_dir, tmp_path):
+        scope = run_dir / "alpha" / "weekday"
+        assert main(["fit", "--features", str(scope / "features.csv"),
+                     "--labels", str(scope / "labels.csv"), "--no-standardize",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "metrics.json").read_text())["standardized"] is False
+        assert json.loads((tmp_path / "model.json").read_text())["standardization"] is None
+        assert json.loads((scope / "metrics.json").read_text())["standardized"] is True
+
+
 def _two_city_global_config(tmp_path: Path) -> Path:
     """Two synthetic cities, alpha and beta, with one plant, pooled in one
     ``level = global`` weekday scope."""
@@ -495,6 +601,9 @@ BAD_RUN_FILES = {
     "model weights row long": (MODEL, _json_edit(
         lambda doc: [row.append(1.0) for row in doc["weights"]])),
     "model weight a string": (MODEL, _json_edit(lambda doc: doc["weights"][1].__setitem__(2, "abc"))),
+    "model converged a string": (MODEL, _json_edit(lambda doc: doc.update(converged="no"))),
+    "model n_iter a fraction": (MODEL, _json_edit(lambda doc: doc.update(n_iter=7.9))),
+    "model lambda a bool": (MODEL, _json_edit(lambda doc: doc.update({"lambda": True}))),
 }
 
 
@@ -790,6 +899,17 @@ class TestTensorKinds:
         assert main(["cluster", "--rr", str(cut), "--out-dir", str(tmp_path)]) == 2
         _one_line_data_error(capsys, cut)
 
+    def test_cell_that_is_not_integers_is_a_data_error(self, run_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.sig"
+        rr = (run_dir / "alpha" / "weekday" / "signatures_rr.sig").read_bytes()
+        header_end = 8 + int.from_bytes(rr[4:8], "little")
+        header = json.loads(rr[8:header_end])
+        header["cells"][0] = [0.5, 0]
+        blob = json.dumps(header).encode()
+        bad.write_bytes(rr[:4] + len(blob).to_bytes(4, "little") + blob + rr[header_end:])
+        assert main(["cluster", "--rr", str(bad), "--out-dir", str(tmp_path)]) == 2
+        assert "cells entry [0.5, 0]" in _one_line_data_error(capsys, bad)
+
 
 def _replace_line(text: str, line_no: int, new: str) -> str:
     lines = text.splitlines()
@@ -963,6 +1083,9 @@ UNREADABLE_FILES = {
     "region origin NaN": ("region.json", _grid_value("origin_x", float("nan")), None),
     "region column count not an integer": ("region.json", _grid_value("n_cols", 1.5), None),
     "region row count a string": ("region.json", _grid_value("n_rows", "5"), None),
+    "region cell size a bool": ("region.json", _grid_value("cell_size", True), None),
+    "region origin a string": ("region.json", _grid_value("origin_x", "12"), None),
+    "region name a number": ("region.json", _grid_value("region_name", 5), None),
     "region active cell outside the grid": (
         "region.json", _region_edit(lambda doc: doc.update(active_cells=[[-2, 0]])), None),
     **{f"region declared area {area}": (

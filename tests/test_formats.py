@@ -3,6 +3,7 @@ and cluster-model files, the logit model file, and the config codec behind
 config files and run manifests."""
 
 import json
+import math
 import struct
 import tracemalloc
 from dataclasses import MISSING, fields
@@ -18,9 +19,9 @@ from vibrancy.config import (
     config_to_dict,
     parse_config,
 )
-from vibrancy.errors import DataError
-from vibrancy.grid import CellId, CityRegion, GridSpec, load_region, save_region
-from vibrancy.logit import fit, load_logit, save_logit
+from vibrancy.errors import DataError, is_json, json_field
+from vibrancy.grid import CellId, CityRegion, GridSpec, grid_to_dict, load_region, save_region
+from vibrancy.logit import MultinomialLogit, fit, load_logit, save_logit
 from vibrancy.signatures import (
     TensorSegment,
     read_framed,
@@ -47,13 +48,32 @@ def _with_version(raw: bytes, version) -> bytes:
     return _frame(magic, json.dumps(header).encode("utf-8"), payload)
 
 
+def _header_edit(edit):
+    """A corruption of a framed file's bytes by ``edit`` of its parsed header."""
+    def corrupt(raw: bytes) -> bytes:
+        magic, blob, payload = _split(raw)
+        header = json.loads(blob)
+        edit(header)
+        return _frame(magic, json.dumps(header).encode("utf-8"), payload)
+    return corrupt
+
+
+BOTH = ("sig", "clusters_bin")
+
+# case id -> (the framed files it applies to, corruption of the file's bytes)
 CORRUPTIONS = {
-    "bad magic": lambda raw: b"XXXX" + raw[4:],
-    "unknown version": lambda raw: _with_version(raw, 99),
-    "header cut short": lambda raw: raw[: 8 + len(_split(raw)[1]) // 2],
-    "header not JSON": lambda raw: _frame(raw[:4], b"{not json", _split(raw)[2]),
-    "payload cut short": lambda raw: raw[:-100],
-    "payload too long": lambda raw: raw + bytes(8),
+    "bad magic": (BOTH, lambda raw: b"XXXX" + raw[4:]),
+    "unknown version": (BOTH, lambda raw: _with_version(raw, 99)),
+    "header cut short": (BOTH, lambda raw: raw[: 8 + len(_split(raw)[1]) // 2]),
+    "header not JSON": (BOTH, lambda raw: _frame(raw[:4], b"{not json", _split(raw)[2])),
+    "payload cut short": (BOTH, lambda raw: raw[:-100]),
+    "payload too long": (BOTH, lambda raw: raw + bytes(8)),
+    "converged a string": (("clusters_bin",), _header_edit(
+        lambda header: header.update(converged="false"))),
+    "n_iter a fraction": (("clusters_bin",), _header_edit(
+        lambda header: header.update(n_iter=4.7))),
+    "cell not integers": (("sig",), _header_edit(
+        lambda header: header["cells"].__setitem__(1, [0.5, 0]))),
 }
 
 
@@ -69,13 +89,18 @@ def _model_file(path, rng):
     return read_model
 
 
-@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
-@pytest.mark.parametrize("make", [_tensor_file, _model_file], ids=["sig", "clusters_bin"])
-def test_corrupt_framed_file_is_a_data_error_naming_it(tmp_path, rng, make, corruption):
+FRAMED_FILES = {"sig": _tensor_file, "clusters_bin": _model_file}
+FRAMED_CASES = [(kind, case) for kind in BOTH for case in sorted(CORRUPTIONS)
+                if kind in CORRUPTIONS[case][0]]
+
+
+@pytest.mark.parametrize("kind, corruption", FRAMED_CASES,
+                         ids=[f"{kind}-{case}" for kind, case in FRAMED_CASES])
+def test_corrupt_framed_file_is_a_data_error_naming_it(tmp_path, rng, kind, corruption):
     path = tmp_path / "artifact"
-    read = make(path, rng)
+    read = FRAMED_FILES[kind](path, rng)
     read(path)  # the intact file reads back
-    path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
+    path.write_bytes(CORRUPTIONS[corruption][1](path.read_bytes()))
     with pytest.raises(DataError) as info:
         read(path)
     assert str(path) in str(info.value)
@@ -123,6 +148,10 @@ LOGIT_CORRUPTIONS = {
     "bad value": _edit_json(lambda doc: doc.update({"lambda": "heavy"})),
     "classes not a list": _edit_json(lambda doc: doc.update({"classes": 3})),
     "weights of the wrong shape": _edit_json(lambda doc: doc["weights"].pop()),
+    "converged a string": _edit_json(lambda doc: doc.update({"converged": "no"})),
+    "n_iter a fraction": _edit_json(lambda doc: doc.update({"n_iter": 7.9})),
+    "lambda a bool": _edit_json(lambda doc: doc.update({"lambda": True})),
+    "class a string": _edit_json(lambda doc: doc.update({"classes": ["1", "2"]})),
 }
 
 
@@ -138,10 +167,23 @@ def test_corrupt_logit_file_is_a_data_error_naming_it(tmp_path, rng, corruption)
     assert str(path) in str(info.value)
 
 
+def test_nan_loss_and_integer_lambda_read_back(tmp_path):
+    path = tmp_path / "model.json"
+    save_logit(MultinomialLogit((1, 2), [[0.5], [-0.5]], [0.0, 0.0], 1, ("x",)), path)
+    doc = json.loads(path.read_text())
+    assert doc["lambda"] == 1 and type(doc["lambda"]) is int
+    assert math.isnan(doc["final_loss"])
+    model = load_logit(path)
+    assert model.lam == 1.0 and type(model.lam) is float
+    assert math.isnan(model.final_loss)
+
+
 def test_unreadable_logit_file_is_a_data_error(tmp_path):
     with pytest.raises(DataError, match="absent.json"):
         load_logit(tmp_path / "absent.json")
 
+
+GRID = grid_to_dict(GridSpec(0, 0, 5, 2))
 
 # each bad entry follows a good one, so the file still lists active cells
 REGION_CORRUPTIONS = {
@@ -156,13 +198,47 @@ REGION_CORRUPTIONS = {
     "run entry not integers": {"active_runs": [[0, 0, 2], [1, 1, None]]},
     "run length negative": {"active_runs": [[0, 0, 2], [1, 1, -2]]},
     "declared area not a number": {"declared_area_km2": "large"},
+    "cell_size a bool": {"grid": {**GRID, "cell_size": True}},
+    "origin_x a string": {"grid": {**GRID, "origin_x": "12"}},
+    "region_name a number": {"grid": {**GRID, "region_name": 5}},
 }
+
+
+def test_json_integer_in_a_float_field_reads_as_a_float(tmp_path):
+    path = tmp_path / "region.json"
+    save_region(CityRegion(GridSpec(0, 0, 5, 2), frozenset({CellId(0, 0)}), 1), path)
+    assert json.loads(path.read_text())["declared_area_km2"] == 1
+    region = load_region(path)
+    for value in (region.grid.origin_x, region.grid.origin_y, region.declared_area_km2):
+        assert type(value) is float
+
+
+@pytest.mark.parametrize("value, kind, holds", [
+    (3, int, True), (3, float, True), (3.0, int, False), (3.7, float, True),
+    (True, int, False), (True, float, False), (True, bool, True), (1, bool, False),
+    ("3", int, False), ("no", bool, False), ("x", str, True), (5, str, False),
+    ([1], list, True), ("a", list, False), ({}, dict, True), (None, dict, False),
+])
+def test_one_predicate_decides_a_json_type(value, kind, holds):
+    assert is_json(value, kind) is holds
+    if holds:
+        assert json_field({"key": value}, "key", kind) == value
+    else:
+        with pytest.raises(TypeError, match="key"):
+            json_field({"key": value}, "key", kind)
+
+
+def test_json_field_returns_a_float_for_a_float_field():
+    assert type(json_field({"x": 2}, "x", float)) is float
+    with pytest.raises(ValueError, match="x"):
+        json_field({"x": 10**400}, "x", float)
 
 
 @pytest.mark.parametrize("corruption", sorted(REGION_CORRUPTIONS))
 def test_corrupt_region_file_is_a_data_error_naming_it(tmp_path, corruption):
     path = tmp_path / "region.json"
     save_region(CityRegion(GridSpec(0, 0, 5, 2), frozenset({CellId(0, 0), CellId(1, 0)})), path)
+    assert json.loads(path.read_text())["grid"] == GRID
     load_region(path)  # the intact file reads back
     doc = json.loads(path.read_text())
     doc.update(REGION_CORRUPTIONS[corruption])
@@ -244,4 +320,30 @@ class TestConfigCodec:
         del doc["lambda"]
         with pytest.raises(DataError):
             config_from_dict(doc)
+
+    # each value was once coerced to the key's type; now only that type reads
+    @pytest.mark.parametrize("key, value", [
+        ("k_min", 3.7), ("k_max", 10.0), ("restarts", 2.9), ("seed", True),
+        ("min_label_count", 3.5), ("lambda", True), ("holdout", "0.2"),
+        ("rr_cap", "1000"), ("drop_silent_cells", "no"), ("mean_per_day", "off"),
+        ("day_types", "weekend"), ("cities", {"name": "alpha"}),
+    ])
+    def test_manifest_config_value_of_another_type_is_rejected(self, tmp_path, key, value):
+        doc = config_to_dict(_non_default_config(tmp_path))
+        doc[key] = value
+        with pytest.raises(DataError, match=key):
+            config_from_dict(doc)
+
+    def test_manifest_city_name_of_another_type_is_rejected(self, tmp_path):
+        doc = config_to_dict(_non_default_config(tmp_path))
+        doc["cities"][0]["name"] = 5
+        with pytest.raises(DataError, match="name"):
+            config_from_dict(doc)
+
+    def test_manifest_float_takes_an_integer(self, tmp_path):
+        doc = config_to_dict(_non_default_config(tmp_path))
+        doc.update({"lambda": 2, "rr_cap": 1000})
+        config = config_from_dict(json.loads(json.dumps(doc)))
+        assert (config.lam, config.rr_cap) == (2.0, 1000.0)
+        assert type(config.lam) is float and type(config.rr_cap) is float
 
