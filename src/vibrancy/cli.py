@@ -127,7 +127,6 @@ def _cmd_signatures(args) -> int:
 
 def _cmd_cluster(args) -> int:
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if args.rr:
         rr = read_tensor(args.rr)
         if rr.kind != RELATIVE_RISK:
@@ -139,6 +138,8 @@ def _cmd_cluster(args) -> int:
                 raise DataError(f"{path} is a relative-risk tensor; pass it with --rr instead")
         combined = concat_tensors(raws) if len(raws) > 1 else raws[0]
         rr = relative_risk(combined, cap=args.rr_cap)
+    out.mkdir(parents=True, exist_ok=True)  # once the inputs are read and accepted
+    if not args.rr:
         write_tensor(rr, out / "signatures_rr.sig")
     model, report = select_k(rr, k_min=args.k_min, k_max=args.k_max, seed=args.seed,
                              restarts=args.restarts)

@@ -27,7 +27,7 @@ from .errors import (
     ShapeMismatchError,
     SingleClusterError,
 )
-from .errors import json_field
+from .errors import json_field, json_items
 from .grid import CellId, GridSpec, cell_polygon
 from .ingest import read_cell_rows, write_csv
 from .signatures import SignatureTensor, read_framed, write_framed
@@ -728,7 +728,7 @@ def _model_from(header: dict, centroids: np.ndarray) -> ClusterModel:
         seed=json_field(header, "seed", int),
         n_iter=json_field(header, "n_iter", int),
         converged=json_field(header, "converged", bool),
-        categories=tuple(header["categories"]),
+        categories=json_items(header, "categories", str),
     )
 
 

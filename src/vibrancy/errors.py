@@ -133,6 +133,15 @@ def json_field(doc, key, kind: type):
         raise ValueError(f"{key} {value} is too large for a float") from None
 
 
+def json_items(doc, key, kind: type) -> tuple:
+    """``doc[key]`` as a tuple if it is a list whose every item ``is_json`` of
+    type ``kind``; else a TypeError naming ``key``."""
+    items = json_field(doc, key, list)
+    if not all(is_json(item, kind) for item in items):
+        raise TypeError(f"{key} {items!r} are not all of type {kind.__name__}")
+    return tuple(items)
+
+
 def json_rows(doc: dict, key: str, names: tuple[str, ...]) -> list[list[int]]:
     """``doc[key]``, or ``[]`` without one, if it lists entries that are each a
     list of ``len(names)`` integers named ``names``; else a TypeError naming ``key``."""

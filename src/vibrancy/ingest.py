@@ -12,6 +12,10 @@ number of data lines. Traffic is streamed: ``stream_traffic`` hands each
 batch of accepted rows, as typed columns, to a consumer and holds nothing
 of it afterwards; ``signatures.DayTypeTensors`` turns the batches into
 tensors, and ``read_traffic`` collects them into one ``TrafficTable``.
+A traffic file can also be read in parts: ``line_spans`` cuts it into byte
+ranges at line ends, ``stream_traffic`` reads one range (plain chunks only,
+else a NotPlainError), and ``ParseReport.merge`` joins the ranges' reports
+in file order with absolute line numbers.
 Other files must have every line right (``_read_exact``). A wrong header is
 a DataError naming the file.
 
@@ -26,6 +30,7 @@ import codecs
 import csv
 import io
 import math
+import os
 from array import array
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -81,6 +86,8 @@ class ParseReport:
     accepted: int = 0
     rejects: dict = field(default_factory=dict)
     rejected_lines: list = field(default_factory=list)
+    #: every line read, the header and blank lines included; ``merge`` numbers on from it
+    lines: int = field(default=0, compare=False)
 
     @property
     def rejected(self) -> int:
@@ -97,6 +104,19 @@ class ParseReport:
             rejected = ", ".join(f"{n} {reason}" for reason, n in self.rejects.items())
             raise DataError(f"{_source_name(source)}: no {what} row accepted of "
                             f"{self.total_lines} data lines (rejected: {rejected or 'none'})")
+
+    def merge(self, other: ParseReport) -> None:
+        """Add the report of the lines that follow this report's in the same
+        file; ``other`` numbers them from 1, and its examples are numbered
+        on from this report's lines."""
+        for reason, n in other.rejects.items():
+            self.rejects[reason] = self.rejects.get(reason, 0) + n
+        room = max(MAX_REJECT_EXAMPLES - len(self.rejected_lines), 0)
+        self.rejected_lines.extend((self.lines + line_no, reason)
+                                   for line_no, reason in other.rejected_lines[:room])
+        self.total_lines += other.total_lines
+        self.accepted += other.accepted
+        self.lines += other.lines
 
     def _reject_lines(self, line_nos: list[int], reasons: list[str]) -> None:
         """Count each line's reject reason, and keep the first lines as
@@ -323,18 +343,53 @@ def _split_rows(rows: Iterator[list[str]], width: int) -> Iterator[tuple[np.ndar
         yield n_fields, [list(map(str.strip, c)) for c in columns] or [[] for _ in range(width)]
 
 
-def _batches(fh, header: list[str], what: str, source) -> Iterator[tuple[np.ndarray, list]]:
+class NotPlainError(Exception):
+    """A byte range of a CSV file holds a chunk that is not plain."""
+
+
+def line_spans(path, parts: int) -> list[tuple[int, int]]:
+    """The file at ``path`` as up to ``parts`` byte ranges ``(start, stop)``
+    end to end, each cut at the first line start at or after an equal share;
+    ranges left empty by a long line are left out."""
+    size = os.path.getsize(path)
+    cuts = [0]
+    with open(path, "rb") as fh:
+        for k in range(1, parts):
+            fh.seek(max(size * k // parts - 1, cuts[-1]))
+            fh.readline()
+            cuts.append(fh.tell())
+    cuts.append(size)
+    return [(start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop]
+
+
+def _batches(fh, header: list[str], what: str, source,
+             span: Optional[tuple[int, int]] = None) -> Iterator[tuple[np.ndarray, list]]:
     """The split lines after the header of an open binary file or text
     stream: plain chunks with ``_split_plain``; from the first chunk that is
-    not plain on, ``csv.reader`` rows with ``_split_rows``."""
-    checked = False  # the header
-    while chunk := fh.read(CHUNK_BYTES):
-        chunk += fh.readline()
+    not plain on, ``csv.reader`` rows with ``_split_rows``.
+
+    With a ``span``, the lines of a binary file's bytes from ``start`` up to
+    ``stop``, both line starts; the header is read only at offset 0, and a
+    chunk that is not plain is a NotPlainError.
+    """
+    start, stop = span or (0, math.inf)
+    if start:
+        fh.seek(start)
+    left = stop - start  # bytes of the span not read yet
+    checked = start > 0  # the header
+    while left > 0 and (chunk := fh.read(min(CHUNK_BYTES, left))):
+        left -= len(chunk)
+        if left > 0:
+            line = fh.readline()
+            left -= len(line)
+            chunk += line
         text = isinstance(chunk, str)
         if not checked:  # a byte order mark, as spreadsheet exports write
             chunk = chunk.removeprefix("\ufeff" if text else codecs.BOM_UTF8)
         data = _plain(chunk.encode("utf-8", "surrogatepass") if text else chunk)
         if data is None:
+            if span:
+                raise NotPlainError(f"{_source_name(source)}: bytes {start}-{stop}")
             # a file as UTF-8 text with universal newlines, as open() reads it
             with nullcontext(fh) if text else io.TextIOWrapper(fh, encoding="utf-8") as rest:
                 head = io.StringIO(chunk) if text else io.TextIOWrapper(io.BytesIO(chunk),
@@ -354,10 +409,13 @@ def _batches(fh, header: list[str], what: str, source) -> Iterator[tuple[np.ndar
         _check_header(None, header, what, source)
 
 
-def _read_csv(source, header: list[str], what: str, take, reasons: tuple) -> ParseReport:
+def _read_csv(source, header: list[str], what: str, take, reasons: tuple,
+              span: Optional[tuple[int, int]] = None) -> ParseReport:
     """Read a ``what`` CSV that must start with ``header``, in chunks of
     ``CHUNK_BYTES`` run on to the end of their line, and count every data
     line in a ParseReport. A leading UTF-8 byte order mark is dropped.
+    With a ``span`` (see ``_batches``) only that byte range of the file is
+    read, and a range after the header numbers its lines from 1.
 
     A plain chunk (ASCII letters, digits, ``,.:_+-`` and line ends only,
     each carriage return just before a line feed) has one csv row per line
@@ -371,9 +429,9 @@ def _read_csv(source, header: list[str], what: str, take, reasons: tuple) -> Par
     for each (0 to accept).
     """
     report = ParseReport()
-    line_no = 2  # of the next line; the header is line 1
+    line_no = 1 if span and span[0] else 2  # of the next line; the header is line 1
     with _open_source(source) as fh:
-        for n_fields, fields in _batches(fh, header, what, source):
+        for n_fields, fields in _batches(fh, header, what, source, span):
             line_reason = (n_fields != 0).astype(np.intp)  # not blank, not full: malformed
             line_reason[n_fields == len(header)] = take(fields)
             rejected = np.flatnonzero(line_reason)
@@ -382,6 +440,7 @@ def _read_csv(source, header: list[str], what: str, take, reasons: tuple) -> Par
                                  [reasons[r] for r in line_reason[rejected].tolist()])
             line_no += len(n_fields)
     report.accepted = report.total_lines - report.rejected
+    report.lines = line_no - 1
     return report
 
 
@@ -433,9 +492,11 @@ _DIRECTION_OF = {d: i for i, d in enumerate(DIRECTIONS)}
 _TRAFFIC_REASONS = (None, REJECT_MALFORMED, REJECT_UNKNOWN_DIRECTION, REJECT_OUT_OF_BOUNDS)
 
 
-def stream_traffic(source, grid: GridSpec, consume) -> ParseReport:
+def stream_traffic(source, grid: GridSpec, consume,
+                   span: Optional[tuple[int, int]] = None) -> ParseReport:
     """Read a traffic CSV once, validating every row against the grid, and
     hand each batch of accepted rows to ``consume(columns, stamps, services)``.
+    With a ``span``, read only that line-aligned byte range (``_read_csv``).
 
     Returns a ParseReport counting rejections (malformed row, unknown
     direction, out-of-bounds cell). Each distinct timestamp text is
@@ -491,7 +552,7 @@ def stream_traffic(source, grid: GridSpec, consume) -> ParseReport:
                  direction[ok].astype(np.int8), volume[ok]), *names)
         return reason
 
-    return _read_csv(source, TRAFFIC_HEADER, "traffic", take, _TRAFFIC_REASONS)
+    return _read_csv(source, TRAFFIC_HEADER, "traffic", take, _TRAFFIC_REASONS, span)
 
 
 def read_traffic(source, grid: GridSpec) -> tuple[TrafficTable, ParseReport]:

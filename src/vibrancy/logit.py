@@ -33,7 +33,7 @@ from .errors import (
     read_json,
     write_json,
 )
-from .errors import is_json, json_field
+from .errors import is_json, json_field, json_items
 from .ingest import write_csv
 
 ARMIJO_C = 1e-4
@@ -448,15 +448,12 @@ def load_logit(path) -> MultinomialLogit:
     if not is_json(doc, dict):
         raise DataError(f"model file {path} is not a JSON object")
     try:
-        classes = json_field(doc, "classes", list)
-        if not all(is_json(c, int) for c in classes):
-            raise TypeError(f"classes {classes!r} are not integers")
         model = MultinomialLogit(
-            classes=tuple(classes),
+            classes=json_items(doc, "classes", int),
             weights=np.asarray(doc["weights"], dtype=np.float64),
             intercepts=np.asarray(doc["intercepts"], dtype=np.float64),
             lam=json_field(doc, "lambda", float),
-            covariates=tuple(doc["covariates"]),
+            covariates=json_items(doc, "covariates", str),
             converged=json_field(doc, "converged", bool),
             n_iter=json_field(doc, "n_iter", int),
             final_loss=json_field(doc, "final_loss", float),

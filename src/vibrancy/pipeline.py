@@ -4,7 +4,10 @@ A run first reads every city. Its traffic file is streamed, one batch of
 accepted rows at a time, into the raw signature tensor of each requested
 day type (``signatures.DayTypeTensors``), so ingest holds 16 bytes per kept
 row while the file is read and then only the tensors; no TrafficTable is
-built. Then it executes, per requested day type and at the configured
+built. On Linux a file of at least twice ``_SPLIT_BYTES`` is read in
+line-aligned byte ranges, one per usable CPU: the first here, the others in
+forked workers whose tensors are merged in file order, with the same bits,
+counts and errors as one process's read (``_read_split``). Then it executes, per requested day type and at the configured
 spatial level, the chain signatures -> relative risk -> k selection ->
 size-ordered labels -> third-place features -> membership model -> metrics,
 exporting every artifact into a run directory. The manifest records the
@@ -16,10 +19,16 @@ artifacts bit for bit on the same platform.
 from __future__ import annotations
 
 import hashlib
+import os
+import pickle
+import signal
+import struct
 import sys
+import warnings
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +56,14 @@ from .features import (
     standardize,
 )
 from .grid import CellId, CityRegion, load_region
-from .ingest import ParseReport, load_taxonomy, parse_pois, stream_traffic
+from .ingest import (
+    NotPlainError,
+    ParseReport,
+    line_spans,
+    load_taxonomy,
+    parse_pois,
+    stream_traffic,
+)
 from .logit import (
     MultinomialLogit,
     evaluate,
@@ -116,15 +132,117 @@ def read_city_tensors(
     type (``DayTypeTensors``): the tensors and the rows and cells each left
     out, by day type, and the parse report. A file without an accepted row,
     and then a traffic service missing from the taxonomy, are errors naming
-    the files."""
-    tensors = DayTypeTensors(service_taxonomy, region, day_types, mean_per_day=mean_per_day)
-    report = stream_traffic(traffic_path, region.grid, tensors.add)
+    the files. A large file is read by several processes (``_read_split``),
+    with the same result."""
+    new_tensors = partial(DayTypeTensors, service_taxonomy, region, day_types,
+                          mean_per_day=mean_per_day)
+    read = _read_split(traffic_path, region.grid, new_tensors)
+    if read is None:
+        tensors = new_tensors()
+        report = stream_traffic(traffic_path, region.grid, tensors.add)
+    else:
+        tensors, report = read
     report.require_accepted(traffic_path, "traffic")
     try:
         raw = tensors.finish(drop_silent=drop_silent, segment_name=segment_name)
     except UnknownServiceError as exc:
         raise UnknownServiceError(f"{traffic_path}: {exc} {taxonomy_path}") from None
     return raw, tensors.dropped, report
+
+
+#: bytes of a traffic file that each process reading a part of it gets at least
+_SPLIT_BYTES = 3 << 19  # 1.5 MiB
+
+
+def _read_split(path, grid, new_tensors) -> Optional[tuple[DayTypeTensors, ParseReport]]:
+    """A traffic file read in line-aligned byte ranges, one per CPU this
+    process may run on, each at least ``_SPLIT_BYTES``, on Linux only: the
+    first range here, each later one in a forked worker (``_range_worker``),
+    each into a ``new_tensors()`` merged in file order. The tensors and the
+    report, or None if the file is not split or a range is not plain or a
+    worker fails; the caller then reads it whole, in one process, and any
+    error comes from that read. Every worker is reaped before this returns.
+    """
+    if sys.platform != "linux":
+        return None
+    try:
+        parts = min(len(os.sched_getaffinity(0)), os.path.getsize(path) // _SPLIT_BYTES)
+        spans = line_spans(path, parts) if parts > 1 else []
+    except OSError:  # left to the read in one process to report
+        return None
+    if len(spans) < 2:
+        return None
+    workers = []  # (pid, read end of its pipe), in file order
+    received = 0
+    try:
+        for span in spans[1:]:
+            read_end, write_end = os.pipe()
+            with warnings.catch_warnings():
+                # Python 3.12+ warns of a fork in a process with (BLAS) threads;
+                # a worker calls no BLAS function and ends in os._exit
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                _range_worker(path, grid, new_tensors, span, write_end)
+            os.close(write_end)
+            workers.append((pid, read_end))
+        tensors = new_tensors()
+        report = stream_traffic(path, grid, tensors.add, span=spans[0])
+        for _, read_end in workers:
+            part, facts, arrays = _receive(read_end)
+            report.merge(part)
+            tensors.merge(facts, arrays)
+            received += 1
+    except (NotPlainError, EOFError, OSError):
+        return None
+    finally:
+        failed = False
+        for i, (pid, read_end) in enumerate(workers):
+            os.close(read_end)
+            if i >= received:
+                os.kill(pid, signal.SIGKILL)
+            failed |= os.waitpid(pid, 0)[1] != 0
+    return None if failed else (tensors, report)
+
+
+def _range_worker(path, grid, new_tensors, span, out: int) -> NoReturn:
+    """In a forked process: read ``span`` of the traffic file into
+    ``new_tensors()`` and write to the pipe end ``out`` the pickled report,
+    what the tensors kept and its arrays' types and lengths, behind the
+    pickle's length, then the arrays' raw bytes; exit 0 once all is
+    written, 1 on any failure, without a word."""
+    code = 1
+    try:
+        tensors = new_tensors()
+        report = stream_traffic(path, grid, tensors.add, span=span)
+        facts, arrays = tensors.kept()
+        head = pickle.dumps((report, facts, [(a.typecode, len(a)) for a in arrays]))
+        with open(out, "wb") as pipe:
+            pipe.write(struct.pack("<Q", len(head)) + head)
+            for a in arrays:
+                pipe.write(a)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive(read_end: int) -> tuple[ParseReport, dict, list[np.ndarray]]:
+    """What ``_range_worker`` wrote, each array read into place; an
+    EOFError if the pipe ends short."""
+    with open(read_end, "rb", closefd=False) as pipe:
+        def read_into(buffer) -> None:
+            if pipe.readinto(buffer) != len(buffer):
+                raise EOFError("a worker's pipe ended early")
+
+        size = bytearray(8)
+        read_into(size)
+        head = bytearray(struct.unpack("<Q", size)[0])
+        read_into(head)
+        report, facts, shapes = pickle.loads(head)
+        arrays = [np.empty(n, typecode) for typecode, n in shapes]
+        for a in arrays:
+            read_into(memoryview(a).cast("B"))
+    return report, facts, arrays
 
 
 def fit_membership_model(

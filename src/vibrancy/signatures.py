@@ -15,6 +15,7 @@ import struct
 from array import array
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime
+from itertools import compress
 from math import prod
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -29,7 +30,7 @@ from .errors import (
     ShapeMismatchError,
     TooFewLocationsError,
 )
-from .errors import is_json, json_field, json_rows
+from .errors import is_json, json_field, json_items, json_rows
 from .grid import CellId, CityRegion, GridSpec, grid_from_dict, grid_to_dict
 from .ingest import Taxonomy, TrafficTable, write_csv
 
@@ -129,6 +130,10 @@ class DayTypeTensors:
     a row of any day type, so taxonomy gaps surface instead of silently
     dropping volume; it names the first such service in the order the rows
     met them.
+
+    Parts of one file can be added to separate instances, one per line-aligned
+    byte range, and the later ones ``merge``d into the first in file order:
+    ``finish`` then gives the bits one instance given every row would.
     """
 
     def __init__(self, taxonomy: Taxonomy, region: CityRegion,
@@ -148,7 +153,8 @@ class DayTypeTensors:
         self._stamp_seen = np.zeros(0, bool)  # on an added row
         self._services: tuple = ()
         self._category = np.zeros(0, np.int64)  # -1 for a service missing from the taxonomy
-        self._pairs = [(array("q"), array("d")) for _ in self.day_types]
+        # per day type, (index, volume) arrays: this instance's, then each merged one's
+        self._pairs = [[(array("q"), array("d"))] for _ in self.day_types]
         self._rows = 0
         self._on_day = np.zeros(len(self.day_types), np.int64)  # rows of each day type
         #: day type -> rows of another day type, rows of the day type in cells
@@ -179,9 +185,33 @@ class DayTypeTensors:
         for t, n_day in enumerate(np.bincount(day, minlength=len(self.day_types)).tolist()):
             if n_day:  # a batch often holds one day type only
                 mine = slice(None) if n_day == len(day) else day == t
-                index, volumes = self._pairs[t]
+                index, volumes = self._pairs[t][0]
                 index.frombytes(memoryview(flat[mine]).cast("B"))
                 volumes.frombytes(memoryview(volume[mine].astype(np.float64, copy=False)).cast("B"))
+
+    def kept(self) -> tuple[dict, list]:
+        """What ``merge`` takes of an instance that merged nothing: the row
+        counts, stamps and services it learnt, small and picklable, and each
+        day type's index and volume arrays, in that order."""
+        facts = {"rows": self._rows, "on_day": self._on_day.tolist(), "stamps": self._stamps,
+                 "seen": list(compress(self._stamps, self._stamp_seen.tolist())),
+                 "services": self._services}
+        return facts, [column for parts in self._pairs for column in parts[0]]
+
+    def merge(self, facts: dict, arrays: Sequence) -> None:
+        """Take in what another instance for the same taxonomy, region and
+        day types ``kept`` of later rows of the same file, after the last
+        ``add``: its arrays join each day type's, for ``finish`` to join once,
+        its row counts add up, and its stamps and services join these in order
+        of first appearance."""
+        self._learn(_union(self._stamps, facts["stamps"]), _union(self._services,
+                                                                   facts["services"]))
+        position = {ts: i for i, ts in enumerate(self._stamps)}
+        self._stamp_seen[[position[ts] for ts in facts["seen"]]] = True
+        self._rows += facts["rows"]
+        self._on_day += facts["on_day"]
+        for parts, pair in zip(self._pairs, zip(arrays[::2], arrays[1::2])):
+            parts.append(pair)
 
     def _learn(self, stamps: tuple, services: tuple) -> None:
         """Bin and day type of each new timestamp, category of each new service."""
@@ -220,8 +250,10 @@ class DayTypeTensors:
         segment = TensorSegment(segment_name, self.region.grid, 0, n)
         tensors = {}
         for t, day_type in enumerate(self.day_types):
-            index, volumes = (np.frombuffer(a, dtype=a.typecode) for a in self._pairs[t])
-            self._pairs[t] = None  # each sorted copy below frees the pairs it replaces
+            parts, self._pairs[t] = self._pairs[t], None  # each copy below frees what it replaces
+            index = _joined([index for index, _ in parts])
+            volumes = _joined([volumes for _, volumes in parts])
+            del parts
             kept = len(index)
             order = np.lexsort((volumes, index))
             index = index[order]
@@ -245,6 +277,17 @@ class DayTypeTensors:
                                       "outside_region": on_day - kept,
                                       "silent_cells": n - tensor.n}
         return tensors
+
+
+def _union(names: tuple, more) -> tuple:
+    """``names`` followed by those of ``more`` not among them, in order."""
+    known = set(names)
+    return names + tuple(name for name in dict.fromkeys(more) if name not in known)
+
+
+def _joined(arrays: list) -> np.ndarray:
+    """The arrays end to end, as one numpy array; one array without a copy."""
+    return np.asarray(arrays[0]) if len(arrays) == 1 else np.concatenate(arrays)
 
 
 #: rows of a TrafficTable that ``build_signatures`` adds at a time
@@ -455,11 +498,11 @@ def _tensor_from(header: dict, values: np.ndarray) -> SignatureTensor:
     return SignatureTensor(
         header["day_type"],
         [CellId(c, r) for c, r in json_rows(header, "cells", ("col", "row"))],
-        tuple(header["categories"]),
+        json_items(header, "categories", str),
         values,
         [
-            TensorSegment(s["name"], grid_from_dict(s["grid"]), json_field(s, "start", int),
-                          json_field(s, "stop", int))
+            TensorSegment(json_field(s, "name", str), grid_from_dict(s["grid"]),
+                          json_field(s, "start", int), json_field(s, "stop", int))
             for s in header["segments"]
         ],
         header["kind"],

@@ -20,6 +20,7 @@ from those three texts, so its memory does not grow with the table.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta
 from functools import partial
@@ -279,8 +280,16 @@ def _draw_pois(spec: SynthSpec, grid: GridSpec, archetype_of: np.ndarray,
     y = grid.origin_y + (cell // grid.n_cols + offset[:, 1]) * grid.cell_size
     names = np.array(_POI_LABELS, dtype=object)[label].tolist()
     fields = zip(x.tolist(), y.tolist(), names, map(SYNTH_POI_SOURCES.__getitem__, names))
-    # tuple.__new__ makes each record without PoiRecord.__new__'s Python frame
-    return list(map(partial(tuple.__new__, PoiRecord), fields))
+    # The collector tracks every record, a tuple, and the collections so many
+    # new ones set off would rescan them all: about half the time, unpaused.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # tuple.__new__ makes each record without PoiRecord.__new__'s Python frame
+        return list(map(partial(tuple.__new__, PoiRecord), fields))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _traffic(spec: SynthSpec, targets: np.ndarray, n_cols: int,

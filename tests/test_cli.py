@@ -492,14 +492,32 @@ def test_no_traffic_table_survives_ingest(city_dir, tmp_path, monkeypatch, level
     """A run streams each traffic file into its city's day-type tensors: it
     builds no TrafficTable, and once every city is read it holds none of the
     batches the tensors were built from."""
+    _assert_no_traffic_table_survives_ingest(city_dir, tmp_path, monkeypatch, level)
+
+
+@pytest.mark.parametrize("level", ["local", "global"])
+def test_no_traffic_table_survives_a_split_ingest(city_dir, tmp_path, monkeypatch, level):
+    """The same when each traffic file is read in two byte ranges: no
+    process builds a TrafficTable (a worker that did would fail, and its file
+    be read again whole), and the batches this process read are freed."""
+    monkeypatch.setattr(vibrancy.pipeline, "_SPLIT_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    received, receive = [], vibrancy.pipeline._receive
+    monkeypatch.setattr(vibrancy.pipeline, "_receive",
+                        lambda read_end: received.append(read_end) or receive(read_end))
+    _assert_no_traffic_table_survives_ingest(city_dir, tmp_path, monkeypatch, level)
+    assert len(received) == (1 if level == "local" else 2)  # a worker's range of each file
+
+
+def _assert_no_traffic_table_survives_ingest(city_dir, tmp_path, monkeypatch, level):
     batches, accepted = [], []
     stream_traffic, select_k = vibrancy.pipeline.stream_traffic, vibrancy.pipeline.select_k
 
-    def stream_and_watch(source, grid, consume):
+    def stream_and_watch(source, grid, consume, span=None):
         def watched(columns, stamps, services):
             batches.append(([weakref.ref(c) for c in columns], len(columns[0])))
             consume(columns, stamps, services)
-        report = stream_traffic(source, grid, watched)
+        report = stream_traffic(source, grid, watched, span=span)
         accepted.append(report.accepted)
         return report
 
@@ -907,8 +925,10 @@ class TestTensorKinds:
         header["cells"][0] = [0.5, 0]
         blob = json.dumps(header).encode()
         bad.write_bytes(rr[:4] + len(blob).to_bytes(4, "little") + blob + rr[header_end:])
-        assert main(["cluster", "--rr", str(bad), "--out-dir", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main(["cluster", "--rr", str(bad), "--out-dir", str(out)]) == 2
         assert "cells entry [0.5, 0]" in _one_line_data_error(capsys, bad)
+        assert not out.exists()  # a refused input leaves no output directory
 
 
 def _replace_line(text: str, line_no: int, new: str) -> str:

@@ -74,6 +74,13 @@ CORRUPTIONS = {
         lambda header: header.update(n_iter=4.7))),
     "cell not integers": (("sig",), _header_edit(
         lambda header: header["cells"].__setitem__(1, [0.5, 0]))),
+    # as long as the list it replaces, so the payload still fits its shape
+    "categories a string": (BOTH, _header_edit(
+        lambda header: header.update(categories="xyz"[:len(header["categories"])] or "x"))),
+    "category not a string": (("sig",), _header_edit(
+        lambda header: header["categories"].__setitem__(1, 7))),
+    "segment name not a string": (("sig",), _header_edit(
+        lambda header: header["segments"][0].update(name=5))),
 }
 
 
@@ -152,6 +159,8 @@ LOGIT_CORRUPTIONS = {
     "n_iter a fraction": _edit_json(lambda doc: doc.update({"n_iter": 7.9})),
     "lambda a bool": _edit_json(lambda doc: doc.update({"lambda": True})),
     "class a string": _edit_json(lambda doc: doc.update({"classes": ["1", "2"]})),
+    "covariates a string": _edit_json(lambda doc: doc.update({"covariates": "abc"})),
+    "covariate not a string": _edit_json(lambda doc: doc.update({"covariates": [1, 2, 3]})),
 }
 
 

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 import math
@@ -33,15 +34,18 @@ from vibrancy.ingest import (
     REJECT_UNKNOWN_DIRECTION,
     REJECT_UNKNOWN_SOURCE,
     TRAFFIC_HEADER,
+    NotPlainError,
     ParseReport,
     PoiRecord,
     Taxonomy,
     TrafficTable,
     _WRITE_BATCH,
     _parse_timestamp,
+    line_spans,
     load_taxonomy,
     parse_pois,
     read_traffic,
+    stream_traffic,
     write_csv,
 )
 
@@ -524,6 +528,78 @@ class TestChunkedRead:
         what = "traffic" if fmt is TRAFFIC else "POI"
         with pytest.raises(DataError, match=f"^{path}: {what} file must start with header"):
             fmt.read(path)
+
+
+def _rows_by_span(path, spans) -> tuple[list, ParseReport]:
+    """The accepted rows of a traffic file read span by span with
+    ``stream_traffic`` (the whole file for a None span), as (col, row,
+    timestamp, service, direction, volume as hex), and the spans' reports
+    merged in file order."""
+    rows, report = [], None
+
+    def keep(columns, stamps, services):
+        col, row, stamp, service, direction, volume = (c.tolist() for c in columns)
+        rows.extend(zip(col, row, map(stamps.__getitem__, stamp),
+                        map(services.__getitem__, service), direction, map(float.hex, volume)))
+
+    for span in spans:
+        part = stream_traffic(path, GRID, keep, span=span)
+        report = part if report is None else report
+        if part is not report:
+            report.merge(part)
+    return rows, report
+
+
+class TestRangedRead:
+    """A traffic file read in ``line_spans`` with ``stream_traffic``, the
+    reports merged, against the file read whole."""
+
+    @pytest.mark.parametrize("chunk", [23, 64, vibrancy.ingest.CHUNK_BYTES])
+    @pytest.mark.parametrize("plain", [True, False], ids=["plain", "mixed"])
+    def test_fuzzed_files_read_in_spans_as_whole(self, tmp_path, monkeypatch, chunk, plain):
+        monkeypatch.setattr(vibrancy.ingest, "CHUNK_BYTES", chunk)
+        rng = np.random.default_rng(40 + plain)
+        path = tmp_path / "traffic.csv"
+        compared = not_plain = 0
+        for _ in range(40):
+            data = fuzz_csv(rng, plain, TRAFFIC).encode("utf-8")
+            path.write_bytes(data)
+            spans = line_spans(path, int(rng.integers(2, 6)))
+            assert [start for start, _ in spans] == sorted({start for start, _ in spans})
+            assert spans[0][0] == 0 and spans[-1][1] == len(data)
+            assert all(a[1] == b[0] and data[b[0] - 1] == ord("\n")
+                       for a, b in zip(spans, spans[1:]))  # end to end, cut after a line end
+            try:
+                rows, report = _rows_by_span(path, [None])
+            except DataError:  # a cut header
+                with pytest.raises(DataError, match="traffic.csv"):
+                    _rows_by_span(path, spans)
+                continue
+            if vibrancy.ingest._plain(data) is None:  # a line only a whole read takes
+                with pytest.raises(NotPlainError):
+                    _rows_by_span(path, spans)
+                not_plain += 1
+                continue
+            got_rows, got_report = _rows_by_span(path, spans)
+            assert got_rows == rows
+            assert got_report == report and got_report.lines == report.lines
+            assert list(got_report.rejects.items()) == list(report.rejects.items())
+            compared += len(spans) > 1
+        assert compared >= 30 if plain else not_plain >= 25
+
+    def test_a_byte_order_mark_is_dropped_at_offset_0_only(self, tmp_path):
+        path = tmp_path / "traffic.csv"
+        line = "2,3,2019-03-18T08:15,Maps,downlink,4\n"
+        path.write_bytes(codecs.BOM_UTF8 + (",".join(TRAFFIC_HEADER) + "\n" + line * 20).encode())
+        spans = line_spans(path, 2)
+        rows, report = _rows_by_span(path, spans)
+        assert (len(rows), report.accepted, report.lines) == (20, 20, 21)
+
+    def test_a_long_last_line_leaves_fewer_spans(self, tmp_path):
+        path = tmp_path / "traffic.csv"
+        path.write_text(",".join(TRAFFIC_HEADER) + "\n1,1,x,Maps," + "d" * 500 + ",4\n")
+        assert line_spans(path, 2) == [(0, path.stat().st_size)]
+        assert line_spans(tmp_path / "traffic.csv", 1) == [(0, path.stat().st_size)]
 
 
 class TestParsePois:

@@ -27,6 +27,7 @@ from vibrancy.ingest import (
     REJECT_MALFORMED,
     TRAFFIC_HEADER,
     Taxonomy,
+    line_spans,
     read_traffic,
     stream_traffic,
 )
@@ -323,6 +324,81 @@ class TestDayTypeTensors:
                         assert whole.values.tobytes() == want.tobytes()
             checked += 1
         assert checked >= 10
+
+    @pytest.mark.parametrize("mean_per_day", [False, True])
+    def test_ranges_merged_in_file_order_give_the_whole_file_bits(self, tmp_path, monkeypatch,
+                                                                  mean_per_day):
+        monkeypatch.setattr(vibrancy.ingest, "CHUNK_BYTES", 64)
+        rng = np.random.default_rng(50 + mean_per_day)
+        path = tmp_path / "traffic.csv"
+        checked = 0
+        for _ in range(30):
+            path.write_bytes(fuzz_csv(rng, True, TRAFFIC).encode("utf-8"))
+            try:
+                table, _ = reference_read_traffic(path, FUZZ_GRID)
+            except DataError:  # a cut header
+                continue
+            if not table.services or vibrancy.ingest._plain(path.read_bytes()) is None:
+                continue  # no row kept, or a lone "\r" at the cut end: not for spans
+            taxonomy = _taxonomy_of(table.services)
+            want, dropped, report = _streamed(path, taxonomy, FUZZ_REGION,
+                                              mean_per_day=mean_per_day)
+            spans = line_spans(path, int(rng.integers(2, 6)))
+            first, *parts = [DayTypeTensors(taxonomy, FUZZ_REGION, DAY_TYPES,
+                                            mean_per_day=mean_per_day) for _ in spans]
+            stream_traffic(path, FUZZ_GRID, first.add, span=spans[0])
+            for part, span in zip(parts, spans[1:]):
+                stream_traffic(path, FUZZ_GRID, part.add, span=span)
+                first.merge(*part.kept())
+            for day_type, tensor in first.finish().items():
+                assert tensor.values.tobytes() == want[day_type].values.tobytes()
+            assert first.dropped == dropped
+            checked += len(spans) > 1
+        assert checked >= 15
+
+    def test_a_merged_service_missing_from_the_taxonomy_is_named_in_file_order(self, tmp_path):
+        path = tmp_path / "traffic.csv"
+        head = ",".join(TRAFFIC_HEADER)
+        path.write_text(f"{head}\n1,1,2019-03-18T08:00,msg,uplink,1\n"
+                        "1,1,2019-03-18T08:00,zeta,uplink,1\n"
+                        "1,1,2019-03-18T08:00,alpha,uplink,1\n"
+                        "1,1,2019-03-18T08:00,zeta,uplink,1\n")
+        spans = line_spans(path, 2)
+        first, second = (DayTypeTensors(TAX, REGION, DAY_TYPES) for _ in spans)
+        for tensors, span in zip((first, second), spans):
+            stream_traffic(path, GRID, tensors.add, span=span)
+        assert second.kept()[0]["services"] == ("alpha", "zeta")
+        first.merge(*second.kept())
+        with pytest.raises(UnknownServiceError, match="zeta"):
+            first.finish()
+
+    def test_a_merged_read_peaks_no_higher_than_one_instance(self, tmp_path, rng):
+        # each part's pairs are joined once, in finish, and freed as they are:
+        # no copy of a day type's pairs grows twice
+        n_rows = 40_000
+        lines = [f"{c},{r},2019-03-{d}T{h:02d}:15,msg,uplink,{v:.6g}" for c, r, d, h, v in zip(
+            *(rng.integers(0, 4, n_rows).tolist() for _ in range(2)),
+            rng.integers(16, 24, n_rows).tolist(), rng.integers(0, 24, n_rows).tolist(),
+            (rng.random(n_rows) * 100).tolist())]
+        path = tmp_path / "traffic.csv"
+        path.write_text("\n".join([",".join(TRAFFIC_HEADER)] + lines) + "\n")
+        peaks = []
+        for n_parts in (1, 3):
+            spans = line_spans(path, n_parts)
+            tracemalloc.start()
+            try:
+                first, *parts = (DayTypeTensors(TAX, REGION, DAY_TYPES) for _ in spans)
+                stream_traffic(path, GRID, first.add, span=spans[0])
+                for part, span in zip(parts, spans[1:]):
+                    stream_traffic(path, GRID, part.add, span=span)
+                    first.merge(*part.kept())
+                parts = part = None  # as a worker's arrays, held by the merged instance only
+                tensors = first.finish()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        held = sum(t.values.nbytes for t in tensors.values())
+        assert (peaks[1] - held) < 1.05 * (peaks[0] - held)
 
     def test_permuted_lines_give_bitwise_equal_tensors(self, tmp_path, monkeypatch, rng):
         monkeypatch.setattr(vibrancy.ingest, "CHUNK_BYTES", 256)

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import vibrancy.synth
 from conftest import rows_of
 from vibrancy.clustering import kmeans
 from vibrancy.errors import InvalidSpecError, LengthMismatchError
@@ -117,6 +119,23 @@ class TestGenerate:
             assert day_type_of(row.timestamp) == spec.day_type
             assert row.timestamp.date() in dates
             assert row.volume > 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_poi_draw_leaves_the_collector_as_it_found_it(self, monkeypatch, enabled):
+        """The collector is paused while the POI records are built, and then
+        left on or off as before, also when building them fails."""
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            spec = small_spec()
+            assert generate(spec).pois == generate(spec).pois
+            assert gc.isenabled() == enabled
+            monkeypatch.setattr(vibrancy.synth, "SYNTH_POI_SOURCES", {})
+            with pytest.raises(KeyError):
+                generate(spec)
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_round_robin_assignment_is_balanced(self):
         truth = generate(small_spec(n_cells=10, k_true=2))
