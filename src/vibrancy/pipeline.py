@@ -163,7 +163,7 @@ def _read_split(path, grid, new_tensors) -> Optional[tuple[DayTypeTensors, Parse
     worker fails; the caller then reads it whole, in one process, and any
     error comes from that read. Every worker is reaped before this returns.
     """
-    if sys.platform != "linux":
+    if sys.platform != "linux" or hasattr(path, "read"):  # a text stream is read whole
         return None
     try:
         parts = min(len(os.sched_getaffinity(0)), os.path.getsize(path) // _SPLIT_BYTES)

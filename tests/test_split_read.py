@@ -4,6 +4,7 @@ in one process: the same tensors, counts, report, run directory, errors and
 exit codes, and no worker left behind. The split is forced on small files
 by lowering ``_SPLIT_BYTES`` and by reporting ``cpus`` CPUs."""
 
+import io
 import json
 import os
 import shutil
@@ -299,4 +300,13 @@ def test_each_traffic_file_is_read_once_in_ranges(city, tmp_path, split, reads):
     calls = reads()
     assert sorted(span for _, span in calls) == line_spans(city / "traffic.csv", 3)
     assert len({pid for pid, _ in calls}) == 3
+    assert_no_worker_left()
+
+
+def test_a_text_stream_is_read_whole(city, split, reads):
+    split(2)
+    text = (city / "traffic.csv").read_text()
+    assert_same_read(_read(city, io.StringIO(text)), _read(city, city / "traffic.csv"))
+    calls = reads()
+    assert calls[0] == (os.getpid(), None) and len(calls) == 3  # the file was split
     assert_no_worker_left()
