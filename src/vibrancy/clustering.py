@@ -12,14 +12,15 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from random import Random
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._stream import Stream, generate_state
 from .errors import (
     KTooLargeError,
     LengthMismatchError,
@@ -174,53 +175,52 @@ def _sq_to(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return _sq_dist(X, X[points])[inverse]
 
 
-def _kmeans_pp(X: np.ndarray, ks: np.ndarray, rngs: Sequence[Stream]) -> np.ndarray:
-    """k-means++ seeding of restart r, with ``ks[r]`` centres drawn from
-    ``rngs[r]``: (sum(ks), p), restart r's centres from row sum(ks[:r]) on.
-    A numpy ``Generator`` seeded alike draws what a ``Stream`` draws.
+def _kmeans_pp(X: np.ndarray, ks: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """k-means++ seeding of restart r, with ``ks[r]`` centres drawn at the
+    uniforms ``u[r, :ks[r]]``: (sum(ks), p), restart r's centres from row
+    sum(ks[:r]) on.
 
-    A restart's first centre is a uniform draw; each next one is drawn with
-    probability proportional to the squared distance to the nearest centre
-    so far (see ``_draw``). Restart r stops drawing at its own k.
+    A restart's j-th centre takes ``u[r, j]``: the first is point
+    ``int(u[r, 0] * n)``; each next one is drawn with probability
+    proportional to the squared distance to the nearest centre so far (see
+    ``_draw``). Restart r stops drawing at its own k.
     """
     n = X.shape[0]
     first = np.cumsum(ks) - ks
     centers = np.empty((ks.sum(), X.shape[1]), dtype=np.float64)
-    live = np.arange(len(rngs))
-    idx = np.array([rng.integers(n) for rng in rngs])
+    live = np.arange(len(ks))
+    idx = (u[:, 0] * n).astype(np.int64)
     centers[first] = X[idx]
     d2 = _sq_to(X, idx)
     for j in range(1, ks.max()):
         if ks[live].min() <= j:
             keep = ks[live] > j
             live, d2 = live[keep], d2[keep]
-        idx = _draw(d2, [rngs[r] for r in live])
+        idx = _draw(d2, u[live, j])
         centers[first[live] + j] = X[idx]
         if j + 1 < ks.max():
             np.minimum(d2, _sq_to(X, idx), out=d2)
     return centers
 
 
-def _draw(d2: np.ndarray, rngs: Sequence[Stream]) -> np.ndarray:
-    """(R,) index ``rngs[r].choice(n, p=d2[r] / d2[r].sum())`` draws, for
-    each row of d2 (R, n); a uniform ``integers(n)`` where the row is all 0.
+def _draw(d2: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(R,) index of one point per row of d2 (R, n), drawn with probability
+    ``d2[r] / d2[r].sum()`` at the uniform ``u[r]`` in [0, 1), or
+    ``int(u[r] * n)`` where the row is all 0.
 
-    ``Generator.choice`` draws by inverting the normalised cumulative sum at
-    one ``random()``. This does the same for all rows at once, so it gives
-    the same indices and leaves each generator's stream where ``choice``
-    leaves it.
+    The index is ``searchsorted(cdf, u[r], "right")`` in the row's
+    cumulative sum of d2 / sum, rescaled to end at 1. All rows are inverted
+    at once.
     """
     totals = d2.sum(axis=1)
     mass = totals > 0
     cdf = np.cumsum(d2[mass] / totals[mass, None], axis=1)
     cdf /= cdf[:, -1:]
-    u = np.array([rng.random() for rng, m in zip(rngs, mass) if m])
-    idx = np.empty(len(rngs), dtype=np.int64)
+    idx = np.empty(len(u), dtype=np.int64)
     # cdf is non-decreasing, so this count is ``searchsorted(cdf, u, "right")``
-    idx[mass] = (cdf <= u[:, None]).sum(axis=1)
-    for r in np.flatnonzero(~mass):
-        # all remaining mass is zero (duplicate points); any point will do
-        idx[r] = rngs[r].integers(d2.shape[1])
+    idx[mass] = (cdf <= u[mass, None]).sum(axis=1)
+    # all remaining mass is zero (duplicate points); any point will do
+    idx[~mass] = (u[~mass] * d2.shape[1]).astype(np.int64)
     return idx
 
 
@@ -287,10 +287,7 @@ def _relocate_empty(X, centers, labels, k):
     progress even when all points coincide. Deterministic: ties pick the
     lowest point index.
     """
-    counts = np.bincount(labels, minlength=k)
-    empties = np.flatnonzero(counts == 0)
-    if empties.size == 0:
-        return labels
+    empties = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
     labels = labels.copy()
     dist = _sq_dist(X, centers, cols=labels)
     moved = np.zeros(X.shape[0], dtype=bool)
@@ -372,6 +369,17 @@ class _Restarts:
         ))
 
 
+@functools.lru_cache(maxsize=4096)
+def _uniforms(seed: int, count: int) -> tuple[float, ...]:
+    """The first ``count`` ``random()`` of ``Random(seed)``: the k-means++
+    uniforms of a restart seeded ``seed``. Every scope of a run seeds the
+    same restarts, so they are kept (a ``Random`` itself holds 2.5 KB)."""
+    if seed < 0:  # Random(-s) seeds as Random(s) does
+        raise ValueError(f"a k-means seed must be non-negative, got {seed}")
+    rng = Random(seed)
+    return tuple(rng.random() for _ in range(count))
+
+
 def _lloyd(X: np.ndarray, ks, seeds: Sequence[int]) -> _Restarts:
     """Run one k-means restart per seed, all in one Lloyd loop; ``ks`` is
     one k for every seed, or one per seed.
@@ -394,8 +402,9 @@ def _lloyd(X: np.ndarray, ks, seeds: Sequence[int]) -> _Restarts:
         raise ValueError("k must be at least 2")
 
     R = len(seeds)
-    out = _Restarts(ks, np.zeros((R, n), dtype=np.int64),
-                    _kmeans_pp(X, ks, [Stream(s) for s in seeds]),
+    K = int(ks.max())
+    u = np.array([_uniforms(operator.index(s), K) for s in seeds])
+    out = _Restarts(ks, np.zeros((R, n), dtype=np.int64), _kmeans_pp(X, ks, u),
                     [[] for _ in seeds], np.full(R, _MAX_PASSES), np.zeros(R, dtype=bool))
     xx = np.einsum("ij,ij->i", X, X)
     active = np.arange(R)
@@ -625,9 +634,10 @@ def adjusted_rand_index(labels_a: Sequence[int], labels_b: Sequence[int]) -> flo
 
 @functools.lru_cache(maxsize=4096)
 def restart_seed(seed: int, k: int, restart: int) -> int:
-    """Deterministic per-(k, restart) child seed used by select_k; every
-    scope of a run asks for the same ones, so they are kept."""
-    return generate_state((seed, k, restart), 1)[0]
+    """Deterministic per-(k, restart) child seed used by select_k: the
+    first ``random()`` of ``Random("<seed> <k> <restart>")``, scaled to 32
+    bits. Every scope of a run asks for the same ones, so they are kept."""
+    return int(Random(f"{seed} {k} {restart}").random() * 2**32)
 
 
 def select_k(

@@ -28,12 +28,12 @@ import warnings
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
+from random import Random
 from typing import NoReturn, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from ._stream import Stream
 from .config import CityConfig, PipelineConfig, config_from_dict, config_to_dict
 from .clustering import (
     ClusterModel,
@@ -256,10 +256,11 @@ def fit_membership_model(
 ):
     """Stack (features, labels) pairs, optionally z-score, fit, and evaluate.
 
-    With a holdout fraction the rows are split by a seeded permutation, that
-    of ``numpy.random.default_rng(numpy.random.SeedSequence((seed, 7919)))``
-    as ``Stream`` draws it; the model trains on the remainder and metrics
-    are computed on the held-out rows. Standardization statistics come from
+    With a holdout fraction the rows are split by a seeded permutation: row
+    i takes the i-th ``random()`` of ``Random("<seed> 7919")``, the rows
+    are ordered by those draws (stably) and the first ``round(holdout * n)``
+    are held out. The model trains on the remainder and metrics are
+    computed on the held-out rows. Standardization statistics come from
     the full table and are stored on the model.
     """
     if len(tables) != len(label_vectors) or not tables:
@@ -287,7 +288,8 @@ def fit_membership_model(
 
     n = X.shape[0]
     if holdout > 0.0:
-        perm = np.array(Stream((seed, 7919)).permutation(n), dtype=np.int64)
+        rng = Random(f"{seed} 7919")
+        perm = np.argsort([rng.random() for _ in range(n)], kind="stable")
         n_eval = int(round(holdout * n))
         eval_idx = np.sort(perm[:n_eval])
         train_idx = np.sort(perm[n_eval:])
@@ -390,7 +392,6 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
     """Execute the configured run and return the manifest (also written to disk)."""
     config.validate()
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     inputs: dict[str, str] = {}
     with _stage("ingest"):
@@ -549,18 +550,17 @@ def read_manifest(path) -> dict:
     return doc
 
 
-def run_from_manifest(manifest_path, out_dir, verify_inputs: bool = True) -> dict:
+def run_from_manifest(manifest_path, out_dir) -> dict:
     """Re-execute a run from its manifest; inputs are hash-checked first."""
     doc = read_manifest(manifest_path)
     try:
         config = config_from_dict(doc["config"])
     except ConfigError as exc:
         raise ConfigError(f"manifest {manifest_path}: {exc}") from None
-    if verify_inputs:
-        for path, digest in doc.get("inputs", {}).items():
-            missing = not Path(path).is_file()
-            if missing or file_sha256(path) != digest:
-                what = "is missing" if missing else "changed since the recorded run"
-                raise DataError(f"manifest input {path} {what} "
-                                f"(listed in manifest {manifest_path})")
+    for path, digest in doc.get("inputs", {}).items():
+        missing = not Path(path).is_file()
+        if missing or file_sha256(path) != digest:
+            what = "is missing" if missing else "changed since the recorded run"
+            raise DataError(f"manifest input {path} {what} "
+                            f"(listed in manifest {manifest_path})")
     return run_pipeline(config, out_dir)

@@ -1357,7 +1357,7 @@ def test_a_run_does_not_import_numpy_ma(city_dir, tmp_path):
 
 
 def test_a_run_does_not_import_numpy_random(city_dir, tmp_path):
-    # k-means++ seeds and the holdout split come from vibrancy._stream
+    # k-means++ seeds and the holdout split come from random.Random
     code = (
         "import sys\n"
         "from vibrancy.cli import main\n"

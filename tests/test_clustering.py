@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from random import Random
 
 import numpy as np
 import pytest
@@ -152,17 +153,24 @@ def _reference_pairwise_sq(X, C):
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+def _reference_draw(d2, rng):
+    """One k-means++ index from ``rng``: the scalar inverse CDF of d2 at one
+    ``random()``, or ``int(u * n)`` where d2 is all 0."""
+    u, total = rng.random(), d2.sum()
+    if total > 0:
+        cdf = np.cumsum(d2 / total)
+        cdf /= cdf[-1]
+        return int(np.searchsorted(cdf, u, side="right"))
+    return int(u * len(d2))
+
+
 def _reference_pp_init(X, k, rng):
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]), dtype=np.float64)
-    centers[0] = X[int(rng.integers(n))]
+    centers[0] = X[int(rng.random() * n)]
     d2 = ((X - centers[0]) ** 2).sum(axis=1)
     for j in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            idx = int(rng.choice(n, p=d2 / total))
-        else:
-            idx = int(rng.integers(n))
+        idx = _reference_draw(d2, rng)
         centers[j] = X[idx]
         d2 = np.minimum(d2, ((X - centers[j]) ** 2).sum(axis=1))
     return centers
@@ -207,7 +215,7 @@ def reference_kmeans(data, k, seed=0, max_iter=300, tol=1e-6):
     """
     X = np.asarray(data, dtype=np.float64).reshape(len(data), -1)
     n = X.shape[0]
-    centers = _reference_pp_init(X, k, np.random.default_rng(seed))
+    centers = _reference_pp_init(X, k, Random(seed))
     prev_labels = labels = None
     stop = "budget"
     for n_iter in range(1, max_iter + 1):
@@ -319,7 +327,7 @@ def reference_lloyd(data, k, seed=0):
     frozen helpers above: the model ``kmeans(data, k, seed)`` must equal."""
     X = np.asarray(data, dtype=np.float64).reshape(len(data), -1)
     n = X.shape[0]
-    centers = _reference_pp_init(X, k, np.random.default_rng(seed))
+    centers = _reference_pp_init(X, k, Random(seed))
     labels = None
     converged = False
     trace = []
@@ -534,25 +542,18 @@ class TestMixedKBatchesMatchReference:
 
 class TestBatchedParts:
     def test_draw_matches_generator_choice(self, rng):
+        # the vectorised inverse CDF against the scalar one, row by row
         for trial in range(300):
             rows, n = int(rng.integers(1, 6)), int(rng.integers(1, 60))
             d2 = rng.exponential(size=(rows, n)) * (rng.random((rows, n)) < rng.random())
             d2[rng.random(rows) < 0.2] = 0.0
             if trial % 3 == 0:
                 d2 = rng.integers(0, 3, size=(rows, n)).astype(float)
-            seeds = rng.integers(2**63, size=rows)
-            drawn = vibrancy.clustering._draw(d2, [np.random.default_rng(s) for s in seeds])
+            seeds = rng.integers(2**63, size=rows).tolist()
+            u = np.array([Random(s).random() for s in seeds])
+            drawn = vibrancy.clustering._draw(d2, u)
             for r, s in enumerate(seeds):
-                ref_rng, rng_after = np.random.default_rng(s), np.random.default_rng(s)
-                total = d2[r].sum()
-                if total > 0:
-                    expected = ref_rng.choice(n, p=d2[r] / total)
-                else:
-                    expected = ref_rng.integers(n)
-                assert drawn[r] == expected
-                # the stream is left where ``choice`` leaves it
-                vibrancy.clustering._draw(d2[r:r + 1], [rng_after])
-                assert rng_after.random() == ref_rng.random()
+                assert drawn[r] == _reference_draw(d2[r], Random(s))
 
     def test_seeding_matches_reference(self, rng):
         # restarts of different k share one seeding pass; each stops at its k
@@ -560,11 +561,12 @@ class TestBatchedParts:
             n = int(rng.integers(5, 40))
             ks = rng.integers(2, 6, size=int(rng.integers(1, 5)))
             X = rng.integers(0, 3, size=(n, int(rng.integers(1, 6)))).astype(float)
-            seeds = rng.integers(2**63, size=len(ks))
-            got = vibrancy.clustering._kmeans_pp(X, ks, [np.random.default_rng(s) for s in seeds])
+            seeds = rng.integers(2**63, size=len(ks)).tolist()
+            u = np.array([[r.random() for _ in range(ks.max())] for r in map(Random, seeds)])
+            got = vibrancy.clustering._kmeans_pp(X, ks, u)
             assert got.shape == (ks.sum(), X.shape[1])
             for r, s in enumerate(seeds):
-                expected = _reference_pp_init(X, ks[r], np.random.default_rng(s))
+                expected = _reference_pp_init(X, ks[r], Random(s))
                 first = ks[:r].sum()
                 assert got[first:first + ks[r]].tobytes() == expected.tobytes()
 
@@ -632,6 +634,32 @@ class TestBatchedParts:
         # unblocked, one (restarts, n, p) difference would take 61 MiB at n = 20,000
         assert small < 16.0
         assert large <= small + 6.0
+
+
+class TestSeedStream:
+    def test_restart_seeds_are_pinned(self):
+        # Python keeps the ``random()`` sequence of a seed across releases;
+        # these literals fail on one that does not
+        assert ([restart_seed(1, 7, 3), restart_seed(0, 3, 0), restart_seed(4, 10, 9),
+                 restart_seed(2**32 - 1, 2, 0)]
+                == [1432339902, 813456612, 3219875594, 3901556309])
+
+    def test_a_restarts_draws_are_pinned(self):
+        rng = Random(restart_seed(1, 7, 3))
+        assert ([rng.random() for _ in range(3)]
+                == [0.46438868324195925, 0.509578237395304, 0.1693648944771443])
+
+    def test_numpy_integer_seeds_draw_as_python_ints(self, rng):
+        data = rng.uniform(size=(30, 4, 2))
+        for seed in [np.int64(5), np.uint32(5)]:
+            assert_same_model(kmeans(data, 3, seed), kmeans(data, 3, 5))
+        with pytest.raises(TypeError):
+            kmeans(data, 3, 5.0)
+
+    def test_a_negative_seed_is_refused(self, rng):
+        # ``Random(-1)`` would draw what ``Random(1)`` draws
+        with pytest.raises(ValueError, match="non-negative"):
+            kmeans(rng.uniform(size=(30, 2)), 3, -1)
 
 
 def pairs_as_points():

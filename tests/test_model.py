@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import vibrancy.pipeline
+from vibrancy.clustering import restart_seed, select_k
 from vibrancy.errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -463,6 +465,14 @@ class TestModelPersistence:
         assert np.array_equal(predict(loaded, X), predict(model, X))
 
 
+def _reference_split_order(seed, n):
+    """The rows in the stable order of one ``random()`` each of
+    ``Random("<seed> 7919")``; the holdout takes them from the front."""
+    rng = random.Random(f"{seed} 7919")
+    draws = [rng.random() for _ in range(n)]
+    return sorted(range(n), key=draws.__getitem__)
+
+
 class TestHoldoutSplit:
     @pytest.mark.parametrize("n,seed", [(4, 0), (17, 9), (48, 3), (203, 2**32 - 1),
                                         (1000, 12345)])
@@ -484,10 +494,31 @@ class TestHoldoutSplit:
         monkeypatch.setattr(vibrancy.pipeline, "fit", fit_spy)
         monkeypatch.setattr(vibrancy.pipeline, "predict", predict_spy)
         _, report, extra = fit_membership_model([table], [y], holdout=0.25, seed=seed)
-        # the split the pipeline drew from numpy.random before it had its own stream
-        perm = np.random.default_rng(np.random.SeedSequence((seed, 7919))).permutation(n)
+        perm = np.array(_reference_split_order(seed, n), dtype=np.int64)
         n_eval = int(round(0.25 * n))
         X = standardize(table).values
         assert np.array_equal(seen["train"], X[np.sort(perm[n_eval:])])
         assert np.array_equal(seen["eval"], X[np.sort(perm[:n_eval])])
         assert (extra["n_train"], extra["n_eval"], report.n) == (n - n_eval, n_eval, n_eval)
+
+    @pytest.mark.parametrize("seed,order", [(0, [2, 6, 3, 1, 0, 7, 4, 5, 8, 9]),
+                                            (4, [4, 2, 8, 6, 9, 3, 1, 0, 7, 5])])
+    def test_split_order_is_pinned(self, seed, order):
+        # Python keeps the ``random()`` sequence of a seed across releases;
+        # these literals fail on one that does not
+        assert _reference_split_order(seed, 10) == order
+
+
+def test_draws_use_only_the_seeder_and_random(monkeypatch, rng):
+    # Python promises a seed's ``random()`` sequence, not these methods'
+    def refused(*args, **kwargs):
+        raise AssertionError("a draw other than random()")
+
+    for name in ["randrange", "randint", "shuffle", "getrandbits", "choice", "sample"]:
+        monkeypatch.setattr(random.Random, name, refused)
+    restart_seed.cache_clear()  # so that select_k draws its seeds afresh
+    X = np.concatenate([rng.normal(loc, 0.1, size=(20, 3)) for loc in (0.0, 5.0, 10.0)])
+    model, _ = select_k(X, k_min=2, k_max=5, seed=3, restarts=4)
+    table = FeatureTable([CellId(i, 0) for i in range(len(X))], ("a", "b", "c"), X)
+    _, report, extra = fit_membership_model([table], [model.labels], holdout=0.25, seed=3)
+    assert extra["n_eval"] == report.n == 15
