@@ -4,16 +4,28 @@ A run first reads every city. Its traffic file is streamed, one batch of
 accepted rows at a time, into the raw signature tensor of each requested
 day type (``signatures.DayTypeTensors``), so ingest holds 16 bytes per kept
 row while the file is read and then only the tensors; no TrafficTable is
-built. On Linux a file of at least twice ``_SPLIT_BYTES`` is read in
-line-aligned byte ranges, one per usable CPU: the first here, the others in
-forked workers whose tensors are merged in file order, with the same bits,
-counts and errors as one process's read (``_read_split``). Then it executes, per requested day type and at the configured
+built. Then it executes, per requested day type and at the configured
 spatial level, the chain signatures -> relative risk -> k selection ->
 size-ordered labels -> third-place features -> membership model -> metrics,
 exporting every artifact into a run directory. The manifest records the
 resolved config, input and artifact hashes, library versions, and headline
 results; feeding it back through ``run_from_manifest`` reproduces all
 artifacts bit for bit on the same platform.
+
+On Linux a run uses every CPU it may run on, through one fork helper
+(``_fork_tasks``): task 0 runs in the calling process, each later task in a
+forked worker that sends its result back down a pipe, and any failure
+leaves the caller to do the work alone. It has two callers:
+
+- A traffic file of at least twice ``_SPLIT_BYTES`` is read in line-aligned
+  byte ranges, one per CPU, whose tensors are merged in file order, with the
+  same bits, counts and errors as one process's read (``_read_split``).
+- After ingest, the scopes are cut into contiguous groups, one per CPU. This
+  process runs the first group; each worker runs one later group, writes
+  its artifacts and returns its scopes' quality and results, which are
+  merged in scope order. A failed worker's group is run again here, so an
+  error is the one a run in one process reports. The run directory and the
+  printed summary do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -29,7 +41,7 @@ from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 from random import Random
-from typing import NoReturn, Optional, Sequence
+from typing import Callable, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -150,75 +162,124 @@ def read_city_tensors(
     return raw, tensors.dropped, report
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the processes a fork helper call
+    (``_fork_tasks``) may use. 1 off Linux, where nothing is forked."""
+    return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+
+
 #: bytes of a traffic file that each process reading a part of it gets at least
 _SPLIT_BYTES = 3 << 19  # 1.5 MiB
 
 
 def _read_split(path, grid, new_tensors) -> Optional[tuple[DayTypeTensors, ParseReport]]:
-    """A traffic file read in line-aligned byte ranges, one per CPU this
-    process may run on, each at least ``_SPLIT_BYTES``, on Linux only: the
-    first range here, each later one in a forked worker (``_range_worker``),
-    each into a ``new_tensors()`` merged in file order. The tensors and the
-    report, or None if the file is not split or a range is not plain or a
-    worker fails; the caller then reads it whole, in one process, and any
-    error comes from that read. Every worker is reaped before this returns.
-    """
-    if sys.platform != "linux" or hasattr(path, "read"):  # a text stream is read whole
+    """A traffic file read in line-aligned byte ranges, one per usable CPU
+    (``_usable_cpus``), each at least ``_SPLIT_BYTES``: the first range
+    here, each later one in a forked worker (``_range_worker``), each into a
+    ``new_tensors()`` merged in file order. The tensors and the report, or
+    None if the file is not split or a range is not plain or a worker fails;
+    the caller then reads it whole, in one process, and any error comes from
+    that read. Every worker is reaped before this returns."""
+    if hasattr(path, "read"):  # a text stream is read whole
         return None
     try:
-        parts = min(len(os.sched_getaffinity(0)), os.path.getsize(path) // _SPLIT_BYTES)
-        spans = line_spans(path, parts) if parts > 1 else []
+        ranges = min(_usable_cpus(), os.path.getsize(path) // _SPLIT_BYTES)
+        spans = line_spans(path, ranges) if ranges > 1 else []
     except OSError:  # left to the read in one process to report
         return None
     if len(spans) < 2:
         return None
-    workers = []  # (pid, read end of its pipe), in file order
-    received = 0
     try:
-        for span in spans[1:]:
-            read_end, write_end = os.pipe()
-            with warnings.catch_warnings():
-                # Python 3.12+ warns of a fork in a process with (BLAS) threads;
-                # a worker calls no BLAS function and ends in os._exit
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
+        parts = _fork_tasks([partial(_read_range, path, grid, new_tensors, spans[0])]
+                            + [partial(_range_worker, path, grid, new_tensors, span)
+                               for span in spans[1:]])
+    except (NotPlainError, OSError):
+        return None
+    if parts is None:
+        return None
+    report, tensors = parts[0]
+    for (part, facts), arrays in parts[1:]:
+        report.merge(part)
+        tensors.merge(facts, arrays)
+    return tensors, report
+
+
+def _read_range(path, grid, new_tensors, span) -> tuple[ParseReport, DayTypeTensors]:
+    tensors = new_tensors()
+    return stream_traffic(path, grid, tensors.add, span=span), tensors
+
+
+def _range_worker(path, grid, new_tensors, span) -> tuple[tuple[ParseReport, dict], list]:
+    """A forked worker's part of ``_read_split``: the report of ``span``
+    and what its tensors kept, then the kept arrays."""
+    report, tensors = _read_range(path, grid, new_tensors, span)
+    facts, arrays = tensors.kept()
+    return (report, facts), arrays
+
+
+def _fork_tasks(tasks: Sequence[Callable[[], object]]) -> Optional[list]:
+    """Run ``tasks[0]`` in this process and each later task in a worker
+    forked first (``_work``), whose task returns a picklable head and a list
+    of one-dimensional arrays. Task 0's return value, then each worker's
+    head and arrays (``_receive``), in task order; or None if a pipe or a
+    fork fails (then no task has run) or a worker fails (then task 0 has
+    run). An exception of task 0 is raised here. Every worker that has not
+    finished is killed, and every worker is reaped, before this returns or
+    raises."""
+    workers: list[tuple[int, int]] = []  # (pid, read end of its pipe), in task order
+    received = []
+    try:
+        for task in tasks[1:]:
+            try:
+                read_end, write_end = os.pipe()
+            except OSError:
+                return None
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns of a fork in a process with (BLAS)
+                    # threads; OpenBLAS stops its threads around a fork, and a
+                    # worker ends in os._exit
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                return None
             if pid == 0:
-                _range_worker(path, grid, new_tensors, span, write_end)
+                _work(task, write_end, [*(fd for _, fd in workers), read_end])
             os.close(write_end)
             workers.append((pid, read_end))
-        tensors = new_tensors()
-        report = stream_traffic(path, grid, tensors.add, span=spans[0])
-        for _, read_end in workers:
-            part, facts, arrays = _receive(read_end)
-            report.merge(part)
-            tensors.merge(facts, arrays)
-            received += 1
-    except (NotPlainError, EOFError, OSError):
-        return None
+        own = tasks[0]()
+        try:
+            for _, read_end in workers:
+                received.append(_receive(read_end))
+        except (EOFError, OSError):
+            return None
     finally:
         failed = False
         for i, (pid, read_end) in enumerate(workers):
             os.close(read_end)
-            if i >= received:
+            if i >= len(received):
                 os.kill(pid, signal.SIGKILL)
             failed |= os.waitpid(pid, 0)[1] != 0
-    return None if failed else (tensors, report)
+    return None if failed else [own, *received]
 
 
-def _range_worker(path, grid, new_tensors, span, out: int) -> NoReturn:
-    """In a forked process: read ``span`` of the traffic file into
-    ``new_tensors()`` and write to the pipe end ``out`` the pickled report,
-    what the tensors kept and its arrays' types and lengths, behind the
-    pickle's length, then the arrays' raw bytes; exit 0 once all is
-    written, 1 on any failure, without a word."""
+def _work(task, out: int, inherited: list[int]) -> NoReturn:
+    """In a forked worker: close the pipe read ends it inherited, so that a
+    write fails once the parent is gone instead of blocking for good; run
+    ``task`` and write to the pipe end ``out`` the pickled head and the
+    arrays' types and lengths behind the pickle's length, then the arrays'
+    raw bytes. Exit 0 once all is written, 1 on any failure, without a
+    word."""
     code = 1
     try:
-        tensors = new_tensors()
-        report = stream_traffic(path, grid, tensors.add, span=span)
-        facts, arrays = tensors.kept()
-        head = pickle.dumps((report, facts, [(a.typecode, len(a)) for a in arrays]))
+        for read_end in inherited:
+            os.close(read_end)
+        head, arrays = task()
+        frame = pickle.dumps((head, [(np.asarray(a).dtype.str, len(a)) for a in arrays]))
         with open(out, "wb") as pipe:
-            pipe.write(struct.pack("<Q", len(head)) + head)
+            pipe.write(struct.pack("<Q", len(frame)) + frame)
             for a in arrays:
                 pipe.write(a)
         code = 0
@@ -226,8 +287,8 @@ def _range_worker(path, grid, new_tensors, span, out: int) -> NoReturn:
         os._exit(code)
 
 
-def _receive(read_end: int) -> tuple[ParseReport, dict, list[np.ndarray]]:
-    """What ``_range_worker`` wrote, each array read into place; an
+def _receive(read_end: int) -> tuple[object, list[np.ndarray]]:
+    """What ``_work`` wrote: the head and each array, read into place; an
     EOFError if the pipe ends short."""
     with open(read_end, "rb", closefd=False) as pipe:
         def read_into(buffer) -> None:
@@ -236,13 +297,13 @@ def _receive(read_end: int) -> tuple[ParseReport, dict, list[np.ndarray]]:
 
         size = bytearray(8)
         read_into(size)
-        head = bytearray(struct.unpack("<Q", size)[0])
-        read_into(head)
-        report, facts, shapes = pickle.loads(head)
-        arrays = [np.empty(n, typecode) for typecode, n in shapes]
+        frame = bytearray(struct.unpack("<Q", size)[0])
+        read_into(frame)
+        head, shapes = pickle.loads(frame)
+        arrays = [np.empty(n, dtype) for dtype, n in shapes]
         for a in arrays:
             read_into(memoryview(a).cast("B"))
-    return report, facts, arrays
+    return head, arrays
 
 
 def fit_membership_model(
@@ -372,8 +433,8 @@ class _CityData:
     def __init__(self, cfg: CityConfig, config: PipelineConfig, service_tax):
         self.name = cfg.name
         self.region = load_region(cfg.region)
-        # day type -> raw tensor; each serves one scope, which takes it out
-        self.raw, self.dropped, self.traffic_report = read_city_tensors(
+        self.read_traffic = partial(
+            read_city_tensors,
             self.region,
             cfg.traffic,
             service_tax,
@@ -383,6 +444,8 @@ class _CityData:
             drop_silent=config.drop_silent_cells,
             segment_name=cfg.name,
         )
+        # day type -> raw tensor; each serves one scope, which takes it out
+        self.raw, self.dropped, self.traffic_report = self.read_traffic()
         self.pois, self.poi_report = parse_pois(cfg.pois)
         self.poi_report.require_accepted(cfg.pois, "POI")
         self.truth = load_truth_labels(cfg.truth) if cfg.truth else None
@@ -415,13 +478,40 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
         writer(path)
         artifacts.append(path)
 
+    scopes = []  # (scope, day type, its cities), in run order
     for day_type in config.day_types:
         if config.level == "local":
-            groups = [(f"{city.name}/{day_type}", [city]) for city in cities]
+            scopes += [(f"{city.name}/{day_type}", day_type, [city]) for city in cities]
         else:
-            groups = [(f"global/{day_type}", cities)]
-        for scope, members in groups:
+            scopes.append((f"global/{day_type}", day_type, cities))
+
+    def run_scopes(group) -> None:
+        for scope, day_type, members in group:
             _run_scope(scope, day_type, config, place_tax, members, emit, quality, results)
+
+    def hand_over(group):  # in a worker, which starts with no scope run
+        run_scopes(group)
+        return (quality, results, artifacts), []
+
+    def run_first(group) -> None:
+        for _, day_type, members in scopes[len(group):]:  # handed over
+            for city in members:
+                del city.raw[day_type]
+        run_scopes(group)
+
+    n = min(_usable_cpus(), len(scopes))
+    groups = [scopes[i * len(scopes) // n:(i + 1) * len(scopes) // n] for i in range(n)]
+    parts = None if n == 1 else _fork_tasks(
+        [partial(run_first, groups[0])] + [partial(hand_over, group) for group in groups[1:]])
+    if parts is None:  # one group, or a failed fork or worker: the rest here, in order
+        pending = [s for s in scopes if s[0] not in results]
+        _read_dropped(pending)
+        run_scopes(pending)
+    else:
+        for (part_quality, part_results, part_artifacts), _ in parts[1:]:
+            quality.update(part_quality)
+            results.update(part_results)
+            artifacts.extend(part_artifacts)
 
     manifest = {
         "format": "vibrancy-run-manifest",
@@ -441,6 +531,19 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
     }
     write_json(out / MANIFEST_NAME, manifest)
     return manifest
+
+
+def _read_dropped(scopes) -> None:
+    """Read again each raw tensor that the scopes need and their cities no
+    longer hold, once per city."""
+    missing: dict[_CityData, list[str]] = {}
+    for _, day_type, members in scopes:
+        for city in members:
+            if day_type not in city.raw:
+                missing.setdefault(city, []).append(day_type)
+    for city, day_types in missing.items():
+        raw = city.read_traffic()[0]
+        city.raw.update((day_type, raw[day_type]) for day_type in day_types)
 
 
 def _run_scope(scope, day_type, config, place_tax, members, emit, quality, results):

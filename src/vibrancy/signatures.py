@@ -32,7 +32,7 @@ from .errors import (
 )
 from .errors import is_json, json_field, json_items, json_rows
 from .grid import CellId, CityRegion, GridSpec, grid_from_dict, grid_to_dict
-from .ingest import Taxonomy, TrafficTable, write_csv
+from .ingest import Taxonomy, TrafficTable
 
 N_BINS = 12
 WEEKDAY = "weekday"
@@ -518,13 +518,3 @@ def read_tensor(path) -> SignatureTensor:
         lambda h: (h["n"], N_BINS, len(h["categories"])),
         _tensor_from,
     )
-
-
-def export_tensor_csv(tensor: SignatureTensor, path) -> None:
-    """Long-format dump for inspection: segment,col,row,bin,category,value."""
-    seg_of_row = {i: seg.name for seg in tensor.segments for i in range(seg.start, seg.stop)}
-    write_csv(path, ["segment", "col", "row", "bin", "category", "value"], (
-        f"{seg_of_row.get(i, '')},{cell.col},{cell.row},{b},{cat},{value!r}"
-        for i, (cell, bins) in enumerate(zip(tensor.cells, tensor.values.tolist()))
-        for b, row in enumerate(bins)
-        for cat, value in zip(tensor.categories, row)))

@@ -503,8 +503,14 @@ def test_no_traffic_table_survives_a_split_ingest(city_dir, tmp_path, monkeypatc
     monkeypatch.setattr(vibrancy.pipeline, "_SPLIT_BYTES", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     received, receive = [], vibrancy.pipeline._receive
-    monkeypatch.setattr(vibrancy.pipeline, "_receive",
-                        lambda read_end: received.append(read_end) or receive(read_end))
+
+    def receive_range(read_end):
+        head, arrays = receive(read_end)
+        if arrays:  # a range's part; a worker that ran scopes sends none
+            received.append(read_end)
+        return head, arrays
+
+    monkeypatch.setattr(vibrancy.pipeline, "_receive", receive_range)
     _assert_no_traffic_table_survives_ingest(city_dir, tmp_path, monkeypatch, level)
     assert len(received) == (1 if level == "local" else 2)  # a worker's range of each file
 
@@ -544,7 +550,10 @@ def _assert_no_traffic_table_survives_ingest(city_dir, tmp_path, monkeypatch, le
 @pytest.mark.parametrize("level", ["local", "global"])
 def test_raw_tensors_are_freed_before_clustering(city_dir, tmp_path, monkeypatch, level):
     """Once a scope's relative risk is computed, the raw tensors it came from,
-    and at the global level their concatenation, are no longer held."""
+    and at the global level their concatenation, are no longer held. On one
+    CPU, so that every scope runs in this process, where the watch sees it
+    (``test_scope_fan_out.py`` watches the scopes of a run on two)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     raws = {}
     read, relative_risk, select_k = (vibrancy.pipeline.read_city_tensors,
                                      vibrancy.pipeline.relative_risk,

@@ -40,7 +40,6 @@ from vibrancy.signatures import (
     concat_tensors,
     day_type_of,
     drop_silent_cells,
-    export_tensor_csv,
     minmax_scale,
     read_tensor,
     relative_risk,
@@ -597,18 +596,6 @@ class TestTensorTools:
         loaded_rr = read_tensor(rr_path)
         assert np.array_equal(loaded_rr.values, rr.values)
         assert loaded_rr.capped_columns == rr.capped_columns
-
-    def test_csv_export(self, tmp_path, rng):
-        tensor = tensor_of(rng.uniform(size=(2, 12, 2)))
-        tensor.segments = [_segment("toytown", 0, 2)]
-        path = tmp_path / "tensor.csv"
-        export_tensor_csv(tensor, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "segment,col,row,bin,category,value"
-        assert len(lines) == 1 + 2 * 12 * 2
-        values = np.array([float(line.rsplit(",", 1)[1]) for line in lines[1:]])
-        assert values.tobytes() == tensor.values.tobytes()
-        assert lines[1] == f"toytown,0,0,0,c0,{float(tensor.values[0, 0, 0])!r}"
 
 
 def _segment(name, start, stop):
