@@ -362,8 +362,9 @@ def evaluate(y_true, y_pred, class_set=None) -> MetricsReport:
         recall = tp / (tp + fn) if tp + fn > 0 else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
         per_class[c] = ClassMetrics(precision, recall, f1, tp + fn, tp, fp, fn)
-    macro_f1 = sum(m.f1 for m in per_class.values()) / len(classes)
-    weighted_f1 = sum(m.support * m.f1 for m in per_class.values()) / n
+    # fsum rounds once, so neither sum depends on the order of the classes
+    macro_f1 = math.fsum(m.f1 for m in per_class.values()) / len(classes)
+    weighted_f1 = math.fsum(m.support * m.f1 for m in per_class.values()) / n
     return MetricsReport(correct / n, macro_f1, weighted_f1, per_class, n)
 
 

@@ -12,6 +12,13 @@ resolved config, input and artifact hashes, library versions, and headline
 results; feeding it back through ``run_from_manifest`` reproduces all
 artifacts bit for bit on the same platform.
 
+Every hash is the SHA-256 built into the interpreter (``_builtin_sha256``:
+``_sha2`` or ``_sha256``), so a run never loads OpenSSL through
+``hashlib``. Inputs are hashed before ingest; each artifact is hashed by
+the process that writes it, right after its writer returns, and a forked
+worker sends its (path, digest) pairs back with its scopes' results, so no
+artifact is read back to build the manifest.
+
 On Linux a run uses every CPU it may run on, through one fork helper
 (``_fork_tasks``): task 0 runs in the calling process, each later task in a
 forked worker that sends its result back down a pipe, and any failure
@@ -30,7 +37,6 @@ leaves the caller to do the work alone. It has two callers:
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
 import signal
@@ -57,7 +63,8 @@ from .clustering import (
     select_k,
     write_model,
 )
-from .errors import ConfigError, DataError, MissingInputError, UnknownServiceError, VibrancyError
+from .errors import (ConfigError, DataError, EmptyInputError, MissingInputError,
+                     UnknownServiceError, VibrancyError)
 from .errors import is_json, read_json, write_json
 from .features import (
     FeatureTable,
@@ -99,8 +106,27 @@ MANIFEST_NAME = "manifest.json"
 _HASH_CHUNK = 64 * 1024
 
 
+def _builtin_sha256():
+    """The SHA-256 constructor built into the interpreter: ``_sha2.sha256``
+    from Python 3.12, ``_sha256.sha256`` before. Only an interpreter built
+    without either gets ``hashlib.sha256``, which loads OpenSSL's libcrypto
+    (about 3.5 MiB of resident pages) into the process."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
+_sha256 = _builtin_sha256()
+
+
 def file_sha256(path) -> str:
-    digest = hashlib.sha256()
+    """The hex SHA-256 digest of a file's bytes, read a chunk at a time."""
+    digest = _sha256()
     chunk = bytearray(_HASH_CHUNK)
     view = memoryview(chunk)
     with open(path, "rb") as fh:
@@ -143,9 +169,10 @@ def read_city_tensors(
     """Stream a city's traffic file into the raw signature tensor of each day
     type (``DayTypeTensors``): the tensors and the rows and cells each left
     out, by day type, and the parse report. A file without an accepted row,
-    and then a traffic service missing from the taxonomy, are errors naming
-    the files. A large file is read by several processes (``_read_split``),
-    with the same result."""
+    then a traffic service missing from the taxonomy, and then a day type
+    without traffic in the region's active cells (its tensor all zero) are
+    errors naming the files and the day type. A large file is read by
+    several processes (``_read_split``), with the same result."""
     new_tensors = partial(DayTypeTensors, service_taxonomy, region, day_types,
                           mean_per_day=mean_per_day)
     read = _read_split(traffic_path, region.grid, new_tensors)
@@ -159,6 +186,10 @@ def read_city_tensors(
         raw = tensors.finish(drop_silent=drop_silent, segment_name=segment_name)
     except UnknownServiceError as exc:
         raise UnknownServiceError(f"{traffic_path}: {exc} {taxonomy_path}") from None
+    for day_type, tensor in raw.items():
+        if not tensor.values.any():
+            raise EmptyInputError(f"{traffic_path}: no traffic of day type {day_type!r} "
+                                  "in the region's active cells")
     return raw, tensors.dropped, report
 
 
@@ -468,15 +499,17 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
         place_tax = load_third_place_taxonomy(config.third_place_taxonomy)
         cities = [_CityData(c, config, service_tax) for c in config.cities]
 
-    artifacts: list[Path] = []
+    artifacts: dict[str, str] = {}  # path in the run directory -> SHA-256 of its bytes
     quality: dict[str, dict] = {}
     results: dict[str, dict] = {}
 
     def emit(rel: str, writer) -> None:
+        """Write an artifact and hash it, in the process that writes it; a
+        path written again keeps its last digest, as the file its last bytes."""
         path = out / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         writer(path)
-        artifacts.append(path)
+        artifacts[str(path.relative_to(out))] = file_sha256(path)
 
     scopes = []  # (scope, day type, its cities), in run order
     for day_type in config.day_types:
@@ -511,7 +544,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
         for (part_quality, part_results, part_artifacts), _ in parts[1:]:
             quality.update(part_quality)
             results.update(part_results)
-            artifacts.extend(part_artifacts)
+            artifacts.update(part_artifacts)
 
     manifest = {
         "format": "vibrancy-run-manifest",
@@ -523,9 +556,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
             "numpy": np.__version__,
         },
         "inputs": dict(sorted(inputs.items())),
-        "artifacts": {
-            str(p.relative_to(out)): file_sha256(p) for p in sorted(artifacts)
-        },
+        "artifacts": dict(sorted(artifacts.items())),
         "quality": quality,
         "results": results,
     }

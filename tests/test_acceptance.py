@@ -167,7 +167,8 @@ def test_criterion_5_gradient_checks_and_convexity():
 
 
 def _metrics_oracle(y_true, y_pred, classes):
-    """Confusion-matrix-first metrics, independent of evaluate()."""
+    """Confusion-matrix-first metrics, independent of evaluate(); each sum of
+    per-class terms is correctly rounded (math.fsum), as evaluate() sums them."""
     index = {cls: i for i, cls in enumerate(classes)}
     c = len(classes)
     m = [[0] * c for _ in range(c)]
@@ -176,7 +177,7 @@ def _metrics_oracle(y_true, y_pred, classes):
     n = len(y_true)
     acc = sum(m[i][i] for i in range(c)) / n
     f1s = []
-    weighted = 0.0
+    weighted = []
     for i in range(c):
         tp = m[i][i]
         fp = sum(m[r][i] for r in range(c)) - tp
@@ -185,8 +186,8 @@ def _metrics_oracle(y_true, y_pred, classes):
         rec = tp / (tp + fn) if tp + fn > 0 else 0.0
         f1 = 2 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0
         f1s.append(f1)
-        weighted += (tp + fn) * f1
-    return acc, sum(f1s) / c, weighted / n
+        weighted.append((tp + fn) * f1)
+    return acc, math.fsum(f1s) / c, math.fsum(weighted) / n
 
 
 def test_criterion_6_metrics_match_enumeration_oracle():

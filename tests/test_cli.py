@@ -732,6 +732,33 @@ class TestFileDigest:
         assert peak < 2 * CHUNK
 
 
+class TestBuiltinSha256:
+    """``pipeline._builtin_sha256`` takes ``_sha2`` (Python 3.12+), else
+    ``_sha256``, else ``hashlib``; each gives the same digests."""
+
+    @pytest.mark.parametrize("case", ["_sha2", "_sha256", "hashlib"])
+    def test_each_module_gives_the_same_digest(self, tmp_path, rng, monkeypatch, case):
+        calls, builtin = [], vibrancy.pipeline._sha256
+
+        def fake(*args):
+            calls.append(args)
+            return builtin(*args)
+
+        modules = {"_sha2": None, "_sha256": None}  # None in sys.modules: its import fails
+        if case != "hashlib":
+            modules[case] = type(sys)(case)
+            modules[case].sha256 = fake
+        for name, module in modules.items():
+            monkeypatch.setitem(sys.modules, name, module)
+        constructor = vibrancy.pipeline._builtin_sha256()
+        assert constructor is (hashlib.sha256 if case == "hashlib" else fake)
+        monkeypatch.setattr(vibrancy.pipeline, "_sha256", constructor)
+        data = rng.integers(0, 256, size=3 * CHUNK + 17, dtype=np.uint8).tobytes()
+        (tmp_path / "f").write_bytes(data)
+        assert vibrancy.pipeline.file_sha256(tmp_path / "f") == hashlib.sha256(data).hexdigest()
+        assert len(calls) == (case != "hashlib")
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         assert main(["cluster", "--bogus"]) == 1
@@ -1451,3 +1478,49 @@ def test_traffic_without_an_accepted_row_is_a_one_line_data_error(city_dir, tmp_
     err = _one_line_data_error(capsys, traffic)
     assert f"{traffic}: no traffic row accepted {counts}" in err
     assert capsys.readouterr().out == ""
+
+
+def _weekday_only(city: Path) -> None:
+    """Keep only the weekday rows of the city's traffic file."""
+    lines = (city / "traffic.csv").read_text().splitlines(keepends=True)
+    (city / "traffic.csv").write_text("".join(lines[:1] + [
+        line for line in lines[1:]
+        if day_type_of(datetime.fromisoformat(line.split(",")[2])) == "weekday"]))
+
+
+def _silent_weekend(city: Path) -> None:
+    """Set the volume of every weekend row of the city's traffic file to 0."""
+    lines = (city / "traffic.csv").read_text().splitlines(keepends=True)
+    (city / "traffic.csv").write_text("".join(lines[:1] + [
+        line if day_type_of(datetime.fromisoformat(line.split(",")[2])) == "weekday"
+        else line.rsplit(",", 1)[0] + ",0\n" for line in lines[1:]]))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("edit", [_weekday_only, _silent_weekend],
+                         ids=["no row of the day type", "rows of no volume"])
+@pytest.mark.parametrize("command", ["run", "signatures"])
+def test_a_day_type_without_traffic_is_a_one_line_data_error(city_dir, tmp_path, capsys,
+                                                             monkeypatch, edit, command, cpus):
+    """A configured day type whose tensor would be all zero, in the region's
+    active cells, is not clustered: exit 2 with one line naming the traffic
+    file and the day type. On 2 CPUs the file is read in two ranges."""
+    city = tmp_path / "city"
+    shutil.copytree(city_dir, city)
+    edit(city)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(vibrancy.pipeline, "_SPLIT_BYTES", 1)
+    if command == "run":
+        argv = ["run", "--config", str(city / "pipeline.cfg"), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["signatures", "--region", str(city / "region.json"),
+                "--traffic", str(city / "traffic.csv"),
+                "--service-taxonomy", str(city / "service_taxonomy.csv"),
+                "--day-type", "weekend", "--out-raw", str(tmp_path / "raw.sig")]
+    assert main(argv) == 2
+    err = _one_line_data_error(capsys, city / "traffic.csv")
+    stage = "stage 'ingest': " if command == "run" else ""
+    assert err == (f"data error: {stage}{city / 'traffic.csv'}: no traffic of day type "
+                   "'weekend' in the region's active cells\n")
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "out").exists() and not (tmp_path / "raw.sig").exists()

@@ -329,7 +329,8 @@ class TestPredict:
 
 
 def _metrics_oracle(y_true, y_pred, classes):
-    """Confusion-matrix-first implementation, independent of evaluate()."""
+    """Confusion-matrix-first implementation, independent of evaluate(); each
+    sum of per-class terms is correctly rounded (math.fsum)."""
     index = {c: i for i, c in enumerate(classes)}
     c = len(classes)
     m = [[0] * c for _ in range(c)]
@@ -337,7 +338,7 @@ def _metrics_oracle(y_true, y_pred, classes):
         m[index[t]][index[p]] += 1
     n = len(y_true)
     acc = sum(m[i][i] for i in range(c)) / n
-    f1s, weighted = [], 0.0
+    f1s, weighted = [], []
     for i in range(c):
         tp = m[i][i]
         fp = sum(m[r][i] for r in range(c)) - tp
@@ -346,8 +347,8 @@ def _metrics_oracle(y_true, y_pred, classes):
         rec = tp / (tp + fn) if tp + fn > 0 else 0.0
         f1 = 2 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0
         f1s.append(f1)
-        weighted += (tp + fn) * f1
-    return acc, sum(f1s) / c, weighted / n
+        weighted.append((tp + fn) * f1)
+    return acc, math.fsum(f1s) / c, math.fsum(weighted) / n
 
 
 class TestEvaluate:
@@ -397,6 +398,19 @@ class TestEvaluate:
             p = [int(v) for v in rng.integers(1, 4, size=6)]
             report = evaluate(y, p, class_set=[1, 2, 3])
             assert abs(report.weighted_f1 - report.macro_f1) <= 1e-12
+
+    def test_renumbering_the_classes_keeps_every_bit(self):
+        """macro_f1 and weighted_f1 do not depend on which number each class
+        has, although summing these F1 terms in class order would."""
+        y = [2, 3, 0, 0, 1, 2, 1, 2, 1, 2]
+        p = [1, 3, 0, 0, 2, 2, 1, 3, 1, 0]
+        want = evaluate(y, p, class_set=range(4))
+        in_class_order = set()
+        for perm in itertools.permutations(range(4)):
+            got = evaluate([perm[v] for v in y], [perm[v] for v in p], class_set=range(4))
+            assert (got.macro_f1, got.weighted_f1) == (want.macro_f1, want.weighted_f1)
+            in_class_order.add(sum(got.per_class[c].f1 for c in range(4)))
+        assert len(in_class_order) > 1
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):

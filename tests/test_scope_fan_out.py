@@ -5,6 +5,7 @@ directory, summary, errors and exit codes, and no worker left behind. Two
 or three CPUs are reported by monkeypatching ``os.sched_getaffinity``."""
 
 import gc
+import hashlib
 import json
 import os
 import signal
@@ -96,6 +97,16 @@ def run_cli(cfg, out, capfd) -> tuple[int, str, str]:
 LOCAL = ["alpha", "beta", "gamma"]
 
 
+def assert_manifest_hashes_each_file(run: Path) -> None:
+    """The manifest lists every other file of the run directory, each with
+    the SHA-256 of its bytes."""
+    manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+    files = {str(p.relative_to(run)) for p in run.rglob("*") if p.is_file()}
+    assert set(manifest["artifacts"]) == files - {"manifest.json"}
+    for rel, digest in manifest["artifacts"].items():
+        assert digest == hashlib.sha256((run / rel).read_bytes()).hexdigest(), rel
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("level", ["local", "global"])
 def test_a_run_on_several_cpus_writes_the_run_directory_of_one(fleet, tmp_path, cpus, scopes_run,
@@ -108,6 +119,7 @@ def test_a_run_on_several_cpus_writes_the_run_directory_of_one(fleet, tmp_path, 
     cpus(n)
     assert run_cli(cfg, tmp_path / "many", capfd) == want
     assert tree_hashes(tmp_path / "many") == tree_hashes(tmp_path / "one")
+    assert_manifest_hashes_each_file(tmp_path / "many")
     count = min(n, len(order))
     cut = [i * len(order) // count for i in range(count + 1)]
     groups = [order[a:b] for a, b in zip(cut, cut[1:])]
@@ -122,6 +134,32 @@ def test_a_run_on_several_cpus_writes_the_run_directory_of_one(fleet, tmp_path, 
                  "--out", str(tmp_path / "again")])
     assert code == 0
     assert tree_hashes(tmp_path / "again") == tree_hashes(tmp_path / "one")
+    assert_no_worker_left()
+
+
+def test_each_artifact_is_hashed_once_by_the_process_that_writes_it(fleet, tmp_path, monkeypatch,
+                                                                    cpus, scopes_run):
+    """No artifact is read back to build the manifest: each is hashed once,
+    by the process that ran its scope."""
+    cpus(2)
+    log, file_sha256 = tmp_path / "hashed.log", vibrancy.pipeline.file_sha256
+
+    def logged(path):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps([os.getpid(), str(path)]) + "\n")
+        return file_sha256(path)
+
+    monkeypatch.setattr(vibrancy.pipeline, "file_sha256", logged)
+    out = tmp_path / "out"
+    manifest = run_pipeline(parse_config(fleet_config(fleet, LOCAL)), out)
+    runs_scope = {scope: pid for pid, scope in scopes_run()}
+    assert len(set(runs_scope.values())) == 2
+    hashed = [(pid, Path(path).relative_to(out))
+              for pid, path in map(json.loads, log.read_text(encoding="utf-8").splitlines())
+              if Path(path).is_relative_to(out)]
+    assert sorted(str(rel) for _, rel in hashed) == sorted(manifest["artifacts"])
+    for pid, rel in hashed:
+        assert pid == runs_scope["/".join(rel.parts[:2])], rel
     assert_no_worker_left()
 
 
@@ -251,6 +289,7 @@ def test_a_failed_worker_group_is_run_again_here(fleet, tmp_path, monkeypatch, c
     cpus(2)
     assert run_cli(cfg, tmp_path / "two", capfd) == want
     assert tree_hashes(tmp_path / "two") == tree_hashes(tmp_path / "one")
+    assert_manifest_hashes_each_file(tmp_path / "two")
     assert [scope for pid, scope in scopes_run() if pid == os.getpid()] == order
     assert_no_worker_left()
 
@@ -270,6 +309,47 @@ def test_a_failed_fork_runs_every_scope_here(fleet, tmp_path, monkeypatch, cpus,
     assert run_cli(cfg, tmp_path / "two", capfd) == want
     assert tree_hashes(tmp_path / "two") == tree_hashes(tmp_path / "one")
     assert scopes_run() == [(os.getpid(), scope) for scope in order]
+
+
+# In a child Python: run argv[1]'s config into argv[2] on argv[3] CPUs and
+# print, as JSON lines, each scope run with its process and whether that
+# process had loaded _hashlib (OpenSSL) once the scope was hashed, then the
+# exit code and whether this process had loaded it at the end.
+HASHLIB_WATCH = """
+import json, os, sys
+import vibrancy.pipeline as pipeline
+from vibrancy.cli import main
+
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[3])))
+run_scope = pipeline._run_scope
+
+def run_and_look(scope, *args):
+    run_scope(scope, *args)
+    line = json.dumps([os.getpid(), scope, "_hashlib" in sys.modules]) + "\\n"
+    os.write(1, line.encode())  # one write, so the processes' lines never mix
+
+pipeline._run_scope = run_and_look
+code = main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([code, "_hashlib" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_no_run_process_loads_openssl(fleet, tmp_path, n):
+    """Every hash of a run, in this process and in each scope worker, comes
+    from the interpreter's built-in SHA-256, so no process of the run loads
+    ``_hashlib`` and the OpenSSL pages behind it."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run([sys.executable, "-c", HASHLIB_WATCH,
+                           str(fleet_config(fleet, LOCAL)), str(tmp_path / "out"), str(n)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    *scopes, end = [json.loads(line) for line in done.stdout.splitlines()
+                    if line.startswith("[")]
+    assert end == [0, False]
+    assert len(scopes) == 6 and not any(loaded for _, _, loaded in scopes)
+    assert len({pid for pid, _, _ in scopes}) == n
+    assert_manifest_hashes_each_file(tmp_path / "out")
 
 
 def _part(i: int):
