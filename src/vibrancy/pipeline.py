@@ -21,26 +21,31 @@ artifact is read back to build the manifest.
 
 On Linux a run uses every CPU it may run on, through one fork helper
 (``_fork_tasks``): task 0 runs in the calling process, each later task in a
-forked worker that sends its result back down a pipe, and any failure
-leaves the caller to do the work alone. It has two callers:
+forked worker that pickles its task's return value down a pipe (protocol
+5, so a numpy array's buffer is written and read without a copy), and any
+failure leaves the caller to do the work alone. It has two callers:
 
 - A traffic file of at least twice ``_SPLIT_BYTES`` is read in line-aligned
   byte ranges, one per CPU, whose tensors are merged in file order, with the
   same bits, counts and errors as one process's read (``_read_split``).
-- After ingest, the scopes are cut into contiguous groups, one per CPU. This
-  process runs the first group; each worker runs one later group, writes
-  its artifacts and returns its scopes' quality and results, which are
-  merged in scope order. A failed worker's group is run again here, so an
-  error is the one a run in one process reports. The run directory and the
-  printed summary do not depend on the number of CPUs.
+- After ingest, the scopes are cut into contiguous groups, one per CPU. Each
+  group drops the raw tensors of every scope outside it, then runs its
+  scopes: this process the first group, a worker each later one, which
+  writes its artifacts and returns its scopes' quality and results, merged
+  in scope order. A failed worker's group is run again here, so an error is
+  the one a run in one process reports. The run directory and the printed
+  summary do not depend on the number of CPUs.
+
+A run that raises removes the topmost directory of its output path that did
+not exist when it started, once every worker is reaped.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import shutil
 import signal
-import struct
 import sys
 import warnings
 from contextlib import contextmanager
@@ -229,9 +234,9 @@ def _read_split(path, grid, new_tensors) -> Optional[tuple[DayTypeTensors, Parse
     if parts is None:
         return None
     report, tensors = parts[0]
-    for (part, facts), arrays in parts[1:]:
+    for part, kept in parts[1:]:
         report.merge(part)
-        tensors.merge(facts, arrays)
+        tensors.merge(kept)
     return tensors, report
 
 
@@ -240,23 +245,21 @@ def _read_range(path, grid, new_tensors, span) -> tuple[ParseReport, DayTypeTens
     return stream_traffic(path, grid, tensors.add, span=span), tensors
 
 
-def _range_worker(path, grid, new_tensors, span) -> tuple[tuple[ParseReport, dict], list]:
+def _range_worker(path, grid, new_tensors, span) -> tuple[ParseReport, dict]:
     """A forked worker's part of ``_read_split``: the report of ``span``
-    and what its tensors kept, then the kept arrays."""
+    and what its tensors kept."""
     report, tensors = _read_range(path, grid, new_tensors, span)
-    facts, arrays = tensors.kept()
-    return (report, facts), arrays
+    return report, tensors.kept()
 
 
 def _fork_tasks(tasks: Sequence[Callable[[], object]]) -> Optional[list]:
     """Run ``tasks[0]`` in this process and each later task in a worker
-    forked first (``_work``), whose task returns a picklable head and a list
-    of one-dimensional arrays. Task 0's return value, then each worker's
-    head and arrays (``_receive``), in task order; or None if a pipe or a
-    fork fails (then no task has run) or a worker fails (then task 0 has
-    run). An exception of task 0 is raised here. Every worker that has not
-    finished is killed, and every worker is reaped, before this returns or
-    raises."""
+    forked first (``_work``), which pickles its task's return value down a
+    pipe. Each task's return value, in task order; or None if a pipe or a
+    fork fails (then no task has run) or a worker fails: it exits non-zero,
+    or its pipe ends before a whole pickle (then task 0 has run). An
+    exception of task 0 is raised here. Every worker that has not finished
+    is killed, and every worker is reaped, before this returns or raises."""
     workers: list[tuple[int, int]] = []  # (pid, read end of its pipe), in task order
     received = []
     try:
@@ -283,8 +286,9 @@ def _fork_tasks(tasks: Sequence[Callable[[], object]]) -> Optional[list]:
         own = tasks[0]()
         try:
             for _, read_end in workers:
-                received.append(_receive(read_end))
-        except (EOFError, OSError):
+                with open(read_end, "rb", closefd=False) as pipe:
+                    received.append(pickle.load(pipe))
+        except (EOFError, OSError, pickle.UnpicklingError):
             return None
     finally:
         failed = False
@@ -299,42 +303,19 @@ def _fork_tasks(tasks: Sequence[Callable[[], object]]) -> Optional[list]:
 def _work(task, out: int, inherited: list[int]) -> NoReturn:
     """In a forked worker: close the pipe read ends it inherited, so that a
     write fails once the parent is gone instead of blocking for good; run
-    ``task`` and write to the pipe end ``out`` the pickled head and the
-    arrays' types and lengths behind the pickle's length, then the arrays'
-    raw bytes. Exit 0 once all is written, 1 on any failure, without a
-    word."""
+    ``task`` and pickle its return value to the pipe end ``out``, with
+    protocol 5, which writes a contiguous numpy array's buffer straight to
+    the pipe and has ``pickle.load`` read it into place. Exit 0 once all is
+    written, 1 on any failure, without a word."""
     code = 1
     try:
         for read_end in inherited:
             os.close(read_end)
-        head, arrays = task()
-        frame = pickle.dumps((head, [(np.asarray(a).dtype.str, len(a)) for a in arrays]))
         with open(out, "wb") as pipe:
-            pipe.write(struct.pack("<Q", len(frame)) + frame)
-            for a in arrays:
-                pipe.write(a)
+            pickle.dump(task(), pipe, protocol=5)
         code = 0
     finally:
         os._exit(code)
-
-
-def _receive(read_end: int) -> tuple[object, list[np.ndarray]]:
-    """What ``_work`` wrote: the head and each array, read into place; an
-    EOFError if the pipe ends short."""
-    with open(read_end, "rb", closefd=False) as pipe:
-        def read_into(buffer) -> None:
-            if pipe.readinto(buffer) != len(buffer):
-                raise EOFError("a worker's pipe ended early")
-
-        size = bytearray(8)
-        read_into(size)
-        frame = bytearray(struct.unpack("<Q", size)[0])
-        read_into(frame)
-        head, shapes = pickle.loads(frame)
-        arrays = [np.empty(n, dtype) for dtype, n in shapes]
-        for a in arrays:
-            read_into(memoryview(a).cast("B"))
-    return head, arrays
 
 
 def fit_membership_model(
@@ -483,10 +464,22 @@ class _CityData:
 
 
 def run_pipeline(config: PipelineConfig, out_dir) -> dict:
-    """Execute the configured run and return the manifest (also written to disk)."""
-    config.validate()
+    """Execute the configured run and return the manifest (also written to
+    disk). If the run raises, the topmost directory of ``out_dir`` that did
+    not exist when it started is removed, with all it holds; a directory
+    that existed is left as it is."""
     out = Path(out_dir)
+    made = next((p for p in [*reversed(out.parents), out] if not p.exists()), None)
+    try:
+        return _run(config, out)
+    except BaseException:
+        if made is not None:  # every worker is reaped by now
+            shutil.rmtree(made, ignore_errors=True)
+        raise
 
+
+def _run(config: PipelineConfig, out: Path) -> dict:
+    config.validate()
     inputs: dict[str, str] = {}
     with _stage("ingest"):
         for p in [config.service_taxonomy, config.third_place_taxonomy] + [
@@ -518,30 +511,28 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
         else:
             scopes.append((f"global/{day_type}", day_type, cities))
 
-    def run_scopes(group) -> None:
+    def run_group(group) -> tuple[dict, dict, dict]:
+        """Drop every raw tensor that no scope of ``group`` takes, so that a
+        process holds only its own scopes' tensors, then run the scopes in
+        order; the quality, results and artifact digests of the scopes this
+        process has run."""
+        own = {(city, day_type) for _, day_type, members in group for city in members}
+        for city in cities:
+            for day_type in [d for d in city.raw if (city, d) not in own]:
+                del city.raw[day_type]
         for scope, day_type, members in group:
             _run_scope(scope, day_type, config, place_tax, members, emit, quality, results)
-
-    def hand_over(group):  # in a worker, which starts with no scope run
-        run_scopes(group)
-        return (quality, results, artifacts), []
-
-    def run_first(group) -> None:
-        for _, day_type, members in scopes[len(group):]:  # handed over
-            for city in members:
-                del city.raw[day_type]
-        run_scopes(group)
+        return quality, results, artifacts
 
     n = min(_usable_cpus(), len(scopes))
     groups = [scopes[i * len(scopes) // n:(i + 1) * len(scopes) // n] for i in range(n)]
-    parts = None if n == 1 else _fork_tasks(
-        [partial(run_first, groups[0])] + [partial(hand_over, group) for group in groups[1:]])
+    parts = None if n == 1 else _fork_tasks([partial(run_group, group) for group in groups])
     if parts is None:  # one group, or a failed fork or worker: the rest here, in order
         pending = [s for s in scopes if s[0] not in results]
         _read_dropped(pending)
-        run_scopes(pending)
+        run_group(pending)
     else:
-        for (part_quality, part_results, part_artifacts), _ in parts[1:]:
+        for part_quality, part_results, part_artifacts in parts[1:]:
             quality.update(part_quality)
             results.update(part_results)
             artifacts.update(part_artifacts)

@@ -189,28 +189,30 @@ class DayTypeTensors:
                 index.frombytes(memoryview(flat[mine]).cast("B"))
                 volumes.frombytes(memoryview(volume[mine].astype(np.float64, copy=False)).cast("B"))
 
-    def kept(self) -> tuple[dict, list]:
-        """What ``merge`` takes of an instance that merged nothing: the row
-        counts, stamps and services it learnt, small and picklable, and each
-        day type's index and volume arrays, in that order."""
-        facts = {"rows": self._rows, "on_day": self._on_day.tolist(), "stamps": self._stamps,
-                 "seen": list(compress(self._stamps, self._stamp_seen.tolist())),
-                 "services": self._services}
-        return facts, [column for parts in self._pairs for column in parts[0]]
+    def kept(self) -> dict:
+        """What ``merge`` takes of an instance that merged nothing, after its
+        last ``add``: the row counts, stamps and services it learnt, and each
+        day type's (index, volume) pair as numpy views of its columns, which
+        pickle their buffers without a copy."""
+        return {"rows": self._rows, "on_day": self._on_day.tolist(), "stamps": self._stamps,
+                "seen": list(compress(self._stamps, self._stamp_seen.tolist())),
+                "services": self._services,
+                "pairs": [tuple(np.frombuffer(column, column.typecode) for column in parts[0])
+                          for parts in self._pairs]}
 
-    def merge(self, facts: dict, arrays: Sequence) -> None:
+    def merge(self, kept: dict) -> None:
         """Take in what another instance for the same taxonomy, region and
         day types ``kept`` of later rows of the same file, after the last
-        ``add``: its arrays join each day type's, for ``finish`` to join once,
+        ``add``: its pairs join each day type's, for ``finish`` to join once,
         its row counts add up, and its stamps and services join these in order
         of first appearance."""
-        self._learn(_union(self._stamps, facts["stamps"]), _union(self._services,
-                                                                   facts["services"]))
+        self._learn(_union(self._stamps, kept["stamps"]), _union(self._services,
+                                                                  kept["services"]))
         position = {ts: i for i, ts in enumerate(self._stamps)}
-        self._stamp_seen[[position[ts] for ts in facts["seen"]]] = True
-        self._rows += facts["rows"]
-        self._on_day += facts["on_day"]
-        for parts, pair in zip(self._pairs, zip(arrays[::2], arrays[1::2])):
+        self._stamp_seen[[position[ts] for ts in kept["seen"]]] = True
+        self._rows += kept["rows"]
+        self._on_day += kept["on_day"]
+        for parts, pair in zip(self._pairs, kept["pairs"]):
             parts.append(pair)
 
     def _learn(self, stamps: tuple, services: tuple) -> None:

@@ -502,17 +502,16 @@ def test_no_traffic_table_survives_a_split_ingest(city_dir, tmp_path, monkeypatc
     be read again whole), and the batches this process read are freed."""
     monkeypatch.setattr(vibrancy.pipeline, "_SPLIT_BYTES", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    received, receive = [], vibrancy.pipeline._receive
+    merged, merge = [], vibrancy.signatures.DayTypeTensors.merge
 
-    def receive_range(read_end):
-        head, arrays = receive(read_end)
-        if arrays:  # a range's part; a worker that ran scopes sends none
-            received.append(read_end)
-        return head, arrays
+    def merge_range(tensors, kept):
+        merged.append(os.getpid())
+        merge(tensors, kept)
 
-    monkeypatch.setattr(vibrancy.pipeline, "_receive", receive_range)
+    monkeypatch.setattr(vibrancy.signatures.DayTypeTensors, "merge", merge_range)
     _assert_no_traffic_table_survives_ingest(city_dir, tmp_path, monkeypatch, level)
-    assert len(received) == (1 if level == "local" else 2)  # a worker's range of each file
+    # a worker's range of each file, merged in the run process
+    assert merged == [os.getpid()] * (1 if level == "local" else 2)
 
 
 def _assert_no_traffic_table_survives_ingest(city_dir, tmp_path, monkeypatch, level):

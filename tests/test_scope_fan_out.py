@@ -23,8 +23,11 @@ import pytest
 import vibrancy.pipeline
 from vibrancy.cli import main
 from vibrancy.config import parse_config
-from vibrancy.errors import DataError
+from vibrancy.errors import DataError, KTooLargeError
+from vibrancy.grid import load_region
+from vibrancy.ingest import load_taxonomy, stream_traffic
 from vibrancy.pipeline import _fork_tasks, run_pipeline
+from vibrancy.signatures import DayTypeTensors
 from vibrancy.synth import SynthSpec, generate_for_day_types, write_city
 
 from test_cli import tree_hashes
@@ -191,6 +194,47 @@ def test_this_process_drops_the_raw_tensors_it_hands_over(fleet, tmp_path, monke
     assert_no_worker_left()
 
 
+# CPUs -> the raw tensors each worker holds at its first k selection, as
+# (city, day type): its group's, less its first scope's, which that scope
+# has freed
+WORKER_HOLDS = {2: [[["beta", "weekend"], ["gamma", "weekend"]]],
+                3: [[["alpha", "weekend"]], [["gamma", "weekend"]]]}
+
+
+@pytest.mark.parametrize("n", list(WORKER_HOLDS))
+def test_each_worker_holds_only_its_own_scopes_raw_tensors(fleet, tmp_path, monkeypatch, cpus, n):
+    """Before its first scope a worker drops every raw tensor of a scope
+    outside its group, so that no tensor's pages stay shared with a worker
+    that never uses them."""
+    cpus(n)
+    parent, raws, looked, log = os.getpid(), [], set(), tmp_path / "held.log"
+    read, select_k = vibrancy.pipeline.read_city_tensors, vibrancy.pipeline.select_k
+
+    def read_and_watch(*args, **kwargs):
+        tensors, dropped, report = read(*args, **kwargs)
+        raws.extend((kwargs["segment_name"], day_type, weakref.ref(t.values))
+                    for day_type, t in tensors.items())
+        return tensors, dropped, report
+
+    def select_k_and_look(rr, **kwargs):
+        if os.getpid() != parent and os.getpid() not in looked:
+            looked.add(os.getpid())
+            gc.collect()
+            held = sorted([city, day_type] for city, day_type, ref in raws if ref() is not None)
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps([os.getpid(), held]) + "\n")
+        return select_k(rr, **kwargs)
+
+    monkeypatch.setattr(vibrancy.pipeline, "read_city_tensors", read_and_watch)
+    monkeypatch.setattr(vibrancy.pipeline, "select_k", select_k_and_look)
+    manifest = run_pipeline(parse_config(fleet_config(fleet, LOCAL)), tmp_path / "out")
+    assert len(manifest["results"]) == 6
+    lines = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+    assert len({pid for pid, _ in lines}) == n - 1
+    assert sorted(held for _, held in lines) == sorted(WORKER_HOLDS[n])
+    assert_no_worker_left()
+
+
 def _fail_in(monkeypatch, *names):
     """Make the scopes of the cities ``names`` raise a data error, in any
     process."""
@@ -223,8 +267,8 @@ FAILURES = {
 def test_a_failing_scope_is_reported_as_by_one_process(fleet, tmp_path, monkeypatch, cpus, capfd,
                                                        case):
     """The same exit code and the same one line on stderr, from the first
-    failing scope in run order, as a run in one process; no traceback, and
-    no worker left."""
+    failing scope in run order, as a run in one process; no traceback, no
+    run directory and no worker left."""
     names, failing, code, named = FAILURES[case]
     cfg = fleet_config(fleet, names, day_types="weekday")
     _fail_in(monkeypatch, *failing)
@@ -235,6 +279,30 @@ def test_a_failing_scope_is_reported_as_by_one_process(fleet, tmp_path, monkeypa
     assert got == want
     assert got[0] == code and got[1] == ""
     assert got[2].count("\n") == 1 and "Traceback" not in got[2] and named in got[2]
+    assert not (tmp_path / "one").exists() and not (tmp_path / "two").exists()
+    assert_no_worker_left()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_failed_run_removes_only_the_directories_it_made(fleet, tmp_path, cpus, n):
+    """A run that raises removes the topmost directory of its output path
+    that it made, and leaves one that was there before as it is."""
+    cpus(n)
+    config = parse_config(fleet_config(fleet, ["alpha", "tiny"]))
+    with pytest.raises(KTooLargeError, match="n=3"):
+        run_pipeline(config, tmp_path / "made" / "out")
+    assert not (tmp_path / "made").exists()
+    there = tmp_path / "there"
+    there.mkdir()
+    (there / "notes.txt").write_text("mine", encoding="utf-8")
+    with pytest.raises(KTooLargeError, match="n=3"):
+        run_pipeline(config, there / "out")
+    assert [p.name for p in there.iterdir()] == ["notes.txt"]
+    with pytest.raises(KTooLargeError, match="n=3"):
+        run_pipeline(config, there)
+    assert (there / "notes.txt").read_text(encoding="utf-8") == "mine"
+    assert (there / "alpha" / "weekday" / "signatures_raw.sig").is_file()
+    assert not (there / "manifest.json").exists()
     assert_no_worker_left()
 
 
@@ -352,44 +420,64 @@ def test_no_run_process_loads_openssl(fleet, tmp_path, n):
     assert_manifest_hashes_each_file(tmp_path / "out")
 
 
-def _part(i: int):
-    """Task i's head and arrays: 1.5 MiB of them from task 3 on, more than a
-    pipe holds."""
-    return {"task": i}, [np.arange(i), np.linspace(0.0, 1.0, 65_536 * i), array("q", range(i)),
-                         np.array([], dtype=np.int8)]
+def _value(i: int):
+    """Task i's return value, of a type of its own; 1.5 MiB or more of
+    arrays from task 3 on, more than a pipe holds."""
+    return [None,
+            ("here", 1, 2.5, array("q", range(2)), np.array([], dtype=np.int8)),
+            np.linspace(0.0, 1.0, 65_536 * 3),
+            {"task": i, "arrays": [np.arange(i), np.linspace(0.0, 1.0, 65_536 * i)]}][i - 1]
+
+
+def _assert_same(got, want) -> None:
+    """``got`` equals ``want`` and has its type, all the way down."""
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+    elif isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            _assert_same(got[key], want[key])
+    else:
+        assert got == want
 
 
 def test_fork_tasks_returns_each_part_in_task_order():
-    parts = _fork_tasks([lambda: "here"] + [partial(_part, i) for i in (1, 2, 3, 4)])
-    assert parts[0] == "here"
-    for i, (head, arrays) in enumerate(parts[1:], 1):
-        want_head, want = _part(i)
-        assert head == want_head
-        assert [(a.dtype, a.tobytes()) for a in arrays] == [
-            (np.asarray(w).dtype, bytes(memoryview(w))) for w in want]
+    parts = _fork_tasks([lambda: "here"] + [partial(_value, i) for i in (1, 2, 3, 4)])
+    _assert_same(parts, ["here"] + [_value(i) for i in (1, 2, 3, 4)])
     assert_no_worker_left()
 
 
 def _exits_3_once_all_is_written():
     exit_now = os._exit  # in the worker only: it was forked
     os._exit = lambda code: exit_now(3)
-    return _part(1)
+    return _value(4)
+
+
+class _KilledWhilePickled:
+    def __reduce__(self):
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
 # case id -> a worker's task that fails
 FAILING_TASKS = {
     "raises": lambda: 1 / 0,
-    "returns no part": lambda: None,
+    "returns a value pickle refuses": lambda: (lambda: None),
     "exits 3 once all is written": _exits_3_once_all_is_written,
     "killed": lambda: os.kill(os.getpid(), signal.SIGKILL),
+    "killed while its value is written": lambda: [_value(4), _KilledWhilePickled()],
 }
 
 
 @pytest.mark.parametrize("case", list(FAILING_TASKS))
 def test_fork_tasks_gives_none_when_a_worker_fails(capfd, case):
     ran = []
-    tasks = [lambda: ran.append(os.getpid()), partial(_part, 3), FAILING_TASKS[case],
-             partial(_part, 4)]
+    tasks = [lambda: ran.append(os.getpid()), partial(_value, 3), FAILING_TASKS[case],
+             partial(_value, 4)]
     assert _fork_tasks(tasks) is None
     assert ran == [os.getpid()]
     assert_no_worker_left()
@@ -399,9 +487,50 @@ def test_fork_tasks_gives_none_when_a_worker_fails(capfd, case):
 def test_fork_tasks_raises_task_0s_error_once_every_worker_is_reaped():
     start = time.monotonic()
     with pytest.raises(ZeroDivisionError):
-        _fork_tasks([lambda: 1 / 0, lambda: time.sleep(120), partial(_part, 3)])
+        _fork_tasks([lambda: 1 / 0, lambda: time.sleep(120), partial(_value, 3)])
     assert time.monotonic() - start < 60
     assert_no_worker_left()
+
+
+# In a child Python: this process's peak RSS in KiB before and after it takes
+# a forked worker's 64 MiB array through _fork_tasks, with the array's size
+# and sum, as JSON.
+BIG_VALUE = """
+import json, resource
+import numpy as np
+from vibrancy.pipeline import _fork_tasks
+
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+before = peak()
+parts = _fork_tasks([lambda: None, lambda: np.ones(8 << 20)])
+print(json.dumps([before, peak(), parts[1].nbytes, float(parts[1].sum())]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_a_workers_arrays_reach_the_caller_without_a_copy(fleet):
+    """A worker's numpy array is read into one buffer in the caller, so the
+    caller's peak RSS rises by about the array's size, not twice it (as an
+    ``array.array``, which pickles through ``tobytes``, would); and what a
+    split-read worker's tensors keep holds numpy arrays only."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run([sys.executable, "-c", BIG_VALUE], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    before, after, nbytes, total = json.loads(done.stdout)
+    assert nbytes == 64 << 20 and total == 8 << 20
+    assert (after - before) * 1024 < 1.5 * nbytes
+    city = fleet / "alpha"
+    tensors = DayTypeTensors(load_taxonomy(city / "service_taxonomy.csv"),
+                             load_region(city / "region.json"), ["weekday", "weekend"])
+    stream_traffic(city / "traffic.csv", tensors.region.grid, tensors.add)
+    pairs = tensors.kept()["pairs"]
+    assert len(pairs) == 2 and sum(len(index) for index, _ in pairs) > 0
+    for index, volumes in pairs:
+        assert type(index) is np.ndarray and index.dtype == np.int64
+        assert type(volumes) is np.ndarray and volumes.dtype == np.float64
 
 
 # In a child Python: fork a split-read worker on argv[1]'s traffic file,

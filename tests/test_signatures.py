@@ -348,7 +348,7 @@ class TestDayTypeTensors:
             stream_traffic(path, FUZZ_GRID, first.add, span=spans[0])
             for part, span in zip(parts, spans[1:]):
                 stream_traffic(path, FUZZ_GRID, part.add, span=span)
-                first.merge(*part.kept())
+                first.merge(part.kept())
             for day_type, tensor in first.finish().items():
                 assert tensor.values.tobytes() == want[day_type].values.tobytes()
             assert first.dropped == dropped
@@ -366,8 +366,8 @@ class TestDayTypeTensors:
         first, second = (DayTypeTensors(TAX, REGION, DAY_TYPES) for _ in spans)
         for tensors, span in zip((first, second), spans):
             stream_traffic(path, GRID, tensors.add, span=span)
-        assert second.kept()[0]["services"] == ("alpha", "zeta")
-        first.merge(*second.kept())
+        assert second.kept()["services"] == ("alpha", "zeta")
+        first.merge(second.kept())
         with pytest.raises(UnknownServiceError, match="zeta"):
             first.finish()
 
@@ -390,7 +390,7 @@ class TestDayTypeTensors:
                 stream_traffic(path, GRID, first.add, span=spans[0])
                 for part, span in zip(parts, spans[1:]):
                     stream_traffic(path, GRID, part.add, span=span)
-                    first.merge(*part.kept())
+                    first.merge(part.kept())
                 parts = part = None  # as a worker's arrays, held by the merged instance only
                 tensors = first.finish()
                 peaks.append(tracemalloc.get_traced_memory()[1])

@@ -5,11 +5,15 @@ Usage: python tools/compare_runs.py [--base REV]   (REV defaults to HEAD)
 The base's ``src/`` is extracted with ``git archive`` into a temporary
 directory. Each side (the base, then the working tree's ``src/``) builds the
 same inputs with its own synth: every ``perfbench`` workload at dataset
-seeds 1-3 (``workloads.build_inputs``) and the cities of ``vibrancy synth
+seeds 1-3 (``workloads.build_inputs``); the cities of ``vibrancy synth
 --seed 7 --cells 200 --k-true 3 --day-types weekday weekend`` and of the same
 options with ``--days 2 --categories 7`` (several dates a day type, an odd
-category count). It then runs ``python -m vibrancy.cli run`` on each config,
-with one BLAS thread and no bytecode written. Both sides work in the same temporary directory, one after
+category count); and the CI workflow's cities: ``--seed 7 --cells 1500
+--k-true 3``, whose 17.5 MB traffic file is read in byte ranges, and two
+750-cell cities over both day types, run at the local level (4 scopes,
+cut into groups, one per CPU) and pooled at the global level. It then runs
+``python -m vibrancy.cli run`` on each config, with one BLAS thread and no
+bytecode written. Both sides work in the same temporary directory, one after
 the other, because a manifest records the input paths.
 
 Every input file, every run-directory file and each run's exit code and
@@ -35,7 +39,26 @@ SEEDS = (1, 2, 3)
 SYNTH_CITY = ["--seed", "7", "--cells", "200", "--k-true", "3",
               "--day-types", "weekday", "weekend"]
 SYNTH_CITIES = {"synth-7": SYNTH_CITY,
-                "synth-7-days2-cat7": SYNTH_CITY + ["--days", "2", "--categories", "7"]}
+                "synth-7-days2-cat7": SYNTH_CITY + ["--days", "2", "--categories", "7"],
+                "ci-1500": ["--seed", "7", "--cells", "1500", "--k-true", "3"]}
+# the CI workflow's two-city fleet: city -> synth options, then level -> day types
+FLEET = {name: ["--seed", seed, "--cells", "750", "--k-true", "3", "--name", name,
+                "--day-types", "weekday", "weekend"] for name, seed in (("alpha", "7"),
+                                                                        ("beta", "8"))}
+FLEET_RUNS = {"local": "weekday, weekend", "global": "weekday"}
+
+
+def _fleet_config(level: str, day_types: str) -> str:
+    """The CI workflow's config over the fleet's cities, in its directory."""
+    lines = ["seed = 4", f"level = {level}", f"day_types = {day_types}",
+             "service_taxonomy = alpha/service_taxonomy.csv",
+             "third_place_taxonomy = alpha/third_places.csv"]
+    for name in FLEET:
+        lines += [f"[city.{name}]", f"region = {name}/region.json",
+                  f"traffic = {name}/traffic.csv", f"pois = {name}/pois.csv",
+                  f"truth = {name}/truth_labels.csv"]
+    return "\n".join(lines) + "\n"
+
 
 # Builds every workload's datasets into argv[1], one directory per workload
 # and seed, and prints each config path.
@@ -67,14 +90,22 @@ def _hashes(src: Path, work: Path) -> tuple[dict[str, str], list[str]]:
     the logs of the runs that failed."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join([str(src), str(ROOT / "perfbench")]))
-    configs = [Path(p) for p in _run([sys.executable, "-c", _BUILD, str(work / "inputs"),
-                                      *map(str, SEEDS)], env).split()]
+    configs = {Path(p).parent.name: Path(p)  # run name -> config
+               for p in _run([sys.executable, "-c", _BUILD, str(work / "inputs"),
+                              *map(str, SEEDS)], env).split()}
+    synth = [sys.executable, "-m", "vibrancy.cli", "synth"]
     for name, options in SYNTH_CITIES.items():
         city = work / "inputs" / name
-        _run([sys.executable, "-m", "vibrancy.cli", "synth", *options, "--out", str(city)], env)
-        configs.append(city / "pipeline.cfg")
-    for config in configs:
-        out = work / "runs" / config.parent.name
+        _run([*synth, *options, "--out", str(city)], env)
+        configs[name] = city / "pipeline.cfg"
+    fleet = work / "inputs" / "fleet"
+    for name, options in FLEET.items():
+        _run([*synth, *options, "--out", str(fleet / name)], env)
+    for level, day_types in FLEET_RUNS.items():
+        configs[f"fleet-{level}"] = fleet / f"{level}.cfg"
+        configs[f"fleet-{level}"].write_text(_fleet_config(level, day_types), encoding="utf-8")
+    for name, config in configs.items():
+        out = work / "runs" / name
         out.parent.mkdir(parents=True, exist_ok=True)
         _run([sys.executable, "-m", "vibrancy.cli", "run", "--config", str(config),
               "--out", str(out)], env, log=out.with_suffix(".log"))
