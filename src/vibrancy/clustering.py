@@ -10,12 +10,10 @@ the largest cluster is cluster 1.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from random import Random
 from typing import Optional, Sequence, Union
 
@@ -769,18 +767,27 @@ def read_labels_csv(path, value_column: str = "cluster",
 def export_labels_geojson(
     cells: Sequence[CellId], labels: Sequence[int], grid: GridSpec, path
 ) -> None:
+    """Write each cell's square ring with its ``cluster``, ``col`` and ``row``
+    as a GeoJSON FeatureCollection, one feature at a time, so that memory
+    does not grow with the cell count. The bytes are those of
+    ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` and a newline.
+    ``GridSpec`` refuses an extent that overflows a float, so every
+    coordinate is finite and is written as ``json`` writes it:
+    ``float.__repr__``, or ``int.__repr__`` on a grid of whole numbers."""
     if len(cells) != len(labels):
         raise ShapeMismatchError("cells and labels differ in length")
-    features = []
-    for cell, lab in zip(cells, labels):
-        ring = [[x, y] for x, y in cell_polygon(cell, grid)]
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {"type": "Polygon", "coordinates": [ring]},
-                "properties": {"col": cell.col, "row": cell.row, "cluster": int(lab)},
-            }
-        )
-    doc = {"type": "FeatureCollection", "features": features}
-    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
-                          encoding="utf-8")
+    # an x has the type of origin_x + cell_size, a y that of origin_y + cell_size
+    fx = float.__repr__ if isinstance(grid.origin_x + grid.cell_size, float) else int.__repr__
+    fy = float.__repr__ if isinstance(grid.origin_y + grid.cell_size, float) else int.__repr__
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"features":[')
+        sep = ""
+        for cell, lab in zip(cells, labels):
+            (x0, y0), (x1, _), (_, y1) = cell_polygon(cell, grid)[:3]
+            x0, y0, x1, y1 = fx(x0), fy(y0), fx(x1), fy(y1)
+            fh.write(f'{sep}{{"geometry":{{"coordinates":[[[{x0},{y0}],[{x1},{y0}],'
+                     f'[{x1},{y1}],[{x0},{y1}],[{x0},{y0}]]],"type":"Polygon"}},'
+                     f'"properties":{{"cluster":{int(lab)},"col":{cell.col},"row":{cell.row}}},'
+                     f'"type":"Feature"}}')
+            sep = ","
+        fh.write('],"type":"FeatureCollection"}\n')

@@ -34,6 +34,16 @@ class GridSpec:
             raise ValueError("cell_size must be positive and finite")
         if self.n_cols < 1 or self.n_rows < 1:
             raise ValueError("grid needs at least one column and one row")
+        # the last cell's far corner, as cell_polygon computes it; rounding is
+        # monotone, so every coordinate of every cell lies between it and the origin
+        s = self.cell_size
+        try:
+            finite = (math.isfinite(self.origin_x + (self.n_cols - 1) * s + s)
+                      and math.isfinite(self.origin_y + (self.n_rows - 1) * s + s))
+        except OverflowError:  # an integer too large for a float
+            finite = False
+        if not finite:
+            raise ValueError("grid extent overflows a float")
 
     @property
     def width(self) -> float:

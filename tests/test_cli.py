@@ -1136,6 +1136,7 @@ UNREADABLE_FILES = {
     "region cell size NaN": ("region.json", _grid_value("cell_size", float("nan")), None),
     "region cell size infinite": ("region.json", _grid_value("cell_size", float("inf")), None),
     "region origin NaN": ("region.json", _grid_value("origin_x", float("nan")), None),
+    "region extent overflows a float": ("region.json", _grid_value("cell_size", 1e308), None),
     "region column count not an integer": ("region.json", _grid_value("n_cols", 1.5), None),
     "region row count a string": ("region.json", _grid_value("n_rows", "5"), None),
     "region cell size a bool": ("region.json", _grid_value("cell_size", True), None),

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -26,10 +27,11 @@ from vibrancy.clustering import (
 from vibrancy.errors import (
     KTooLargeError,
     NonFiniteError,
+    OutOfBoundsError,
     ShapeMismatchError,
     SingleClusterError,
 )
-from vibrancy.grid import GridSpec, cell_polygon
+from vibrancy.grid import CellId, GridSpec, cell_polygon
 from vibrancy.synth import SynthSpec, adjusted_rand_index, planted_stack
 
 
@@ -1027,3 +1029,69 @@ class TestExports:
         assert feature["properties"] == {"col": 0, "row": 0, "cluster": 2}
         expected_ring = [[x, y] for x, y in cell_polygon(cells_for(1)[0], grid)]
         assert feature["geometry"]["coordinates"][0] == expected_ring
+        _reference_labels_geojson(cells_for(2), [2, 1], grid, tmp_path / "ref.geojson")
+        assert path.read_bytes() == (tmp_path / "ref.geojson").read_bytes()
+
+    @pytest.mark.parametrize("grid", [
+        GridSpec(12.5, -3.25, 7, 5, 0.1),               # fractional and negative origins
+        GridSpec(-0.0, -0.0, 4, 3, 100.0),              # a -0.0 origin
+        GridSpec(651987.123, 6861994.7, 6, 4, 100.0),   # coordinates near 6.8e6
+        GridSpec(1e16, 3e16, 4, 3, 1e15),               # exponent form above 1e16
+        GridSpec(0, 5, 3, 2, 10),                       # whole numbers: json writes ints
+        GridSpec(-7, 2.5, 3, 2, 10),                    # int x, float y
+    ])
+    def test_labels_geojson_same_bytes(self, tmp_path, rng, grid):
+        # cells out of scan order, labels as numpy int64
+        cells = [CellId(c, r) for r in range(grid.n_rows) for c in range(grid.n_cols)]
+        cells = [cells[i] for i in rng.permutation(len(cells))]
+        labels = rng.integers(0, 7, size=len(cells))
+        for n in (0, 1, len(cells)):
+            export_labels_geojson(cells[:n], labels[:n], grid, tmp_path / "fast.geojson")
+            _reference_labels_geojson(cells[:n], labels[:n], grid, tmp_path / "ref.geojson")
+            text = (tmp_path / "fast.geojson").read_bytes()
+            assert text == (tmp_path / "ref.geojson").read_bytes()
+            json.loads(text, parse_constant=_refuse_constant)
+
+    def test_labels_geojson_checks(self, tmp_path):
+        grid = GridSpec(0.0, 0.0, 3, 3, 100.0)
+        with pytest.raises(ShapeMismatchError):
+            export_labels_geojson(cells_for(2), [1], grid, tmp_path / "a.geojson")
+        with pytest.raises(OutOfBoundsError):
+            export_labels_geojson([CellId(0, 0), CellId(3, 0)], [1, 2], grid,
+                                  tmp_path / "b.geojson")
+
+    def test_labels_geojson_memory_is_bounded(self, tmp_path):
+        # one feature at a time: the traced peak does not grow with the cells
+        grid = GridSpec(651987.123, 6861994.7, 200, 100, 100.0)
+        cells = [CellId(c, r) for r in range(grid.n_rows) for c in range(grid.n_cols)]
+        labels = [i % 5 for i in range(len(cells))]
+        tracemalloc.start()
+        try:
+            export_labels_geojson(cells, labels, grid, tmp_path / "labels.geojson")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _reference_labels_geojson(cells, labels, grid, path):
+    """The writer that built the whole FeatureCollection, then its string."""
+    if len(cells) != len(labels):
+        raise ShapeMismatchError("cells and labels differ in length")
+    features = []
+    for cell, lab in zip(cells, labels):
+        ring = [[x, y] for x, y in cell_polygon(cell, grid)]
+        features.append(
+            {
+                "type": "Feature",
+                "geometry": {"type": "Polygon", "coordinates": [ring]},
+                "properties": {"col": cell.col, "row": cell.row, "cluster": int(lab)},
+            }
+        )
+    doc = {"type": "FeatureCollection", "features": features}
+    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
+                          encoding="utf-8")

@@ -29,6 +29,17 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(0, 0, 5, 5, cell_size=0)
 
+    def test_rejects_an_extent_that_overflows_a_float(self):
+        for args in [(0.0, 0.0, 8, 5, 1e308), (0.0, 1e308, 1, 2, 1e308),
+                     (-1e308, 0.0, 3, 1, 1e308), (0.0, 0.0, 10**400, 1, 1.0)]:
+            with pytest.raises(ValueError, match="extent overflows a float"):
+                GridSpec(*args)
+        # origin_x + n_cols * cell_size overflows here, but every corner that
+        # cell_polygon computes fits in a float, so the grid is kept
+        g = GridSpec(-1e308, 0.0, 2, 1, 1.3e308)
+        for col in range(2):
+            assert all(math.isfinite(v) for xy in cell_polygon(CellId(col, 0), g) for v in xy)
+
     def test_envelope(self):
         g = grid(3, 4, 50.0)
         assert g.width == 150.0
